@@ -53,6 +53,7 @@ from .lattice import (
     InfeasibleLattice,
     JointPosterior,
     JointScoreInputs,
+    NonFiniteScores,
     joint_score,
     log_partition,
     loss_gradients,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Sequence
 
@@ -237,18 +237,29 @@ def save_encoder(path, encoder: Encoder) -> None:
 
 
 def load_encoder(path) -> Encoder:
+    """Read a save_encoder checkpoint; any other layout raises MalformedInput."""
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict) or payload.get("magic") != CHECKPOINT_MAGIC:
         raise MalformedInput(f"{path}: not a {CHECKPOINT_MAGIC} checkpoint")
-    config = EncoderConfig(**payload["config"])
+    raw, keys = payload.get("config"), {f.name for f in fields(EncoderConfig)}
+    if not isinstance(raw, dict) or set(raw) != keys:
+        raise MalformedInput(f"{path}: config keys must be exactly {sorted(keys)}")
+    try:
+        config = EncoderConfig(**raw)
+    except (TypeError, ValueError) as exc:
+        raise MalformedInput(f"{path}: bad encoder config: {exc}") from None
     if config.kind == HASHED_FROZEN:
         return Encoder(config, None)
-    vocab = {tok: i for i, tok in enumerate(payload["vocab"])}
-    params = EncoderParams(
-        vocab=vocab,
-        token_table=np.asarray(payload["token_table"], dtype=float),
-        projection=np.asarray(payload["projection"], dtype=float),
-        bias=np.asarray(payload["bias"], dtype=float),
-    )
-    return Encoder(config, params)
+    vocab, d = payload.get("vocab"), config.dim
+    if not (isinstance(vocab, list) and vocab and all(isinstance(t, str) for t in vocab)):
+        raise MalformedInput(f"{path}: vocab must be a non-empty list of tokens")
+    matrices = {}
+    for name, shape in (("token_table", (len(vocab), d)), ("projection", (d, d)), ("bias", (d,))):
+        try:
+            matrices[name] = np.asarray(payload[name], dtype=float)
+        except (KeyError, TypeError, ValueError):
+            raise MalformedInput(f"{path}: {name} is missing or not a numeric array") from None
+        if matrices[name].shape != shape:
+            raise MalformedInput(f"{path}: {name} has shape {matrices[name].shape}, not {shape}")
+    return Encoder(config, EncoderParams({t: i for i, t in enumerate(vocab)}, **matrices))

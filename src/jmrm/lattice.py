@@ -5,11 +5,15 @@ The joint score of a pair is
     R(y, t) = lam * f_l[y] + sum_i ( f_e(t_i | y) + f_t(t_i | t_{i-1}) )
 
 with f_e the relation-masked slot emissions and f_t the transition mask
-(START row for t_0).  The partition function is computed exactly by one
-log-space forward pass per intent; marginals come from forward-backward.
+(START row for t_0).  Every dynamic program here is one right-to-left
+sweep over positions, _sweep, run in a chosen semiring: with logsumexp it
+gives the backward scores and, over reversed positions and transposed
+transitions, the forward scores, so log Z and the marginals are exact;
+with max it gives the best completions that Viterbi reads greedily.
 Masked configurations carry IEEE -inf, whose exp is exactly 0, so they
 contribute exactly zero probability mass and never produce NaN: the
-logsumexp below subtracts the max only when it is finite.
+logsumexp below subtracts the max only when it is finite.  Scores must be
+finite, so NaN and +inf are rejected where the inputs are built.
 """
 
 from __future__ import annotations
@@ -27,6 +31,10 @@ class InfeasibleGold(ValueError):
 
 class InfeasibleLattice(RuntimeError):
     """No feasible (intent, slot sequence) pair exists; cannot happen with a forced-O mask."""
+
+
+class NonFiniteScores(ValueError):
+    """An intent or slot score is NaN or infinite; masks, not scores, carry -inf."""
 
 
 def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -57,6 +65,9 @@ class JointScoreInputs:
             raise ValueError("transition mask shape mismatch")
         if not np.isfinite(self.lam):
             raise ValueError("lam must be finite")
+        for name, scores in (("f_l", self.f_l), ("f_o", self.f_o)):
+            if not np.all(np.isfinite(scores)):
+                raise NonFiniteScores(f"{name} holds NaN or infinite scores")
 
     @property
     def n_intents(self) -> int:
@@ -93,24 +104,19 @@ def joint_score(y: int, t: np.ndarray, jin: JointScoreInputs) -> float:
     return float(jin.lam * jin.f_l[y] + s)
 
 
-def _forward(fe: np.ndarray, tm: TransitionMask) -> np.ndarray:
-    """alpha[i, o] = log sum over prefixes ending in o at position i."""
-    m, t = fe.shape
-    alpha = np.empty((m, t))
-    alpha[0] = tm.start + fe[0]
-    for i in range(1, m):
-        alpha[i] = logsumexp(alpha[i - 1][:, None] + tm.trans, axis=0) + fe[i]
-    return alpha
+def _sweep(fe: np.ndarray, trans: np.ndarray, last, reduce) -> np.ndarray:
+    """The one position recursion, right to left over an (..., m, T) array.
 
-
-def _backward(fe: np.ndarray, tm: TransitionMask) -> np.ndarray:
-    """beta[i, o] = log sum over suffix completions given t_i = o."""
-    m, t = fe.shape
-    beta = np.empty((m, t))
-    beta[m - 1] = 0.0
-    for i in range(m - 2, -1, -1):
-        beta[i] = logsumexp(tm.trans + (fe[i + 1] + beta[i + 1])[None, :], axis=1)
-    return beta
+    h[..., m-1, :] = last and
+    h[..., i, o] = reduce_p(trans[o, p] + fe[..., i+1, p] + h[..., i+1, p]);
+    reduce is logsumexp (sum-product semiring) or np.max (max-plus).
+    """
+    h = np.empty(fe.shape)
+    h[..., -1, :] = last
+    for i in range(fe.shape[-2] - 2, -1, -1):
+        ahead = fe[..., i + 1, :] + h[..., i + 1, :]
+        h[..., i, :] = reduce(trans + ahead[..., None, :], axis=-1)
+    return h
 
 
 def log_partition(jin: JointScoreInputs) -> JointPosterior:
@@ -120,29 +126,21 @@ def log_partition(jin: JointScoreInputs) -> JointPosterior:
     and t_i = o}; each (y, i) slice sums to q(y), and cells masked by the
     relation mask are exactly zero.
     """
-    y_n, m, t_n = jin.n_intents, jin.n_positions, jin.n_slots
-    log_joint = np.empty(y_n)
-    alphas = []
-    betas = []
-    for y in range(y_n):
-        fe = apply_relation_mask(jin.f_o, jin.rm, y)
-        alpha = _forward(fe, jin.tm)
-        log_z_slot = logsumexp(alpha[m - 1], axis=0)
-        log_joint[y] = jin.lam * jin.f_l[y] + log_z_slot
-        alphas.append(alpha)
-        betas.append(None if log_z_slot == NEG_INF else (_backward(fe, jin.tm), log_z_slot))
+    fe = apply_relation_mask(jin.f_o, jin.rm, slice(None))  # (Y, m, T)
+    trans, start = jin.tm.trans, jin.tm.start
+    # one intent at a time: its (T, T) temporaries stay in cache
+    alpha = np.stack([_sweep(f[::-1], trans.T, start, logsumexp)[::-1] for f in fe]) + fe
+    beta = np.stack([_sweep(f, trans, 0.0, logsumexp) for f in fe])
+    intent_score = jin.lam * jin.f_l
+    log_joint = intent_score + logsumexp(alpha[:, -1], axis=-1)
     log_z = float(logsumexp(log_joint, axis=0))
     if log_z == NEG_INF:
         raise InfeasibleLattice("every (intent, slot sequence) pair is masked")
-    q = np.exp(log_joint - log_z)
-    unary = np.zeros((y_n, m, t_n))
-    for y in range(y_n):
-        if betas[y] is None:
-            continue  # infeasible intent: zero mass
-        beta, log_z_slot = betas[y]
-        within = np.exp(alphas[y] + beta - log_z_slot)
-        unary[y] = q[y] * within
-    return JointPosterior(log_z=log_z, intent_marginals=q, slot_unary_marginals=unary)
+    # an infeasible intent has alpha + beta = -inf everywhere: exactly zero mass
+    unary = np.exp(intent_score[:, None, None] + alpha + beta - log_z)
+    return JointPosterior(
+        log_z=log_z, intent_marginals=np.exp(log_joint - log_z), slot_unary_marginals=unary
+    )
 
 
 def nll_loss(
@@ -176,16 +174,6 @@ def loss_gradients(
     return d_fl, d_fo
 
 
-def _suffix_max(fe: np.ndarray, tm: TransitionMask) -> np.ndarray:
-    """sm[i, o] = best completion score from position i+1 on, given t_i = o."""
-    m, t = fe.shape
-    sm = np.empty((m, t))
-    sm[m - 1] = 0.0
-    for i in range(m - 2, -1, -1):
-        sm[i] = np.max(tm.trans + (fe[i + 1] + sm[i + 1])[None, :], axis=1)
-    return sm
-
-
 def viterbi_decode(jin: JointScoreInputs) -> tuple[int, np.ndarray, float]:
     """Highest-scoring feasible (intent, slot sequence) pair.
 
@@ -195,26 +183,18 @@ def viterbi_decode(jin: JointScoreInputs) -> tuple[int, np.ndarray, float]:
     (np.argmax returns the first maximizer).  The returned score is
     recomputed with joint_score, so it matches it bit-for-bit.
     """
-    m = jin.n_positions
-    suffix = []
-    first_cand = []
-    totals = np.empty(jin.n_intents)
-    for y in range(jin.n_intents):
-        fe = apply_relation_mask(jin.f_o, jin.rm, y)
-        sm = _suffix_max(fe, jin.tm)
-        cand0 = jin.tm.start + fe[0] + sm[0]
-        suffix.append((fe, sm))
-        first_cand.append(cand0)
-        totals[y] = jin.lam * jin.f_l[y] + np.max(cand0)
+    fe = apply_relation_mask(jin.f_o, jin.rm, slice(None))  # (Y, m, T)
+    sm = _sweep(fe, jin.tm.trans, 0.0, np.max)  # best completion after t_i = o
+    first = jin.tm.start + fe[:, 0] + sm[:, 0]
+    totals = jin.lam * jin.f_l + np.max(first, axis=1)
     if np.max(totals) == NEG_INF:
         raise InfeasibleLattice("every (intent, slot sequence) pair is masked")
     best_y = int(np.argmax(totals))
-    fe, sm = suffix[best_y]
-    path = np.empty(m, dtype=int)
-    path[0] = int(np.argmax(first_cand[best_y]))
-    acc = jin.tm.start[path[0]] + fe[0, path[0]]
-    for i in range(1, m):
-        cand = acc + jin.tm.trans[path[i - 1]] + fe[i] + sm[i]
-        path[i] = int(np.argmax(cand))
-        acc = acc + jin.tm.trans[path[i - 1], path[i]] + fe[i, path[i]]
+    fe, sm = fe[best_y], sm[best_y]
+    path = np.empty(jin.n_positions, dtype=int)
+    acc, into = 0.0, jin.tm.start
+    for i in range(jin.n_positions):
+        path[i] = int(np.argmax(acc + into + fe[i] + sm[i]))
+        acc = acc + into[path[i]] + fe[i, path[i]]
+        into = jin.tm.trans[path[i]]
     return best_y, path, joint_score(best_y, path, jin)

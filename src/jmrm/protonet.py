@@ -34,6 +34,7 @@ class Prototypes:
     slot_protos: np.ndarray  # (T, d)
     intent_counts: np.ndarray  # (Y,)
     slot_counts: np.ndarray  # (T,)
+    support_rows: list[np.ndarray]  # per support sample, its (m_n, d) token rows
 
 
 @dataclass
@@ -55,8 +56,10 @@ def compute_prototypes(
     slot_sum = np.zeros((t, d))
     intent_counts = np.zeros(y, dtype=int)
     slot_counts = np.zeros(t, dtype=int)
+    support_rows = []
     for sample in support:
         rows = encoder.encode_tokens(sample.tokens)
+        support_rows.append(rows)
         intent_sum[sample.intent] += rows.mean(axis=0)
         intent_counts[sample.intent] += 1
         for i, sid in enumerate(sample.slots):
@@ -73,6 +76,7 @@ def compute_prototypes(
         slot_protos=slot_sum / slot_counts[:, None],
         intent_counts=intent_counts,
         slot_counts=slot_counts,
+        support_rows=support_rows,
     )
 
 

@@ -150,7 +150,6 @@ class EpisodeContext:
     protos: Prototypes
     rm_true: RelationMask
     tm_true: TransitionMask
-    sup_token_embs: list[np.ndarray]
     intent_members: list[list[int]]  # support indices per intent
     slot_members: list[list[tuple[int, int]]]  # (support index, position) per slot
 
@@ -164,9 +163,7 @@ def build_context(episode: Episode, encoder: Encoder, config: RunConfig) -> Epis
     protos = compute_prototypes(episode.support, ls, encoder)
     intent_members: list[list[int]] = [[] for _ in range(ls.n_intents)]
     slot_members: list[list[tuple[int, int]]] = [[] for _ in range(ls.n_slots)]
-    sup_token_embs = []
     for n, sample in enumerate(episode.support):
-        sup_token_embs.append(encoder.encode_tokens(sample.tokens))
         intent_members[sample.intent].append(n)
         for i, sid in enumerate(sample.slots):
             slot_members[sid].append((n, i))
@@ -176,23 +173,16 @@ def build_context(episode: Episode, encoder: Encoder, config: RunConfig) -> Epis
         protos=protos,
         rm_true=build_relation_mask(episode.support, ls, force_o=config.force_o_related),
         tm_true=build_transition_mask(ls),
-        sup_token_embs=sup_token_embs,
         intent_members=intent_members,
         slot_members=slot_members,
     )
 
 
-def _train_masks(ctx: EpisodeContext, config: RunConfig) -> tuple[RelationMask, TransitionMask]:
+def _masks(ctx: EpisodeContext, i2s: bool, msd: bool) -> tuple[RelationMask, TransitionMask]:
+    """The episode's masks, each replaced by its permissive form when switched off."""
     ls = ctx.ls
-    rm = ctx.rm_true if config.i2s_train else all_ones_relation_mask(ls.n_intents, ls.n_slots)
-    tm = ctx.tm_true if config.msd_train else permissive_transition_mask(ls.n_slots)
-    return rm, tm
-
-
-def _eval_masks(ctx: EpisodeContext, config: RunConfig) -> tuple[RelationMask, TransitionMask]:
-    ls = ctx.ls
-    rm = ctx.rm_true if config.i2s_eval else all_ones_relation_mask(ls.n_intents, ls.n_slots)
-    tm = ctx.tm_true if config.msd_eval else permissive_transition_mask(ls.n_slots)
+    rm = ctx.rm_true if i2s else all_ones_relation_mask(ls.n_intents, ls.n_slots)
+    tm = ctx.tm_true if msd else permissive_transition_mask(ls.n_slots)
     return rm, tm
 
 
@@ -211,7 +201,7 @@ def _loss_and_emission_grads(
     query: Sample, f_l: np.ndarray, f_o: np.ndarray, ctx: EpisodeContext, config: RunConfig
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Configured loss plus dL/df_l and dL/df_o."""
-    rm, tm = _train_masks(ctx, config)
+    rm, tm = _masks(ctx, config.i2s_train, config.msd_train)
     gold_y, gold_t = query.intent, np.asarray(query.slots, dtype=int)
     if config.loss_mode == "joint":
         jin = JointScoreInputs(f_l, f_o, rm, tm, config.lam)
@@ -280,7 +270,7 @@ def compute_loss(
     # prototypes are per-class means over the support set
     n_sup = len(ctx.episode.support)
     d_sup_utt = [np.zeros(enc.config.dim) for _ in range(n_sup)]
-    d_sup_rows = [np.zeros_like(e) for e in ctx.sup_token_embs]
+    d_sup_rows = [np.zeros_like(e) for e in ctx.protos.support_rows]
     for l, members in enumerate(ctx.intent_members):
         share = d_c_intent[l] / len(members)
         for n in members:
@@ -311,7 +301,7 @@ def predict_episode(
     (the classic prototype-pipeline decoder).
     """
     ctx = build_context(episode, encoder, config)
-    rm, tm = _eval_masks(ctx, config)
+    rm, tm = _masks(ctx, config.i2s_eval, config.msd_eval)
     predictions = []
     for query in episode.query:
         em = compute_emissions(query, ctx.protos, encoder, config.similarity_kind)

@@ -167,6 +167,27 @@ class TestErrors:
         payload = json.loads(err)
         assert "error" in payload and "message" in payload
 
+    def test_malformed_checkpoint_yields_malformed_input(self, workspace, capsys):
+        ws, cfg = workspace
+        build(ws, cfg)
+        bad = ws / "bad_checkpoint.json"
+        bad.write_text(json.dumps({
+            "magic": "JMRM-ENC-v1",
+            "config": {"kind": "trainable", "dim": 2, "context_window": 0,
+                       "init_scale": 0.1, "seed": 0},
+            "vocab": ["<unk>", "a"],
+            "token_table": [[0.0, 0.0]],
+            "projection": [[1.0, 0.0], [0.0, 1.0]],
+            "bias": [0.0, 0.0],
+        }))
+        code = run_cli("eval", "--checkpoint", bad, "--episodes", ws / "eps_target.json",
+                       "--out", ws / "o")
+        assert code == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "MalformedInput"
+        assert "token_table" in payload["message"]
+        assert not (ws / "o").exists()
+
     def test_console_entry_point(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "jmrm.cli", "oracle-check", "--trials", "2", "--seed", "0"],

@@ -1,5 +1,7 @@
 """Hashed-frozen and trainable encoders, gradients, and checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,74 @@ class TestCheckpoint:
         path.write_text('{"magic": "other", "config": {}}')
         with pytest.raises(MalformedInput, match="JMRM-ENC-v1"):
             load_encoder(path)
+
+
+class TestCheckpointValidation:
+    """Every malformed checkpoint ends in MalformedInput at load time."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        enc = init_encoder(trainable(dim=3, seed=1), ["alpha", "beta"])
+        path = tmp_path / "enc.json"
+        save_encoder(path, enc)
+        return path, json.loads(path.read_text())
+
+    @staticmethod
+    def rejects(path, payload, match):
+        path.write_text(json.dumps(payload))
+        with pytest.raises(MalformedInput, match=match):
+            load_encoder(path)
+
+    def test_unknown_config_key(self, saved):
+        path, payload = saved
+        payload["config"]["layers"] = 2
+        self.rejects(path, payload, "config keys must be exactly")
+
+    def test_missing_config_key(self, saved):
+        path, payload = saved
+        del payload["config"]["seed"]
+        self.rejects(path, payload, "config keys must be exactly")
+
+    def test_invalid_config_value(self, saved):
+        path, payload = saved
+        payload["config"]["dim"] = 0
+        self.rejects(path, payload, "bad encoder config")
+
+    def test_missing_vocab(self, saved):
+        path, payload = saved
+        del payload["vocab"]
+        self.rejects(path, payload, "vocab must be a non-empty list")
+
+    @pytest.mark.parametrize("name", ["token_table", "projection", "bias"])
+    def test_missing_matrix(self, saved, name):
+        path, payload = saved
+        del payload[name]
+        self.rejects(path, payload, f"{name} is missing")
+
+    def test_short_token_table(self, saved):
+        path, payload = saved
+        payload["token_table"] = payload["token_table"][:-1]
+        self.rejects(path, payload, r"token_table has shape \(2, 3\), not \(3, 3\)")
+
+    def test_projection_not_square(self, saved):
+        path, payload = saved
+        payload["projection"] = [row[:2] for row in payload["projection"]]
+        self.rejects(path, payload, r"projection has shape \(3, 2\), not \(3, 3\)")
+
+    def test_bias_wrong_length(self, saved):
+        path, payload = saved
+        payload["bias"] = payload["bias"] + [0.0]
+        self.rejects(path, payload, r"bias has shape \(4,\), not \(3,\)")
+
+    def test_ragged_matrix(self, saved):
+        path, payload = saved
+        payload["projection"][0] = [1.0]
+        self.rejects(path, payload, "projection is missing or not a numeric array")
+
+    def test_vocab_not_a_token_list(self, saved):
+        path, payload = saved
+        payload["vocab"] = []
+        self.rejects(path, payload, "vocab must be a non-empty list")
 
 
 class TestConfig:

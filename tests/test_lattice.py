@@ -6,10 +6,13 @@ import math
 import numpy as np
 import pytest
 
+import jmrm
 from jmrm.core import LabelSpace
 from jmrm.lattice import (
     InfeasibleGold,
+    InfeasibleLattice,
     JointScoreInputs,
+    NonFiniteScores,
     joint_score,
     log_partition,
     logsumexp,
@@ -21,6 +24,7 @@ from jmrm.masks import (
     NEG_INF,
     RelationMask,
     all_ones_relation_mask,
+    apply_relation_mask,
     build_transition_mask,
     permissive_transition_mask,
 )
@@ -391,3 +395,147 @@ class TestLogsumexp:
     def test_large_values_stable(self):
         a = np.array([1e6, 1e6 - 3.0])
         assert logsumexp(a, axis=0) == pytest.approx(1e6 + math.log(1 + math.exp(-3.0)))
+
+
+class TestNonFiniteScores:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["f_l", "f_o"])
+    def test_rejected_at_construction(self, where, bad):
+        scores = {"f_l": np.zeros(2), "f_o": np.zeros((3, 2))}
+        scores[where].flat[1] = bad
+        with pytest.raises(NonFiniteScores, match=where):
+            open_inputs(scores["f_l"], scores["f_o"])
+
+    def test_typed_and_exported(self):
+        assert jmrm.NonFiniteScores is NonFiniteScores
+        assert issubclass(NonFiniteScores, ValueError)
+
+    def test_large_finite_negatives_accepted(self):
+        # L2 similarities of far-apart embeddings are large negative numbers
+        rng = np.random.default_rng(14)
+        jin = open_inputs(-1e6 * rng.random(2), -1e6 * rng.random((4, 3)))
+        assert np.isfinite(log_partition(jin).log_z)
+        y, path, score = viterbi_decode(jin)
+        assert score == joint_score(y, path, jin) and np.isfinite(score)
+
+
+# --- dense per-intent reference recursions -----------------------------------
+#
+# Written position by position and intent by intent, independently of the
+# single semiring sweep in jmrm.lattice.  The enumeration oracles reach only
+# tiny lattices; these pin SNIPS-sized ones.
+
+
+def ref_forward(fe, tm):
+    m, t = fe.shape
+    alpha = np.empty((m, t))
+    alpha[0] = tm.start + fe[0]
+    for i in range(1, m):
+        alpha[i] = logsumexp(alpha[i - 1][:, None] + tm.trans, axis=0) + fe[i]
+    return alpha
+
+
+def ref_backward(fe, tm):
+    m, t = fe.shape
+    beta = np.empty((m, t))
+    beta[m - 1] = 0.0
+    for i in range(m - 2, -1, -1):
+        beta[i] = logsumexp(tm.trans + (fe[i + 1] + beta[i + 1])[None, :], axis=1)
+    return beta
+
+
+def ref_suffix_max(fe, tm):
+    m, t = fe.shape
+    sm = np.empty((m, t))
+    sm[m - 1] = 0.0
+    for i in range(m - 2, -1, -1):
+        sm[i] = np.max(tm.trans + (fe[i + 1] + sm[i + 1])[None, :], axis=1)
+    return sm
+
+
+def ref_log_partition(jin):
+    """(log Z, q, unary marginals); an infeasible intent gets zero mass."""
+    y_n, m, t_n = jin.n_intents, jin.n_positions, jin.n_slots
+    log_joint = np.empty(y_n)
+    within = np.zeros((y_n, m, t_n))
+    for y in range(y_n):
+        fe = apply_relation_mask(jin.f_o, jin.rm, y)
+        alpha = ref_forward(fe, jin.tm)
+        log_z_slot = logsumexp(alpha[m - 1], axis=0)
+        log_joint[y] = jin.lam * jin.f_l[y] + log_z_slot
+        if log_z_slot > NEG_INF:
+            within[y] = np.exp(alpha + ref_backward(fe, jin.tm) - log_z_slot)
+    log_z = float(logsumexp(log_joint, axis=0))
+    q = np.exp(log_joint - log_z)
+    return log_z, q, q[:, None, None] * within
+
+
+def ref_viterbi(jin):
+    """Best pair; lowest intent, then lexicographically smallest path on ties."""
+    best = None
+    for y in range(jin.n_intents):
+        fe = apply_relation_mask(jin.f_o, jin.rm, y)
+        sm = ref_suffix_max(fe, jin.tm)
+        cand0 = jin.tm.start + fe[0] + sm[0]
+        total = jin.lam * jin.f_l[y] + np.max(cand0)
+        if best is None or total > best[0]:
+            best = (total, y, fe, sm, cand0)
+    _, y, fe, sm, cand0 = best
+    path = [int(np.argmax(cand0))]
+    acc = jin.tm.start[path[0]] + fe[0, path[0]]
+    for i in range(1, jin.n_positions):
+        cand = acc + jin.tm.trans[path[-1]] + fe[i] + sm[i]
+        path.append(int(np.argmax(cand)))
+        acc = acc + jin.tm.trans[path[-2], path[-1]] + fe[i, path[-1]]
+    return y, path, joint_score(y, np.array(path), jin)
+
+
+SNIPS_SPACE = LabelSpace(
+    tuple(f"intent{k}" for k in range(7)),
+    ("O",) + tuple(f"{p}-type{k}" for k in range(39) for p in ("B", "I")),
+)
+
+
+class TestLargeInstancesAgainstReference:
+    """Y=7, T=79 (SNIPS-shaped BIO space) against the dense reference."""
+
+    @pytest.mark.parametrize("bio", [True, False], ids=["bio", "permissive"])
+    @pytest.mark.parametrize("scale", [1.0, 30.0, 1e3])
+    @pytest.mark.parametrize("m", [12, 40])
+    def test_partition_marginals_and_viterbi(self, m, scale, bio):
+        rng = np.random.default_rng([m, int(scale), bio])
+        t_n = SNIPS_SPACE.n_slots
+        tm = build_transition_mask(SNIPS_SPACE) if bio else permissive_transition_mask(t_n)
+        rm = rng.random((7, t_n)) < 0.3
+        rm[:, 0] = True
+        # the last intent may use I-type0 only: infeasible under BIO (an
+        # I-label cannot open a sequence), feasible without it
+        rm[-1] = False
+        rm[-1, SNIPS_SPACE.slot_id("I-type0")] = True
+        f_l = scale * rng.standard_normal(7)
+        f_o = scale * rng.standard_normal((m, t_n))
+        # integer-rounded copies make exact ties between paths and intents
+        for fl, fo in ((f_l, f_o), (np.round(f_l), np.round(f_o))):
+            jin = JointScoreInputs(fl, fo, RelationMask(rm, True), tm, 1.0)
+            log_z, q, unary = ref_log_partition(jin)
+            post = log_partition(jin)
+            assert abs(post.log_z - log_z) <= 1e-12 * abs(log_z)
+            np.testing.assert_allclose(post.intent_marginals, q, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(post.slot_unary_marginals, unary, rtol=0, atol=1e-9)
+            if bio:
+                assert np.all(post.slot_unary_marginals[-1] == 0.0)
+            y, path, score = viterbi_decode(jin)
+            assert (y, [int(o) for o in path], score) == ref_viterbi(jin)
+
+
+class TestInfeasibleLattice:
+    def test_every_intent_masked(self):
+        # only I-labels are related, so under BIO no sequence can start
+        rm = np.zeros((2, SNIPS_SPACE.n_slots), dtype=bool)
+        rm[:, SNIPS_SPACE.slot_id("I-type0")] = True
+        jin = JointScoreInputs(np.zeros(2), np.zeros((3, SNIPS_SPACE.n_slots)),
+                               RelationMask(rm, False), build_transition_mask(SNIPS_SPACE))
+        with pytest.raises(InfeasibleLattice):
+            log_partition(jin)
+        with pytest.raises(InfeasibleLattice):
+            viterbi_decode(jin)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import jmrm.encoder
+import jmrm.trainer
 from jmrm.core import Episode, LabelSpace
 from jmrm.encoder import EncoderConfig, init_encoder
 from jmrm.episodes import SynthSpec, build_episode, generate_synthetic
@@ -71,6 +73,22 @@ class TestAdam:
         adam_step(params, {"a": np.array([1.0]), "b": np.array([0.0])}, state, cfg)
         assert params["a"][0] != 0.0
         assert params["b"][0] == 0.0
+
+
+class TestBuildContext:
+    def test_encodes_each_support_sample_once(self, small_episode, monkeypatch):
+        encoded, built = [], []
+        encode, prototypes = jmrm.encoder.encode_tokens, jmrm.trainer.compute_prototypes
+        monkeypatch.setattr(jmrm.encoder, "encode_tokens",
+                            lambda *a: encoded.append(tuple(a[2])) or encode(*a))
+        monkeypatch.setattr(jmrm.trainer, "compute_prototypes",
+                            lambda *a: built.append(a) or prototypes(*a))
+        enc = frozen_encoder()
+        ctx = build_context(small_episode, enc, RunConfig())
+        assert len(built) == 1
+        assert encoded == [s.tokens for s in small_episode.support]
+        for rows, sample in zip(ctx.protos.support_rows, small_episode.support):
+            np.testing.assert_array_equal(rows, enc.encode_tokens(sample.tokens))
 
 
 class TestComputeLoss:

@@ -15,13 +15,13 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .core import load_episode_file, save_episode_file
+from .core import MalformedInput, config_from_dict, load_episode_file, read_json, save_episode_file
 from .encoder import EncoderConfig, HASHED_FROZEN, load_encoder, save_encoder
 from .episodes import (
     SynthSpec,
@@ -32,6 +32,7 @@ from .episodes import (
 )
 from .experiments import (
     ABLATION_GRID,
+    REPORT_METRICS,
     aggregate_records,
     format_report_csv,
     format_report_text,
@@ -69,50 +70,39 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed: int) -> Non
     )
 
 
+# command-line flags that override RunConfig fields
+_RUN_FLAGS = {"seed": "seed", "similarity": "similarity_kind", "loss_mode": "loss_mode",
+              **{f: f for f in ("i2s_train", "msd_train", "i2s_eval", "msd_eval")}}
+
+
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    cfg = read_json(path)
+    if not isinstance(cfg, dict):
+        raise MalformedInput(f"{path}: expected a top-level object")
+    for section in ("run", "encoder", "synth"):
+        if not isinstance(cfg.get(section, {}), dict):
+            raise MalformedInput(f"{path}: section {section!r} must be an object")
+    return cfg
 
 
 def _run_config(args, file_cfg: dict) -> RunConfig:
-    cfg = run_config_from_dict(file_cfg.get("run", {}))
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "similarity", None) is not None:
-        overrides["similarity_kind"] = args.similarity
-    if getattr(args, "loss_mode", None) is not None:
-        overrides["loss_mode"] = args.loss_mode
-    for flag in ("i2s_train", "msd_train", "i2s_eval", "msd_eval"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[flag] = value
-    return replace(cfg, **overrides) if overrides else cfg
+    overrides = {field: getattr(args, flag) for flag, field in _RUN_FLAGS.items()
+                 if getattr(args, flag, None) is not None}
+    return run_config_from_dict({**file_cfg.get("run", {}), **overrides})
 
 
 def _encoder_config(args, file_cfg: dict, seed: int) -> EncoderConfig:
-    enc = dict(file_cfg.get("encoder", {}))
-    enc.setdefault("kind", HASHED_FROZEN)
-    enc.setdefault("dim", 32)
-    enc.setdefault("seed", seed)
-    known = {f.name for f in fields(EncoderConfig)}
-    unknown = set(enc) - known
-    if unknown:
-        raise ValueError(f"unknown encoder config keys: {sorted(unknown)}")
-    return EncoderConfig(**enc)
+    enc = {"kind": HASHED_FROZEN, "dim": 32, "seed": seed, **file_cfg.get("encoder", {})}
+    return config_from_dict(EncoderConfig, enc, "encoder config")
 
 
 def _synth_spec(args, file_cfg: dict) -> SynthSpec:
     spec = dict(file_cfg.get("synth", {}))
     if getattr(args, "seed", None) is not None:
         spec["seed"] = args.seed
-    known = {f.name for f in fields(SynthSpec)}
-    unknown = set(spec) - known
-    if unknown:
-        raise ValueError(f"unknown synth config keys: {sorted(unknown)}")
-    return SynthSpec(**spec)
+    return config_from_dict(SynthSpec, spec, "synth config")
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -250,15 +240,27 @@ def cmd_oracle_check(args) -> int:
     return 0 if report["pass"] else 1
 
 
+def _read_records(path) -> list:
+    """Metric records of one report input: a record or {"records": [...]}."""
+    payload = read_json(path)
+    records = payload.get("records", [payload]) if isinstance(payload, dict) else [payload]
+    if not isinstance(records, list):
+        raise MalformedInput(f"{path}: records must be a list")
+    for i, rec in enumerate(records):
+        metrics = rec.get("metrics") if isinstance(rec, dict) else None
+        if not (
+            isinstance(metrics, dict)
+            and isinstance(rec.get("similarity"), str)
+            and isinstance(rec.get("name", ""), str)
+            and all(type(metrics.get(k, "")) in (int, float, type(None)) for k in REPORT_METRICS)
+        ):
+            raise MalformedInput(f"{path}: record {i} needs a string similarity and "
+                                 f"numeric or null metrics {', '.join(REPORT_METRICS)}")
+    return records
+
+
 def cmd_report(args) -> int:
-    records = []
-    for path in args.inputs:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if isinstance(payload, dict) and "records" in payload:
-            records.extend(payload["records"])
-        else:
-            records.append(payload)
+    records = [rec for path in args.inputs for rec in _read_records(path)]
     rows = aggregate_records(records)
     text = format_report_text(rows)
     if args.out is not None:

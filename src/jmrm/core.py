@@ -1,4 +1,4 @@
-"""Core domain types, episode file I/O, validation, and BIO span extraction.
+"""Core domain types, the JSON input boundary, episode file I/O, and BIO spans.
 
 A labeled sample is a tokenized utterance with one intent label and one
 slot label per token (BIO scheme).  An episode bundles a small labeled
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 logger = logging.getLogger(__name__)
@@ -20,7 +20,7 @@ O_LABEL = "O"
 
 
 class MalformedInput(ValueError):
-    """Input file violates the episode/corpus JSON schema; message carries the path."""
+    """An input file or config violates its JSON schema; message names the source."""
 
 
 class LabelMismatch(ValueError):
@@ -205,15 +205,52 @@ def bio_spans(slots: Sequence[int], ls: LabelSpace) -> list[SlotSpan]:
     return spans
 
 
-# --- episode JSON schema -------------------------------------------------
+# --- JSON input boundary -------------------------------------------------
 #
-# { "episodes": [ { "domain": str, "intents": [str], "slot_labels": [str],
-#     "support": [ {"tokens": [str], "intent": str, "slots": [str]} ],
-#     "query":   [ {"tokens": [str], "intent": str, "slots": [str]} ] } ] }
-#
-# UTF-8 encoded; slot label names must match the B-/I-/O grammar; the
+# Every JSON input is decoded by parse_json and every config dataclass is
+# built by config_from_dict.  Episode files ("episodes"; "support", "query")
+# and corpus files ("corpora"; "samples") are labeled files:
+# { key: [ { "domain": str, "intents": [str], "slot_labels": [str],
+#     list: [ {"tokens": [str], "intent": str, "slots": [str]} ] } ] }
+# Slot label names must match the B-/I-/O grammar.  In episode files the
 # declared label lists must equal exactly the labels used in the support
 # set (plus "O", which is always part of a label space).
+
+# JSON value types per config field annotation (annotations are strings)
+_JSON_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "bool": (bool,)}
+
+
+def parse_json(data: bytes | str, where: str):
+    """Decode UTF-8 and parse JSON; any failure raises MalformedInput naming ``where``."""
+    try:
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"{where}: not valid UTF-8: {exc}") from None
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise MalformedInput(f"{where}: not valid JSON: {exc}") from None
+
+
+def read_json(path):
+    """parse_json over the bytes of a file; errors name the file."""
+    with open(path, "rb") as fh:
+        return parse_json(fh.read(), str(path))
+
+
+def config_from_dict(cls, obj, what: str):
+    """Build config dataclass ``cls`` from a JSON object; any bad key or value is MalformedInput."""
+    if not isinstance(obj, dict):
+        raise MalformedInput(f"{what} must be an object")
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = set(obj) - set(types)
+    if unknown:
+        raise MalformedInput(f"unknown {what} keys: {sorted(unknown)}")
+    for key, value in obj.items():
+        if type(value) not in _JSON_TYPES[types[key]]:
+            raise MalformedInput(f"bad {what}: {key} must be {types[key]}")
+    try:
+        return cls(**obj)
+    except (TypeError, ValueError) as exc:
+        raise MalformedInput(f"bad {what}: {exc}") from None
 
 
 def _expect(cond: bool, path: str, msg: str) -> None:
@@ -240,8 +277,11 @@ def _parse_sample(obj, ls: LabelSpace, path: str) -> Sample:
         raise LengthMismatch(
             f"{path}: {len(tokens)} tokens vs {len(slot_names)} slots"
         )
-    intent = ls.intent_id(obj["intent"])
-    slots = tuple(ls.slot_id(name) for name in slot_names)
+    try:
+        intent = ls.intent_id(obj["intent"])
+        slots = tuple(ls.slot_id(name) for name in slot_names)
+    except LabelMismatch as exc:
+        raise LabelMismatch(f"{path}: {exc}") from None
     return Sample(tokens=tuple(tokens), intent=intent, slots=slots)
 
 
@@ -259,57 +299,49 @@ def _parse_label_space(obj, path: str) -> LabelSpace:
         raise MalformedInput(f"{path}: {exc}") from None
 
 
+def parse_labeled_records(data: bytes | str, source: str, key: str, lists: tuple[str, ...]) -> list:
+    """(JSON path, domain, label space, {list name: samples}) per record of a labeled file."""
+    root, top = parse_json(data, source), f"{source}: $"
+    _expect(isinstance(root, dict), top, "expected a top-level object")
+    _expect(key in root, top, f"missing key {key!r}")
+    _expect(isinstance(root[key], list), f"{top}.{key}", "expected a list")
+    records = []
+    for i, obj in enumerate(root[key]):
+        path = f"{top}.{key}[{i}]"
+        _expect(isinstance(obj, dict), path, "expected an object")
+        for name in ("domain", "intents", "slot_labels", *lists):
+            _expect(name in obj, path, f"missing key {name!r}")
+        _expect(isinstance(obj["domain"], str), f"{path}.domain", "expected a string")
+        ls = _parse_label_space(obj, path)
+        samples = {}
+        for name in lists:
+            _expect(isinstance(obj[name], list), f"{path}.{name}", "expected a list")
+            samples[name] = tuple(
+                _parse_sample(s, ls, f"{path}.{name}[{j}]") for j, s in enumerate(obj[name])
+            )
+        records.append((path, obj["domain"], ls, samples))
+    return records
+
+
 def _check_episode_local_space(ep: Episode, path: str) -> None:
-    used_intents = {ep.label_space.intents[s.intent] for s in ep.support}
-    used_slots = {ep.label_space.slot_labels[sid] for s in ep.support for sid in s.slots}
-    used_slots.add(O_LABEL)
-    declared_intents = set(ep.label_space.intents)
-    declared_slots = set(ep.label_space.slot_labels)
-    _expect(
-        declared_intents == used_intents, path,
-        f"declared intents {sorted(declared_intents)} != support intents {sorted(used_intents)}",
-    )
-    _expect(
-        declared_slots == used_slots, path,
-        f"declared slot labels {sorted(declared_slots)} != support slot labels {sorted(used_slots)}",
-    )
+    ls = ep.label_space
+    used_slots = {ls.slot_labels[sid] for s in ep.support for sid in s.slots} | {O_LABEL}
+    for what, declared, used in (
+        ("intents", set(ls.intents), {ls.intents[s.intent] for s in ep.support}),
+        ("slot labels", set(ls.slot_labels), used_slots),
+    ):
+        _expect(declared == used, path,
+                f"declared {what} {sorted(declared)} != support {what} {sorted(used)}")
 
 
-def parse_episodes(data: bytes | str) -> list[Episode]:
+def parse_episodes(data: bytes | str, source: str = "<input>") -> list[Episode]:
     """Parse an episode file (UTF-8 JSON) into validated Episode values."""
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedInput(f"file is not valid UTF-8: {exc}") from None
-    try:
-        root = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise MalformedInput(f"file is not valid JSON: {exc}") from None
-    _expect(isinstance(root, dict), "$", "expected a top-level object")
-    _expect("episodes" in root, "$", "missing key 'episodes'")
-    _expect(isinstance(root["episodes"], list), "$.episodes", "expected a list")
-
     episodes: list[Episode] = []
-    for i, ep_obj in enumerate(root["episodes"]):
-        path = f"$.episodes[{i}]"
-        _expect(isinstance(ep_obj, dict), path, "expected an object")
-        for key in ("domain", "intents", "slot_labels", "support", "query"):
-            _expect(key in ep_obj, path, f"missing key {key!r}")
-        _expect(isinstance(ep_obj["domain"], str), f"{path}.domain", "expected a string")
-        ls = _parse_label_space(ep_obj, path)
-        _expect(isinstance(ep_obj["support"], list), f"{path}.support", "expected a list")
-        _expect(len(ep_obj["support"]) >= 1, f"{path}.support", "must be non-empty")
-        _expect(isinstance(ep_obj["query"], list), f"{path}.query", "expected a list")
-        support = tuple(
-            _parse_sample(s, ls, f"{path}.support[{j}]")
-            for j, s in enumerate(ep_obj["support"])
-        )
-        query = tuple(
-            _parse_sample(s, ls, f"{path}.query[{j}]")
-            for j, s in enumerate(ep_obj["query"])
-        )
-        episode = Episode(support, query, ls, ep_obj["domain"])
+    for path, domain, ls, samples in parse_labeled_records(
+        data, source, "episodes", ("support", "query")
+    ):
+        _expect(len(samples["support"]) >= 1, f"{path}.support", "must be non-empty")
+        episode = Episode(samples["support"], samples["query"], ls, domain)
         _check_episode_local_space(episode, path)
         episodes.append(episode)
     return episodes
@@ -341,7 +373,7 @@ def serialize_episodes(episodes: Iterable[Episode]) -> str:
 
 def load_episode_file(path) -> list[Episode]:
     with open(path, "rb") as fh:
-        return parse_episodes(fh.read())
+        return parse_episodes(fh.read(), str(path))
 
 
 def save_episode_file(path, episodes: Iterable[Episode]) -> None:

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import MalformedInput
+from .core import MalformedInput, config_from_dict, read_json
 
 HASHED_FROZEN = "hashed-frozen"
 TRAINABLE = "trainable"
@@ -238,17 +238,13 @@ def save_encoder(path, encoder: Encoder) -> None:
 
 def load_encoder(path) -> Encoder:
     """Read a save_encoder checkpoint; any other layout raises MalformedInput."""
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = read_json(path)
     if not isinstance(payload, dict) or payload.get("magic") != CHECKPOINT_MAGIC:
         raise MalformedInput(f"{path}: not a {CHECKPOINT_MAGIC} checkpoint")
     raw, keys = payload.get("config"), {f.name for f in fields(EncoderConfig)}
     if not isinstance(raw, dict) or set(raw) != keys:
         raise MalformedInput(f"{path}: config keys must be exactly {sorted(keys)}")
-    try:
-        config = EncoderConfig(**raw)
-    except (TypeError, ValueError) as exc:
-        raise MalformedInput(f"{path}: bad encoder config: {exc}") from None
+    config = config_from_dict(EncoderConfig, raw, f"encoder config in {path}")
     if config.kind == HASHED_FROZEN:
         return Encoder(config, None)
     vocab, d = payload.get("vocab"), config.dim
@@ -262,4 +258,6 @@ def load_encoder(path) -> Encoder:
             raise MalformedInput(f"{path}: {name} is missing or not a numeric array") from None
         if matrices[name].shape != shape:
             raise MalformedInput(f"{path}: {name} has shape {matrices[name].shape}, not {shape}")
+        if not np.isfinite(matrices[name]).all():
+            raise MalformedInput(f"{path}: {name} has null or non-finite entries")
     return Encoder(config, EncoderParams({t: i for i, t in enumerate(vocab)}, **matrices))

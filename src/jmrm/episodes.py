@@ -25,9 +25,7 @@ from .core import (
     MalformedInput,
     O_LABEL,
     Sample,
-    _expect,
-    _parse_label_space,
-    _parse_sample,
+    parse_labeled_records,
     sample_to_dict,
     validate_sample,
 )
@@ -81,22 +79,13 @@ class SynthSpec:
             raise ValueError("vocab_overlap must lie in [0, 1]")
 
 
-def _class_requirements(corpus: Corpus) -> tuple[Counter, Counter]:
+def _class_counts(samples: Sequence[Sample]) -> tuple[Counter, Counter]:
     """Occurrence counts of intents (per sample) and slots (per labeled word)."""
-    intent_counts: Counter = Counter()
-    slot_counts: Counter = Counter()
-    for s in corpus.samples:
-        intent_counts[s.intent] += 1
-        slot_counts.update(s.slots)
-    return intent_counts, slot_counts
+    return Counter(s.intent for s in samples), Counter(sid for s in samples for sid in s.slots)
 
 
 def _covers(samples: Sequence[Sample], need_intents: set[int], need_slots: set[int], k: int) -> bool:
-    intent_counts: Counter = Counter()
-    slot_counts: Counter = Counter()
-    for s in samples:
-        intent_counts[s.intent] += 1
-        slot_counts.update(s.slots)
+    intent_counts, slot_counts = _class_counts(samples)
     return all(intent_counts[c] >= k for c in need_intents) and all(
         slot_counts[c] >= k for c in need_slots
     )
@@ -112,7 +101,7 @@ def build_support_set(corpus: Corpus, k: int, rng: np.random.Generator) -> list[
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    intent_counts, slot_counts = _class_requirements(corpus)
+    intent_counts, slot_counts = _class_counts(corpus.samples)
     for intent, count in sorted(intent_counts.items()):
         if count < k:
             raise InsufficientCorpus(
@@ -335,10 +324,8 @@ def generate_synthetic(spec: SynthSpec) -> tuple[list[Corpus], list[Corpus], lis
 
 # --- corpus file I/O ------------------------------------------------------
 #
-# Corpus files reuse the episode sample schema, with a "samples" array in
-# place of support/query:
-# { "corpora": [ { "domain": str, "intents": [str], "slot_labels": [str],
-#     "samples": [ {"tokens": [str], "intent": str, "slots": [str]} ] } ] }
+# Corpus files are labeled files (core.parse_labeled_records) with a
+# "corpora" key and one "samples" array per record in place of support/query.
 
 
 def corpus_to_dict(corpus: Corpus) -> dict:
@@ -355,39 +342,17 @@ def serialize_corpora(corpora: Iterable[Corpus]) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
-def parse_corpora(data: bytes | str) -> list[Corpus]:
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedInput(f"file is not valid UTF-8: {exc}") from None
-    try:
-        root = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise MalformedInput(f"file is not valid JSON: {exc}") from None
-    _expect(isinstance(root, dict), "$", "expected a top-level object")
-    _expect("corpora" in root, "$", "missing key 'corpora'")
-    _expect(isinstance(root["corpora"], list), "$.corpora", "expected a list")
-    corpora = []
-    for i, obj in enumerate(root["corpora"]):
-        path = f"$.corpora[{i}]"
-        _expect(isinstance(obj, dict), path, "expected an object")
-        for key in ("domain", "intents", "slot_labels", "samples"):
-            _expect(key in obj, path, f"missing key {key!r}")
-        _expect(isinstance(obj["domain"], str), f"{path}.domain", "expected a string")
-        ls = _parse_label_space(obj, path)
-        _expect(isinstance(obj["samples"], list), f"{path}.samples", "expected a list")
-        samples = tuple(
-            _parse_sample(s, ls, f"{path}.samples[{j}]")
-            for j, s in enumerate(obj["samples"])
-        )
-        corpora.append(Corpus(obj["domain"], samples, ls))
-    return corpora
+def parse_corpora(data: bytes | str, source: str = "<input>") -> list[Corpus]:
+    """Parse a corpus file (UTF-8 JSON) into validated Corpus values."""
+    return [
+        Corpus(domain, samples["samples"], ls)
+        for _, domain, ls, samples in parse_labeled_records(data, source, "corpora", ("samples",))
+    ]
 
 
 def load_corpus_file(path) -> list[Corpus]:
     with open(path, "rb") as fh:
-        return parse_corpora(fh.read())
+        return parse_corpora(fh.read(), str(path))
 
 
 def save_corpus_file(path, corpora: Iterable[Corpus]) -> None:

@@ -32,6 +32,8 @@ ABLATION_GRID: dict[str, dict[str, bool]] = {
     "JM+RM": dict(i2s_train=False, msd_train=False, i2s_eval=True, msd_eval=True),
 }
 
+REPORT_METRICS = ("intent_acc", "slot_f1", "joint_acc")
+
 
 def episode_vocabulary(episodes: Sequence[Episode]) -> list[str]:
     """All surface tokens of the episodes, sorted for a stable row order."""
@@ -77,7 +79,7 @@ def aggregate_records(records: Sequence[dict]) -> list[dict]:
     rows = []
     for (name, sim), recs in sorted(groups.items(), key=lambda kv: (_grid_rank(kv[0][0]), kv[0])):
         row = {"name": name, "similarity": sim, "n_seeds": len(recs)}
-        for metric in ("intent_acc", "slot_f1", "joint_acc"):
+        for metric in REPORT_METRICS:
             vals = [r["metrics"][metric] for r in recs if r["metrics"][metric] is not None]
             if vals:
                 row[f"{metric}_mean"] = float(100.0 * np.mean(vals))

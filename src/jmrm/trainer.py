@@ -16,12 +16,12 @@ the support-derived relation mask.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .core import Episode, LabelSpace, Sample
+from .core import Episode, LabelSpace, Sample, config_from_dict
 from .encoder import Encoder, encoder_backward, zero_grads
 from .lattice import (
     InfeasibleGold,
@@ -43,6 +43,7 @@ from .masks import (
 )
 from .metrics import EMPTY_METRICS, MetricsSummary, score
 from .protonet import (
+    SIMILARITY_KINDS,
     Prototypes,
     compute_emissions,
     compute_prototypes,
@@ -89,18 +90,16 @@ class RunConfig:
             raise ValueError("lam must be >= 0")
         if self.loss_mode not in LOSS_MODES:
             raise ValueError(f"unknown loss_mode {self.loss_mode!r}")
+        if self.similarity_kind not in SIMILARITY_KINDS:
+            raise ValueError(f"unknown similarity_kind {self.similarity_kind!r}")
 
 
 def run_config_from_dict(obj: dict) -> RunConfig:
     """Build a RunConfig from a JSON object; 'lambda' is accepted for lam."""
-    obj = dict(obj)
-    if "lambda" in obj:
+    if isinstance(obj, dict) and "lambda" in obj:
+        obj = dict(obj)
         obj["lam"] = obj.pop("lambda")
-    known = {f.name for f in fields(RunConfig)}
-    unknown = set(obj) - known
-    if unknown:
-        raise ValueError(f"unknown run config keys: {sorted(unknown)}")
-    return RunConfig(**obj)
+    return config_from_dict(RunConfig, obj, "run config")
 
 
 # --- Adam -------------------------------------------------------------------

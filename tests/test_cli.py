@@ -1,6 +1,7 @@
 """CLI subcommands: file outputs, determinism, and the train/eval contract."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -195,3 +196,53 @@ class TestErrors:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["pass"] is True
+
+    @pytest.mark.parametrize("command, content", [
+        ("eval", b"{not json"),
+        ("eval", b"\xff{}"),
+        ("train", b"{not json"),
+        ("train", b"[1, 2]"),
+        ("train", b'{"run": 5}'),
+        ("train", b'{"run": {"batch_size": "4"}}'),
+        ("train", b'{"run": {"similarity_kind": "foo"}}'),
+        ("train", b'{"encoder": {"dim": "32"}}'),
+        ("gen-synth", b'{"synth": {"n_source_domains": "3"}}'),
+        ("report", b"{not json"),
+        ("report", b'{"records": [{}]}'),
+        ("report", b'{"records": 3}'),
+        ("report", b"[1, 2]"),
+    ])
+    def test_bad_input_file_yields_malformed_input(self, tmp_path, capsys, command, content):
+        """The checkpoint (eval), config (train, gen-synth) or report input is bad;
+        it is read before any episode file, so those need not exist."""
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        flag = {"eval": "--checkpoint", "report": "--inputs"}.get(command, "--config")
+        argv = {
+            "eval": ["--episodes", tmp_path / "eps.json", "--out", tmp_path / "o"],
+            "train": ["--episodes", tmp_path / "eps.json", "--dev", tmp_path / "eps.json",
+                      "--out", tmp_path / "o"],
+            "gen-synth": ["--out", tmp_path / "o"],
+            "report": [],
+        }[command]
+        assert run_cli(command, flag, bad, *argv) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "MalformedInput"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, text, match", [
+        ("train", '{"episodes": [{"domain": "x"}]}', r"\$\.episodes\[0\]: missing key 'intents'"),
+        ("train", '{"episodes": 5', "not valid JSON"),
+        ("build-episodes", '{"corpora": [{}]}', r"\$\.corpora\[0\]: missing key 'domain'"),
+    ])
+    def test_labeled_file_errors_name_the_file(self, tmp_path, capsys, command, text, match):
+        bad = tmp_path / "bad_labeled.json"
+        bad.write_text(text)
+        argv = {
+            "train": ["--episodes", bad, "--dev", bad, "--out", tmp_path / "o"],
+            "build-episodes": ["--corpora", bad, "--shots", 1, "--out", tmp_path / "o.json"],
+        }[command]
+        assert run_cli(command, *argv) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "MalformedInput"
+        assert re.search(f"^{re.escape(str(bad))}: {match}", payload["message"])

@@ -256,6 +256,11 @@ class TestCheckpointValidation:
         payload["projection"] = [row[:2] for row in payload["projection"]]
         self.rejects(path, payload, r"projection has shape \(3, 2\), not \(3, 3\)")
 
+    def test_null_entry(self, saved):
+        path, payload = saved
+        payload["bias"][1] = None
+        self.rejects(path, payload, "bias has null or non-finite entries")
+
     def test_bias_wrong_length(self, saved):
         path, payload = saved
         payload["bias"] = payload["bias"] + [0.0]

@@ -5,7 +5,7 @@ import pytest
 
 import jmrm.encoder
 import jmrm.trainer
-from jmrm.core import Episode, LabelSpace
+from jmrm.core import Episode, LabelSpace, MalformedInput
 from jmrm.encoder import EncoderConfig, init_encoder
 from jmrm.episodes import SynthSpec, build_episode, generate_synthetic
 from jmrm.lattice import InfeasibleGold, JointScoreInputs, nll_loss
@@ -292,3 +292,14 @@ class TestRunConfig:
             RunConfig(loss_mode="focal")
         with pytest.raises(ValueError):
             RunConfig(learning_rate=0.0)
+        with pytest.raises(ValueError, match="similarity_kind"):
+            RunConfig(similarity_kind="dot")
+
+    def test_value_types_checked(self):
+        assert run_config_from_dict({"lam": 2}).lam == 2
+        for bad in ({"batch_size": "4"}, {"batch_size": 4.0}, {"i2s_train": 1},
+                    {"max_steps": True}, {"similarity_kind": None}):
+            with pytest.raises(MalformedInput, match="bad run config"):
+                run_config_from_dict(bad)
+        with pytest.raises(MalformedInput, match="must be an object"):
+            run_config_from_dict([("lam", 1.0)])

@@ -16,7 +16,6 @@ from jmrm import (
     compute_emissions,
     compute_prototypes,
     init_encoder,
-    similarity,
 )
 
 
@@ -44,10 +43,11 @@ def main():
     print("  intents:", dict(zip(ls.intents, protos.intent_counts)))
     print("  slots:  ", dict(zip(ls.slot_labels, protos.slot_counts)))
 
-    e = enc.encode_utterance(("play", "something",))
-    print("\nsimilarity of a query utterance to the play_music prototype:")
+    probe = sample(ls, "play something", "play_music", "O O")
+    print("\nintent emissions of a query utterance (play_music, book_restaurant):")
     for kind in ("cos", "l2", "vpb"):
-        print(f"  {kind}: {similarity(e, protos.intent_protos[0], kind):+.4f}")
+        intent = compute_emissions(probe, protos, enc, kind).intent
+        print(f"  {kind}: " + "  ".join(f"{v:+.4f}" for v in intent))
 
     rm = build_relation_mask(support, ls)
     print("\nrelation mask (rows = intents, columns = slot labels):")

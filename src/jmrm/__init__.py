@@ -74,7 +74,6 @@ from .protonet import (
     Prototypes,
     compute_emissions,
     compute_prototypes,
-    similarity,
 )
 from .trainer import (
     RunConfig,

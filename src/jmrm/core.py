@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
@@ -220,13 +221,23 @@ def bio_spans(slots: Sequence[int], ls: LabelSpace) -> list[SlotSpan]:
 _JSON_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "bool": (bool,)}
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
 def parse_json(data: bytes | str, where: str):
-    """Decode UTF-8 and parse JSON; any failure raises MalformedInput naming ``where``."""
+    """Decode UTF-8 and parse JSON whose numbers are all finite (no NaN,
+    Infinity or overflowing literal such as 1e400); any failure raises
+    MalformedInput naming ``where``."""
     try:
-        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+        return json.loads(text, parse_float=_finite_float, parse_constant=_finite_float)
     except UnicodeDecodeError as exc:
         raise MalformedInput(f"{where}: not valid UTF-8: {exc}") from None
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise MalformedInput(f"{where}: not valid JSON: {exc}") from None
 
 
@@ -247,6 +258,8 @@ def config_from_dict(cls, obj, what: str):
     for key, value in obj.items():
         if type(value) not in _JSON_TYPES[types[key]]:
             raise MalformedInput(f"bad {what}: {key} must be {types[key]}")
+        if type(value) is float and not math.isfinite(value):
+            raise MalformedInput(f"bad {what}: {key} must be finite, not {value}")
     try:
         return cls(**obj)
     except (TypeError, ValueError) as exc:

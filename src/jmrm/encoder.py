@@ -7,7 +7,10 @@ Two kinds:
   gets the same vector in every domain, which is what makes token-level
   semantics transferable across domains at desk scale.  No parameters.
 * ``trainable``: a token embedding table plus a linear projection over a
-  symmetric context-window mean, with exact reverse-mode gradients.
+  symmetric context-window mean, with exact reverse-mode gradients.  The
+  window mean and its backward scatter are each one ``np.add.at`` over the
+  same (position, neighbour) pairs, which rounds like a loop over
+  positions and then neighbours.
 """
 
 from __future__ import annotations
@@ -136,15 +139,23 @@ def _hashed_unit_vector(token: str, seed: int, dim: int) -> np.ndarray:
     return v
 
 
+@lru_cache(maxsize=1024)
+def _window_pairs(m: int, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every (i, j) in [0, m) with |i - j| <= w, i-major with j ascending, and
+    each position's window size.  ufunc.at adds in index order, so a sum
+    over these pairs rounds exactly like a loop over i and then j."""
+    pos = np.arange(m)
+    i, j = np.nonzero(np.abs(pos[:, None] - pos) <= w)
+    return i, j, np.bincount(i, minlength=m)
+
+
 def _window_means(table_rows: np.ndarray, w: int) -> np.ndarray:
-    m = table_rows.shape[0]
     if w == 0:
         return table_rows
-    out = np.empty_like(table_rows)
-    for i in range(m):
-        lo, hi = max(0, i - w), min(m, i + w + 1)
-        out[i] = table_rows[lo:hi].mean(axis=0)
-    return out
+    i, j, sizes = _window_pairs(table_rows.shape[0], w)
+    sums = np.zeros_like(table_rows)
+    np.add.at(sums, i, table_rows[j])
+    return sums / sizes[:, None]
 
 
 def encode_tokens(
@@ -196,17 +207,13 @@ def encoder_backward(
         total += d_rows
     if d_utt is not None:
         total += np.asarray(d_utt) / m
-    ids = [params.vocab.get(t, 0) for t in tokens]
+    ids = np.array([params.vocab.get(t, 0) for t in tokens], dtype=int)
     h = _window_means(params.token_table[ids], config.context_window)
     grads["projection"] += total.T @ h
     grads["bias"] += total.sum(axis=0)
     dh = total @ params.projection
-    w = config.context_window
-    for i in range(m):
-        lo, hi = max(0, i - w), min(m, i + w + 1)
-        share = dh[i] / (hi - lo)
-        for j in range(lo, hi):
-            grads["token_table"][ids[j]] += share
+    i, j, sizes = _window_pairs(m, config.context_window)
+    np.add.at(grads["token_table"], ids[j], (dh / sizes[:, None])[i])
     return grads
 
 

@@ -34,7 +34,6 @@ class Prototypes:
     slot_protos: np.ndarray  # (T, d)
     intent_counts: np.ndarray  # (Y,)
     slot_counts: np.ndarray  # (T,)
-    support_rows: list[np.ndarray]  # per support sample, its (m_n, d) token rows
 
 
 @dataclass
@@ -51,56 +50,29 @@ def compute_prototypes(
     Every class of the (episode-local) label space must occur in the
     support set, otherwise its prototype would be undefined.
     """
-    y, t, d = ls.n_intents, ls.n_slots, encoder.config.dim
-    intent_sum = np.zeros((y, d))
-    slot_sum = np.zeros((t, d))
-    intent_counts = np.zeros(y, dtype=int)
-    slot_counts = np.zeros(t, dtype=int)
-    support_rows = []
-    for sample in support:
-        rows = encoder.encode_tokens(sample.tokens)
-        support_rows.append(rows)
-        intent_sum[sample.intent] += rows.mean(axis=0)
-        intent_counts[sample.intent] += 1
-        for i, sid in enumerate(sample.slots):
-            slot_sum[sid] += rows[i]
-            slot_counts[sid] += 1
-    for l in range(y):
-        if intent_counts[l] == 0:
-            raise ValueError(f"intent {ls.intents[l]!r} has no support samples")
-    for o in range(t):
-        if slot_counts[o] == 0:
-            raise ValueError(f"slot label {ls.slot_labels[o]!r} has no support occurrences")
+    y, t = ls.n_intents, ls.n_slots
+    intents = np.array([sample.intent for sample in support], dtype=int)
+    intent_counts = np.bincount(intents, minlength=y)
+    if not intent_counts.all():
+        l = intent_counts.argmin()
+        raise ValueError(f"intent {ls.intents[l]!r} has no support samples")
+    slots = np.concatenate([sample.slots for sample in support])
+    slot_counts = np.bincount(slots, minlength=t)
+    if not slot_counts.all():
+        o = slot_counts.argmin()
+        raise ValueError(f"slot label {ls.slot_labels[o]!r} has no support occurrences")
+    rows = [encoder.encode_tokens(sample.tokens) for sample in support]
+    # ufunc.at adds in index order: support order, then token position
+    intent_sum = np.zeros((y, encoder.config.dim))
+    np.add.at(intent_sum, intents, np.stack([r.mean(axis=0) for r in rows]))
+    slot_sum = np.zeros((t, encoder.config.dim))
+    np.add.at(slot_sum, slots, np.concatenate(rows))
     return Prototypes(
         intent_protos=intent_sum / intent_counts[:, None],
         slot_protos=slot_sum / slot_counts[:, None],
         intent_counts=intent_counts,
         slot_counts=slot_counts,
-        support_rows=support_rows,
     )
-
-
-def similarity(e: np.ndarray, c: np.ndarray, kind: str) -> float:
-    """Similarity of an embedding to a prototype; higher = more similar.
-
-    cos: e.c / (|e||c|); l2: -|e - c|^2; vpb: e.c/|c| - |c|/2.
-    """
-    e = np.asarray(e, dtype=float)
-    c = np.asarray(c, dtype=float)
-    if kind == L2:
-        diff = e - c
-        return float(-diff @ diff)
-    c_norm = np.linalg.norm(c)
-    if c_norm == 0.0:
-        raise DegenerateVector(f"zero-norm prototype under {kind} similarity")
-    if kind == VPB:
-        return float(e @ c / c_norm - c_norm / 2.0)
-    if kind == COS:
-        e_norm = np.linalg.norm(e)
-        if e_norm == 0.0:
-            raise DegenerateVector("zero-norm embedding under cos similarity")
-        return float(e @ c / (e_norm * c_norm))
-    raise ValueError(f"unknown similarity kind {kind!r}")
 
 
 def similarity_to_protos(e: np.ndarray, protos: np.ndarray, kind: str) -> np.ndarray:

@@ -149,8 +149,6 @@ class EpisodeContext:
     protos: Prototypes
     rm_true: RelationMask
     tm_true: TransitionMask
-    intent_members: list[list[int]]  # support indices per intent
-    slot_members: list[list[tuple[int, int]]]  # (support index, position) per slot
 
     @property
     def ls(self) -> LabelSpace:
@@ -159,21 +157,12 @@ class EpisodeContext:
 
 def build_context(episode: Episode, encoder: Encoder, config: RunConfig) -> EpisodeContext:
     ls = episode.label_space
-    protos = compute_prototypes(episode.support, ls, encoder)
-    intent_members: list[list[int]] = [[] for _ in range(ls.n_intents)]
-    slot_members: list[list[tuple[int, int]]] = [[] for _ in range(ls.n_slots)]
-    for n, sample in enumerate(episode.support):
-        intent_members[sample.intent].append(n)
-        for i, sid in enumerate(sample.slots):
-            slot_members[sid].append((n, i))
     return EpisodeContext(
         episode=episode,
         encoder=encoder,
-        protos=protos,
+        protos=compute_prototypes(episode.support, ls, encoder),
         rm_true=build_relation_mask(episode.support, ls, force_o=config.force_o_related),
         tm_true=build_transition_mask(ls),
-        intent_members=intent_members,
-        slot_members=slot_members,
     )
 
 
@@ -185,15 +174,18 @@ def _masks(ctx: EpisodeContext, i2s: bool, msd: bool) -> tuple[RelationMask, Tra
     return rm, tm
 
 
-def _softmax_ce(scores: np.ndarray, gold: int) -> tuple[float, np.ndarray]:
-    """Cross-entropy of a (possibly -inf-masked) score vector; grad = p - onehot."""
-    if scores[gold] == NEG_INF:
-        raise InfeasibleGold(f"gold class {gold} is masked in a separate-loss term")
-    log_z = logsumexp(scores, axis=0)
-    p = np.exp(scores - log_z)
-    grad = p.copy()
-    grad[gold] -= 1.0
-    return float(log_z - scores[gold]), grad
+def _softmax_ce(scores: np.ndarray, gold: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise cross-entropy of (possibly -inf-masked) (r, n) scores against
+    r gold classes: the (r,) losses and grad = p - onehot."""
+    rows = np.arange(len(gold))
+    gold_scores = scores[rows, gold]
+    if np.any(gold_scores == NEG_INF):
+        first = gold[int(np.argmin(gold_scores))]
+        raise InfeasibleGold(f"gold class {first} is masked in a separate-loss term")
+    log_z = logsumexp(scores, axis=1)
+    grad = np.exp(scores - log_z[:, None])
+    grad[rows, gold] -= 1.0
+    return log_z - gold_scores, grad
 
 
 def _loss_and_emission_grads(
@@ -207,17 +199,13 @@ def _loss_and_emission_grads(
         loss, post = nll_loss(gold_y, gold_t, jin)
         d_fl, d_fo = loss_gradients(gold_y, gold_t, post, jin)
         return loss, d_fl, d_fo
+    intent_loss, d_fl = _softmax_ce(f_l[None], [gold_y])
     if config.loss_mode == "sum_sep":
-        loss, d_fl = _softmax_ce(f_l, gold_y)
-        fe = apply_relation_mask(f_o, rm, gold_y)
-        d_fo = np.zeros_like(f_o)
-        for i in range(f_o.shape[0]):
-            token_loss, g = _softmax_ce(fe[i], int(gold_t[i]))
-            loss += token_loss
-            d_fo[i] = np.where(np.isfinite(fe[i]), g, 0.0)
-        return loss, d_fl, d_fo
+        token_loss, d_fo = _softmax_ce(apply_relation_mask(f_o, rm, gold_y), gold_t)
+        # cumsum adds the terms one at a time, intent first, as a loop would;
+        # np.sum pairs them up and rounds differently
+        return float(np.cumsum(np.r_[intent_loss, token_loss])[-1]), d_fl[0], d_fo
     # seq_ce: independent intent CE plus a slots-only sequence CE
-    loss, d_fl = _softmax_ce(f_l, gold_y)
     jin = JointScoreInputs(
         np.zeros(1),
         f_o,
@@ -227,7 +215,7 @@ def _loss_and_emission_grads(
     )
     seq_loss, post = nll_loss(0, gold_t, jin)
     _, d_fo = loss_gradients(0, gold_t, post, jin)
-    return loss + seq_loss, d_fl, d_fo
+    return float(intent_loss[0]) + seq_loss, d_fl[0], d_fo
 
 
 def compute_loss(
@@ -254,34 +242,25 @@ def compute_loss(
     # chain rule through the similarities
     ds_de_l, ds_dc_l = similarity_grads(q_utt, ctx.protos.intent_protos, kind)
     d_q_utt = ds_de_l.T @ d_fl
-    d_c_intent = ds_dc_l * d_fl[:, None]
+    d_c_intent = ds_dc_l * d_fl[:, None] / ctx.protos.intent_counts[:, None]
     d_q_rows = np.empty_like(q_rows)
     d_c_slot = np.zeros_like(ctx.protos.slot_protos)
     for i in range(q_rows.shape[0]):
         ds_de_o, ds_dc_o = similarity_grads(q_rows[i], ctx.protos.slot_protos, kind)
         d_q_rows[i] = ds_de_o.T @ d_fo[i]
         d_c_slot += ds_dc_o * d_fo[i][:, None]
+    d_c_slot /= ctx.protos.slot_counts[:, None]
 
     grads = zero_grads(enc.params)
     encoder_backward(
         enc.params, enc.config, query.tokens, d_rows=d_q_rows, d_utt=d_q_utt, out=grads
     )
-    # prototypes are per-class means over the support set
-    n_sup = len(ctx.episode.support)
-    d_sup_utt = [np.zeros(enc.config.dim) for _ in range(n_sup)]
-    d_sup_rows = [np.zeros_like(e) for e in ctx.protos.support_rows]
-    for l, members in enumerate(ctx.intent_members):
-        share = d_c_intent[l] / len(members)
-        for n in members:
-            d_sup_utt[n] += share
-    for o, members in enumerate(ctx.slot_members):
-        share = d_c_slot[o] / len(members)
-        for n, i in members:
-            d_sup_rows[n][i] += share
-    for n, sample in enumerate(ctx.episode.support):
+    # prototypes are per-class means over the support set, so each support
+    # utterance and token gets its class's gradient share
+    for sample in ctx.episode.support:
         encoder_backward(
             enc.params, enc.config, sample.tokens,
-            d_rows=d_sup_rows[n], d_utt=d_sup_utt[n], out=grads,
+            d_rows=d_c_slot[list(sample.slots)], d_utt=d_c_intent[sample.intent], out=grads,
         )
     return loss, grads
 

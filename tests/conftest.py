@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
-from jmrm.core import LabelSpace, Sample
+from jmrm.core import Episode, LabelSpace, Sample
 
 
 def make_sample(ls: LabelSpace, tokens: str, intent: str, slots: str) -> Sample:
@@ -107,3 +109,51 @@ def random_bio_strings(rng: np.random.Generator, types: list[str], m: int) -> li
     """Random syntactically unconstrained label strings (may be BIO-invalid)."""
     menu = ["O"] + [f"{p}-{t}" for t in types for p in ("B", "I")]
     return [menu[int(i)] for i in rng.integers(0, len(menu), size=m)]
+
+
+# --- a SNIPS-shaped episode --------------------------------------------------
+#
+# Y=7 intents and T=79 BIO labels over 39 slot types, as in SNIPS.  Intent j
+# owns the types q with q % 7 == j.  Its spans take the owned types in turn,
+# with widths 2, 1, 3 in successive rounds, so 8 support utterances per
+# intent (56 in all, lengths alternating 12 and 40) contain every label.
+
+SNIPS_SPACE = LabelSpace(
+    tuple(f"intent{k}" for k in range(7)),
+    ("O",) + tuple(f"{p}-type{k}" for k in range(39) for p in ("B", "I")),
+)
+
+
+def _snips_spans(j: int):
+    types = range(j, 39, 7)
+    for n in itertools.count():
+        yield types[n % len(types)], (2, 1, 3)[n // len(types) % 3]
+
+
+def _snips_utterance(rng: np.random.Generator, j: int, m: int, spans) -> Sample:
+    """One BIO-valid utterance of intent j with m tokens, taking its slot
+    spans from the iterator spans."""
+    chosen = list(itertools.islice(spans, 2 if m <= 12 else 6))
+    cuts = sorted(rng.choice(m - sum(w for _, w in chosen) + 1, size=len(chosen)))
+    tokens, slots, prev = [], [], 0
+    for (q, width), cut in zip(chosen, cuts):
+        tokens += [f"c{j}{k}" for k in rng.integers(6, size=cut - prev)]
+        tokens += [f"h{q}{rng.integers(3)}"] + [f"k{j}{k}" for k in rng.integers(4, size=width - 1)]
+        slots += [0] * (cut - prev) + [1 + 2 * q] + [2 + 2 * q] * (width - 1)
+        prev = cut
+    rest = m - len(tokens)
+    tokens += [f"c{j}{k}" for k in rng.integers(6, size=rest)]
+    return Sample(tuple(tokens), j, tuple(slots + [0] * rest))
+
+
+def snips_shaped_episode(rng: np.random.Generator, query_lengths=(12, 40)) -> Episode:
+    """A 56-sample support set holding all 79 labels, and one query per length."""
+    support = []
+    for j in range(7):
+        spans = _snips_spans(j)
+        support += [_snips_utterance(rng, j, m, spans) for m in (12, 40) * 4]
+    query = [
+        _snips_utterance(rng, int(j), m, _snips_spans(int(j)))
+        for j, m in zip(rng.integers(7, size=len(query_lengths)), query_lengths)
+    ]
+    return Episode(tuple(support), tuple(query), SNIPS_SPACE, "snips-shaped")

@@ -211,6 +211,14 @@ class TestErrors:
         ("report", b'{"records": [{}]}'),
         ("report", b'{"records": 3}'),
         ("report", b"[1, 2]"),
+        ("train", b'{"run": {"learning_rate": NaN}}'),
+        ("train", b'{"run": {"lam": 1e400}}'),
+        ("eval", b'{"magic": "JMRM-ENC-v1", "config": {"kind": "hashed-frozen", "dim": 2, '
+                 b'"context_window": 0, "init_scale": NaN, "seed": 0}}'),
+        ("report", b'{"records": [{"similarity": "cos", "metrics": '
+                   b'{"intent_acc": 0.5, "slot_f1": -Infinity, "joint_acc": null}}]}'),
+        ("report", b'{"records": [{"similarity": "cos", "metrics": '
+                   b'{"intent_acc": 1e400, "slot_f1": 0.5, "joint_acc": null}}]}'),
     ])
     def test_bad_input_file_yields_malformed_input(self, tmp_path, capsys, command, content):
         """The checkpoint (eval), config (train, gen-synth) or report input is bad;

@@ -99,6 +99,11 @@ class TestParse:
         with pytest.raises(MalformedInput):
             parse_episodes(b"not json at all {")
 
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"])
+    def test_non_finite_numbers_rejected(self, number):
+        with pytest.raises(MalformedInput, match=f"<input>: not valid JSON: {number} is not"):
+            parse_episodes(f'{{"episodes": [], "x": {number}}}'.encode())
+
     def test_round_trip_on_generated_episodes(self):
         spec = SynthSpec(n_source_domains=2, n_dev_domains=1, n_target_domains=1,
                          samples_per_domain=30, seed=42)

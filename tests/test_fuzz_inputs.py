@@ -2,10 +2,10 @@
 
 Valid episode, corpus, checkpoint, config and report files are mutated
 (drop a key, retype a value, swap a list and an object, shorten a list such
-as a matrix row, truncate the bytes, insert a non-UTF-8 byte) and each
-mutant is run through ``jmrm.cli.main``.  A mutant may still be valid; any
-failure must be a typed error defined in jmrm, reported through the
-one-line JSON exit.
+as a matrix row, turn a number into NaN, truncate the bytes, insert a
+non-UTF-8 byte) and each mutant is run through ``jmrm.cli.main``.  A mutant
+may still be valid; any failure must be a typed error defined in jmrm,
+reported through the one-line JSON exit.
 """
 
 import importlib
@@ -95,6 +95,13 @@ def shorten_list(tree, rng):
         slot[0][slot[1]].pop()
 
 
+def number_to_nan(tree, rng):
+    """Replace a number with NaN, which json.dumps writes as a bare NaN."""
+    slot = pick(tree, rng, lambda c, k: type(c[k]) in (int, float))
+    if slot:
+        slot[0][slot[1]] = float("nan")
+
+
 def truncate(data: bytes, rng) -> bytes:
     return data[: rng.randrange(len(data))]
 
@@ -104,7 +111,7 @@ def insert_non_utf8(data: bytes, rng) -> bytes:
     return data[:at] + bytes([rng.randrange(0x80, 0x100)]) + data[at:]
 
 
-TREE_MUTATIONS = (drop_key, retype, swap_list_object, shorten_list)
+TREE_MUTATIONS = (drop_key, retype, swap_list_object, shorten_list, number_to_nan)
 BYTE_MUTATIONS = (truncate, insert_non_utf8)
 
 

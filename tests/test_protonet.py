@@ -6,15 +6,40 @@ import pytest
 from jmrm.core import LabelSpace
 from jmrm.encoder import EncoderConfig, init_encoder
 from jmrm.protonet import (
+    COS,
+    L2,
+    VPB,
     DegenerateVector,
     compute_emissions,
     compute_prototypes,
-    similarity,
     similarity_grads,
     similarity_to_protos,
 )
 
 from conftest import make_sample
+
+
+def similarity(e: np.ndarray, c: np.ndarray, kind: str) -> float:
+    """Scalar reference for similarity_to_protos; higher = more similar.
+
+    cos: e.c / (|e||c|); l2: -|e - c|^2; vpb: e.c/|c| - |c|/2.
+    """
+    e = np.asarray(e, dtype=float)
+    c = np.asarray(c, dtype=float)
+    if kind == L2:
+        diff = e - c
+        return float(-diff @ diff)
+    c_norm = np.linalg.norm(c)
+    if c_norm == 0.0:
+        raise DegenerateVector(f"zero-norm prototype under {kind} similarity")
+    if kind == VPB:
+        return float(e @ c / c_norm - c_norm / 2.0)
+    if kind == COS:
+        e_norm = np.linalg.norm(e)
+        if e_norm == 0.0:
+            raise DegenerateVector("zero-norm embedding under cos similarity")
+        return float(e @ c / (e_norm * c_norm))
+    raise ValueError(f"unknown similarity kind {kind!r}")
 
 
 @pytest.fixture

@@ -27,7 +27,7 @@ from jmrm.trainer import (
     train,
 )
 
-from conftest import make_sample
+from conftest import make_sample, snips_shaped_episode
 
 
 def frozen_encoder(dim=24, seed=0):
@@ -83,12 +83,9 @@ class TestBuildContext:
                             lambda *a: encoded.append(tuple(a[2])) or encode(*a))
         monkeypatch.setattr(jmrm.trainer, "compute_prototypes",
                             lambda *a: built.append(a) or prototypes(*a))
-        enc = frozen_encoder()
-        ctx = build_context(small_episode, enc, RunConfig())
+        build_context(small_episode, frozen_encoder(), RunConfig())
         assert len(built) == 1
         assert encoded == [s.tokens for s in small_episode.support]
-        for rows, sample in zip(ctx.protos.support_rows, small_episode.support):
-            np.testing.assert_array_equal(rows, enc.encode_tokens(sample.tokens))
 
 
 class TestComputeLoss:
@@ -152,6 +149,42 @@ class TestComputeLoss:
             loss, grads = compute_loss(small_episode.query[0], ctx, cfg)
             assert np.isfinite(loss) and loss >= 0.0
             assert grads is None  # frozen encoder has no parameters
+
+
+class TestLargeInstanceGradient:
+    """Directional finite differences on SNIPS-shaped episodes (Y=7, T=79,
+    56 support samples), beyond the reach of the tiny-episode oracles:
+    (L(theta + eps v) - L(theta - eps v)) / 2 eps against <grad L, v> for a
+    random unit direction v over every encoder parameter, including the
+    path through the support-derived prototypes."""
+
+    @pytest.mark.parametrize("loss_mode", ["joint", "sum_sep", "seq_ce"])
+    @pytest.mark.parametrize("kind", ["cos", "l2", "vpb"])
+    @pytest.mark.parametrize("m", [12, 40])
+    def test_directional_derivative(self, m, kind, loss_mode):
+        episode = snips_shaped_episode(np.random.default_rng(m), query_lengths=(m,))
+        vocab = [t for s in episode.support for t in s.tokens]
+        enc = init_encoder(EncoderConfig(kind="trainable", dim=16, context_window=1, seed=m), vocab)
+        cfg = RunConfig(similarity_kind=kind, loss_mode=loss_mode)
+        query = episode.query[0]
+
+        def loss_and_grads(encoder):
+            return compute_loss(query, build_context(episode, encoder, cfg), cfg)
+
+        _, grads = loss_and_grads(enc)
+        rng = np.random.default_rng([m, len(kind), len(loss_mode)])
+        v = {k: rng.standard_normal(g.shape) for k, g in grads.items()}
+        norm = np.sqrt(sum((d * d).sum() for d in v.values()))
+        eps = 1e-5
+        shifted = []
+        for sign in (1.0, -1.0):
+            moved = enc.copy()
+            for k, d in v.items():
+                getattr(moved.params, k)[...] += sign * eps * d / norm
+            shifted.append(loss_and_grads(moved)[0])
+        fd = (shifted[0] - shifted[1]) / (2 * eps)
+        dd = sum((grads[k] * v[k]).sum() for k in grads) / norm
+        assert abs(fd - dd) <= 1e-5 * abs(dd) + 1e-9, (fd, dd)
 
 
 class TestTrain:
@@ -303,3 +336,8 @@ class TestRunConfig:
                 run_config_from_dict(bad)
         with pytest.raises(MalformedInput, match="must be an object"):
             run_config_from_dict([("lam", 1.0)])
+
+    def test_non_finite_floats_rejected(self):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(MalformedInput, match="learning_rate must be finite"):
+                run_config_from_dict({"learning_rate": value})

@@ -77,6 +77,7 @@ from .protonet import (
 )
 from .trainer import (
     RunConfig,
+    TrainingDiverged,
     adam_step,
     compute_loss,
     evaluate,

@@ -42,7 +42,7 @@ from .experiments import (
 from .masks import build_relation_mask, build_transition_mask
 from .oracles import run_all_suites
 from .protonet import SIMILARITY_KINDS
-from .trainer import LOSS_MODES, RunConfig, evaluate, run_config_from_dict
+from .trainer import LOSS_MODES, RunConfig, TrainingDiverged, evaluate, run_config_from_dict, train
 
 logger = logging.getLogger(__name__)
 
@@ -144,26 +144,31 @@ def cmd_build_episodes(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from .trainer import train  # local to keep cli import light
-
     file_cfg = _load_config_file(args.config)
     cfg = _run_config(args, file_cfg)
     enc_cfg = _encoder_config(args, file_cfg, cfg.seed)
     train_eps = load_episode_file(args.episodes)
     dev_eps = load_episode_file(args.dev)
     encoder = make_encoder(enc_cfg, train_eps)
-    result = train(train_eps, dev_eps, encoder, cfg)
+    diverged = None
+    try:
+        result = train(train_eps, dev_eps, encoder, cfg)
+    except TrainingDiverged as exc:  # still save the best checkpoint so far
+        diverged, result = exc, exc.result
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_encoder(out / "checkpoint.json", result.encoder)
     with open(out / "training_log.jsonl", "w", encoding="utf-8") as fh:
         for entry in result.log:
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
-    best_dev = evaluate(dev_eps, result.encoder, cfg)
+    if diverged is not None:
+        raise diverged
+    best_dev = next(e["dev"] for e in result.log
+                    if e["event"] == "eval" and e["step"] == result.best_step)
     _dump_json(out / "dev_metrics.json", {
         "name": "dev", "similarity": cfg.similarity_kind, "seed": cfg.seed,
         "best_step": result.best_step, "skipped_queries": result.skipped_queries,
-        "metrics": best_dev.to_dict(),
+        "metrics": best_dev,
     })
     _write_manifest(out, "train", {"run": asdict(cfg), "encoder": asdict(enc_cfg),
                                    "episodes": str(args.episodes), "dev": str(args.dev)},

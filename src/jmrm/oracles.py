@@ -317,21 +317,20 @@ def encoder_gradient_suite(trials: int, seed: int, step: float = 1e-5) -> dict:
                        | {t for s in episode.query for t in s.tokens})
         encoder = init_encoder(enc_cfg, vocab)
         query = episode.query[0]
-        ctx = build_context(episode, encoder, cfg)
-        _, grads = compute_loss(query, ctx, cfg)
 
-        def loss_now() -> float:
-            c = build_context(episode, encoder, cfg)
-            return compute_loss(query, c, cfg)[0]
+        def loss_now() -> tuple[float, dict | None]:
+            return compute_loss(query, build_context(episode, encoder, cfg), cfg)
+
+        _, grads = loss_now()
 
         for name, arr in encoder.params.as_dict().items():
             flat = arr.reshape(-1)
             for idx in range(flat.shape[0]):
                 orig = flat[idx]
                 flat[idx] = orig + step
-                up = loss_now()
+                up = loss_now()[0]
                 flat[idx] = orig - step
-                down = loss_now()
+                down = loss_now()[0]
                 flat[idx] = orig
                 fd = (up - down) / (2 * step)
                 worst = max(worst, _rel_err(float(grads[name].reshape(-1)[idx]), fd))

@@ -1,7 +1,8 @@
 """Episodic training on the joint loss, ablation switches, and evaluation.
 
 Mask switches: i2s_train / msd_train govern the lattice used by the loss,
-i2s_eval / msd_eval govern decoding.  A switched-off mask is replaced by an
+i2s_eval / msd_eval govern decoding.  An episode context fixes the masks in
+force when it is built: a switched-off mask is replaced by an
 all-permissive matrix at the same additive convention (every transition
 scores 1), so toggling a mask changes feasibility only, never score
 calibration.  The four (i2s, msd) train/eval combinations reproduce the
@@ -21,11 +22,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Episode, LabelSpace, Sample, config_from_dict
+from .core import Episode, Sample, config_from_dict
 from .encoder import Encoder, encoder_backward, zero_grads
 from .lattice import (
     InfeasibleGold,
     JointScoreInputs,
+    NonFiniteScores,
     loss_gradients,
     logsumexp,
     nll_loss,
@@ -147,31 +149,24 @@ class EpisodeContext:
     episode: Episode
     encoder: Encoder
     protos: Prototypes
-    rm_true: RelationMask
-    tm_true: TransitionMask
-
-    @property
-    def ls(self) -> LabelSpace:
-        return self.episode.label_space
+    rm: RelationMask  # the masks in force for the phase the context serves
+    tm: TransitionMask
 
 
-def build_context(episode: Episode, encoder: Encoder, config: RunConfig) -> EpisodeContext:
+def build_context(
+    episode: Episode, encoder: Encoder, config: RunConfig, training: bool = True
+) -> EpisodeContext:
+    """The episode's prototypes and masks; the train switches (training) or
+    the eval switches replace a switched-off mask by its permissive form."""
     ls = episode.label_space
-    return EpisodeContext(
-        episode=episode,
-        encoder=encoder,
-        protos=compute_prototypes(episode.support, ls, encoder),
-        rm_true=build_relation_mask(episode.support, ls, force_o=config.force_o_related),
-        tm_true=build_transition_mask(ls),
-    )
-
-
-def _masks(ctx: EpisodeContext, i2s: bool, msd: bool) -> tuple[RelationMask, TransitionMask]:
-    """The episode's masks, each replaced by its permissive form when switched off."""
-    ls = ctx.ls
-    rm = ctx.rm_true if i2s else all_ones_relation_mask(ls.n_intents, ls.n_slots)
-    tm = ctx.tm_true if msd else permissive_transition_mask(ls.n_slots)
-    return rm, tm
+    i2s, msd = (config.i2s_train, config.msd_train) if training else (config.i2s_eval, config.msd_eval)
+    if i2s:
+        rm = build_relation_mask(episode.support, ls, force_o=config.force_o_related)
+    else:
+        rm = all_ones_relation_mask(ls.n_intents, ls.n_slots)
+    tm = build_transition_mask(ls) if msd else permissive_transition_mask(ls.n_slots)
+    protos = compute_prototypes(episode.support, ls, encoder)
+    return EpisodeContext(episode, encoder, protos, rm, tm)
 
 
 def _softmax_ce(scores: np.ndarray, gold: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -192,16 +187,15 @@ def _loss_and_emission_grads(
     query: Sample, f_l: np.ndarray, f_o: np.ndarray, ctx: EpisodeContext, config: RunConfig
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Configured loss plus dL/df_l and dL/df_o."""
-    rm, tm = _masks(ctx, config.i2s_train, config.msd_train)
     gold_y, gold_t = query.intent, np.asarray(query.slots, dtype=int)
     if config.loss_mode == "joint":
-        jin = JointScoreInputs(f_l, f_o, rm, tm, config.lam)
+        jin = JointScoreInputs(f_l, f_o, ctx.rm, ctx.tm, config.lam)
         loss, post = nll_loss(gold_y, gold_t, jin)
         d_fl, d_fo = loss_gradients(gold_y, gold_t, post, jin)
         return loss, d_fl, d_fo
     intent_loss, d_fl = _softmax_ce(f_l[None], [gold_y])
     if config.loss_mode == "sum_sep":
-        token_loss, d_fo = _softmax_ce(apply_relation_mask(f_o, rm, gold_y), gold_t)
+        token_loss, d_fo = _softmax_ce(apply_relation_mask(f_o, ctx.rm, gold_y), gold_t)
         # cumsum adds the terms one at a time, intent first, as a loop would;
         # np.sum pairs them up and rounds differently
         return float(np.cumsum(np.r_[intent_loss, token_loss])[-1]), d_fl[0], d_fo
@@ -209,8 +203,8 @@ def _loss_and_emission_grads(
     jin = JointScoreInputs(
         np.zeros(1),
         f_o,
-        RelationMask(rm.rm[gold_y : gold_y + 1], rm.forced_o),
-        tm,
+        RelationMask(ctx.rm.rm[gold_y : gold_y + 1], ctx.rm.forced_o),
+        ctx.tm,
         0.0,
     )
     seq_loss, post = nll_loss(0, gold_t, jin)
@@ -278,17 +272,16 @@ def predict_episode(
     and slots are per-token argmaxes over the intent-conditioned emissions
     (the classic prototype-pipeline decoder).
     """
-    ctx = build_context(episode, encoder, config)
-    rm, tm = _masks(ctx, config.i2s_eval, config.msd_eval)
+    ctx = build_context(episode, encoder, config, training=False)
     predictions = []
     for query in episode.query:
         em = compute_emissions(query, ctx.protos, encoder, config.similarity_kind)
         if config.msd_eval:
-            jin = JointScoreInputs(em.intent, em.slot, rm, tm, config.lam)
+            jin = JointScoreInputs(em.intent, em.slot, ctx.rm, ctx.tm, config.lam)
             y, path, _ = viterbi_decode(jin)
         else:
             y = int(np.argmax(em.intent))
-            fe = apply_relation_mask(em.slot, rm, y)
+            fe = apply_relation_mask(em.slot, ctx.rm, y)
             path = np.argmax(fe, axis=1)
         predictions.append((y, [int(o) for o in path]))
     return predictions
@@ -317,6 +310,16 @@ class TrainResult:
     skipped_queries: int = 0
 
 
+class TrainingDiverged(RuntimeError):
+    """A non-finite loss or gradient in a step, found before its Adam update;
+    result holds the run so far, with the best (finite) checkpoint."""
+
+    def __init__(self, step: int, reason: str, result: TrainResult):
+        super().__init__(f"training diverged in step {step}: {reason}; "
+                         f"the best checkpoint so far is from step {result.best_step}")
+        self.step, self.result = step, result
+
+
 def train(
     source_episodes: Sequence[Episode],
     dev_episodes: Sequence[Episode],
@@ -329,23 +332,29 @@ def train(
     Batches accumulate gradients over batch_size query samples.  Episodes
     are visited in a seeded shuffled order, re-shuffled each pass; the
     whole run is a pure function of (episodes, encoder init, config).
+    Raises TrainingDiverged on a non-finite loss or gradient.
     """
     if len(source_episodes) < 1 or len(dev_episodes) < 1:
         raise ValueError("source and dev episode lists must be non-empty")
 
-    def dev_metrics() -> MetricsSummary:
-        return evaluate(dev_episodes, encoder, config)
+    result = TrainResult(encoder=encoder)
+    best_acc = -np.inf
 
-    result = TrainResult(encoder=encoder.copy())
-    first = dev_metrics()
-    best_acc = -1.0 if first.joint_acc is None else first.joint_acc
-    result.best_dev_joint_acc = first.joint_acc
-    result.log.append({"step": 0, "event": "eval", "dev": first.to_dict(), "skipped": 0})
+    def log_eval(step: int) -> None:
+        nonlocal best_acc
+        m = evaluate(dev_episodes, encoder, config)
+        entry = {"step": step, "event": "eval", "dev": m.to_dict(), "skipped": result.skipped_queries}
+        result.log.append(entry)
+        acc = -1.0 if m.joint_acc is None else m.joint_acc
+        if acc > best_acc:
+            best_acc = acc
+            result.encoder = encoder.copy()
+            result.best_step = step
+            result.best_dev_joint_acc = m.joint_acc
 
+    log_eval(0)
     if not encoder.is_trainable:
         logger.info("encoder is frozen; training is evaluation-only")
-        return result
-    if config.max_steps == 0:
         return result
 
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0,)))
@@ -353,65 +362,50 @@ def train(
     state = init_adam_state(params)
     grads_acc = {k: np.zeros_like(v) for k, v in params.items()}
     batch_losses: list[float] = []
-    in_batch = 0
+    ctx = None
     step = 0
-    done = False
-
-    def flush_eval(step: int) -> None:
-        nonlocal best_acc
-        m = dev_metrics()
-        acc = -1.0 if m.joint_acc is None else m.joint_acc
-        entry = {"step": step, "event": "eval", "dev": m.to_dict(), "skipped": result.skipped_queries}
-        result.log.append(entry)
-        if acc > best_acc:
-            best_acc = acc
-            result.encoder = encoder.copy()
-            result.best_step = step
-            result.best_dev_joint_acc = m.joint_acc
-
-    while not done:
+    while step < config.max_steps:
         contributed = 0
-        for ep_idx in rng.permutation(len(source_episodes)):
-            episode = source_episodes[int(ep_idx)]
-            ctx = build_context(episode, encoder, config)
-            for query in episode.query:
-                try:
-                    loss, grads = compute_loss(query, ctx, config)
-                except InfeasibleGold:
-                    result.skipped_queries += 1
-                    continue
-                contributed += 1
-                batch_losses.append(loss)
-                for k in grads_acc:
-                    grads_acc[k] += grads[k]
-                in_batch += 1
-                if in_batch < config.batch_size:
-                    continue
-                for k in grads_acc:
-                    grads_acc[k] /= in_batch
-                adam_step(params, grads_acc, state, config)
-                step += 1
-                result.log.append(
-                    {"step": step, "event": "train",
-                     "loss": float(np.mean(batch_losses)),
-                     "skipped": result.skipped_queries}
-                )
-                for k in grads_acc:
-                    grads_acc[k][:] = 0.0
-                batch_losses.clear()
-                in_batch = 0
-                if step % config.eval_every == 0:
-                    flush_eval(step)
-                if step >= config.max_steps:
-                    done = True
-                    break
-                # parameters changed: rebuild the episode context
+        order = rng.permutation(len(source_episodes))
+        queries = ((source_episodes[i], q) for i in order for q in source_episodes[i].query)
+        for episode, query in queries:
+            # a context is valid until the next step changes the parameters
+            if ctx is None or ctx.episode is not episode:
                 ctx = build_context(episode, encoder, config)
-            if done:
+            try:
+                loss, grads = compute_loss(query, ctx, config)
+            except InfeasibleGold:
+                result.skipped_queries += 1
+                continue
+            except NonFiniteScores as exc:
+                raise TrainingDiverged(step + 1, str(exc), result) from exc
+            if not np.isfinite(loss):
+                raise TrainingDiverged(step + 1, f"query loss is {loss}", result)
+            contributed += 1
+            batch_losses.append(loss)
+            for k in grads_acc:
+                grads_acc[k] += grads[k]
+            if len(batch_losses) < config.batch_size:
+                continue
+            for k in grads_acc:
+                grads_acc[k] /= len(batch_losses)
+            if not all(np.isfinite(g).all() for g in grads_acc.values()):
+                raise TrainingDiverged(step + 1, "batch gradient is not finite", result)
+            adam_step(params, grads_acc, state, config)
+            ctx = None
+            step += 1
+            result.log.append({"step": step, "event": "train", "loss": float(np.mean(batch_losses)),
+                               "skipped": result.skipped_queries})
+            for k in grads_acc:
+                grads_acc[k][:] = 0.0
+            batch_losses.clear()
+            if step % config.eval_every == 0:
+                log_eval(step)
+            if step >= config.max_steps:
                 break
         if contributed == 0:
             logger.warning("no trainable query samples in a full pass; stopping at step %d", step)
             break
     if step % config.eval_every != 0:
-        flush_eval(step)
+        log_eval(step)
     return result

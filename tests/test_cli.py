@@ -7,8 +7,11 @@ import sys
 
 import pytest
 
+import jmrm.cli
+import jmrm.trainer
 from jmrm.cli import main
 from jmrm.core import load_episode_file
+from jmrm.encoder import load_encoder
 from jmrm.episodes import load_corpus_file
 
 
@@ -32,6 +35,16 @@ def workspace(tmp_path):
 
 def run_cli(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+def trainable_config(ws, **run):
+    """A config with a small trainable encoder and the given run fields."""
+    cfg = json.loads((ws / "cfg.json").read_text())
+    cfg["run"].update(run)
+    cfg["encoder"] = {"kind": "trainable", "dim": 16, "init_scale": 0.3}
+    path = ws / "cfg_trainable.json"
+    path.write_text(json.dumps(cfg))
+    return path
 
 
 def build(ws, cfg, shots=5):
@@ -78,6 +91,52 @@ class TestPipeline:
         ) == 0
         evaluated = json.loads((ws / "evalout" / "metrics.json").read_text())
         assert evaluated["metrics"] == logged["metrics"]
+
+    def test_dev_metrics_come_from_the_training_log(self, workspace, monkeypatch):
+        ws, cfg = workspace
+        build(ws, cfg)
+        cfg = trainable_config(ws, learning_rate=0.01, max_steps=10, eval_every=5, batch_size=3)
+        returned, late = [], []
+        train, evaluate = jmrm.cli.train, jmrm.trainer.evaluate
+
+        def recording_train(*args):
+            result = train(*args)
+            returned.append(True)
+            return result
+
+        def recording_evaluate(*args):
+            late.extend(returned)
+            return evaluate(*args)
+
+        monkeypatch.setattr(jmrm.cli, "train", recording_train)
+        monkeypatch.setattr(jmrm.trainer, "evaluate", recording_evaluate)
+        monkeypatch.setattr(jmrm.cli, "evaluate", recording_evaluate)
+        assert run_cli("train", "--config", cfg, "--episodes", ws / "eps_source.json",
+                       "--dev", ws / "eps_dev.json", "--out", ws / "run") == 0
+        assert returned and not late
+        dev = json.loads((ws / "run" / "dev_metrics.json").read_text())
+        lines = (ws / "run" / "training_log.jsonl").read_text().splitlines()
+        log = [json.loads(line) for line in lines]
+        assert dev["best_step"] > 0
+        (entry,) = [e for e in log if e["event"] == "eval" and e["step"] == dev["best_step"]]
+        assert dev["metrics"] == entry["dev"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_keeps_the_best_checkpoint(self, workspace, capsys):
+        ws, cfg = workspace
+        build(ws, cfg)
+        cfg = trainable_config(ws, similarity_kind="l2", learning_rate=1e6, max_steps=20,
+                               eval_every=5)
+        assert run_cli("train", "--config", cfg, "--episodes", ws / "eps_source.json",
+                       "--dev", ws / "eps_dev.json", "--out", ws / "run") == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "TrainingDiverged"
+        assert re.match(r"training diverged in step \d+: ", payload["message"])
+        lines = (ws / "run" / "training_log.jsonl").read_text().splitlines()
+        log = [json.loads(line) for line in lines]
+        assert log[0]["event"] == "eval"
+        load_encoder(ws / "run" / "checkpoint.json")  # rejects non-finite entries
+        assert not (ws / "run" / "dev_metrics.json").exists()
 
     def test_training_log_is_jsonl(self, workspace):
         ws, cfg = workspace

@@ -8,7 +8,7 @@ import jmrm.trainer
 from jmrm.core import Episode, LabelSpace, MalformedInput
 from jmrm.encoder import EncoderConfig, init_encoder
 from jmrm.episodes import SynthSpec, build_episode, generate_synthetic
-from jmrm.lattice import InfeasibleGold, JointScoreInputs, nll_loss
+from jmrm.lattice import InfeasibleGold, JointScoreInputs, NonFiniteScores, nll_loss
 from jmrm.masks import (
     all_ones_relation_mask,
     build_relation_mask,
@@ -17,6 +17,7 @@ from jmrm.masks import (
 from jmrm.trainer import (
     AdamState,
     RunConfig,
+    TrainingDiverged,
     adam_step,
     build_context,
     compute_loss,
@@ -198,6 +199,11 @@ class TestTrain:
         vocab = sorted({t for ep in train_eps for s in ep.support + ep.query for t in s.tokens})
         return train_eps, dev_eps, vocab
 
+    def make_run(self):
+        train_eps, dev_eps, vocab = self.make_task()
+        enc = init_encoder(EncoderConfig(kind="trainable", dim=8, seed=2), vocab)
+        return train_eps, dev_eps, enc
+
     def test_max_steps_zero_returns_initial_params(self):
         train_eps, dev_eps, vocab = self.make_task()
         enc = init_encoder(EncoderConfig(kind="trainable", dim=8, seed=1), vocab)
@@ -235,6 +241,79 @@ class TestTrain:
             result = train(train_eps, dev_eps, enc, cfg)
             gains.append(result.best_dev_joint_acc - baseline)
         assert np.mean(gains) > 0.0
+
+    def test_every_built_context_is_used(self, monkeypatch):
+        train_eps, dev_eps, enc = self.make_run()
+        built, used, evaluating = [], set(), []
+        build, loss, evaluate_ = (jmrm.trainer.build_context, jmrm.trainer.compute_loss,
+                                  jmrm.trainer.evaluate)
+
+        def recording_build(*args, **kwargs):
+            ctx = build(*args, **kwargs)
+            if not evaluating:  # dev decoding builds its own contexts
+                built.append(ctx)
+            return ctx
+
+        def recording_loss(query, ctx, config):
+            used.add(id(ctx))
+            return loss(query, ctx, config)
+
+        def flagged_evaluate(*args):
+            evaluating.append(True)
+            try:
+                return evaluate_(*args)
+            finally:
+                evaluating.pop()
+
+        monkeypatch.setattr(jmrm.trainer, "build_context", recording_build)
+        monkeypatch.setattr(jmrm.trainer, "compute_loss", recording_loss)
+        monkeypatch.setattr(jmrm.trainer, "evaluate", flagged_evaluate)
+        result = train(train_eps, dev_eps, enc, RunConfig(max_steps=6, eval_every=3))
+        assert result.skipped_queries == 0
+        assert {id(ctx) for ctx in built} == used
+        # 24 queries in 4 episode visits of 6, a step after every 4th query:
+        # one context per visit, plus one after steps 1, 2, 4 and 5, which
+        # a query of the same visit follows
+        assert len(built) == 8
+
+    @pytest.mark.parametrize("fault", ["loss", "gradient", "scores"])
+    def test_non_finite_batch_stops_before_the_step(self, monkeypatch, fault):
+        loss = jmrm.trainer.compute_loss
+        calls = []
+
+        def faulty_loss(query, ctx, config):
+            calls.append(query)
+            value, grads = loss(query, ctx, config)
+            if len(calls) < 7:  # batches of 4: step 1 is healthy, step 2 is not
+                return value, grads
+            if fault == "scores":
+                raise NonFiniteScores("f_l holds NaN or infinite scores")
+            if fault == "loss":
+                return float("nan"), grads
+            grads["bias"][0] = np.inf
+            return value, grads
+
+        monkeypatch.setattr(jmrm.trainer, "compute_loss", faulty_loss)
+        train_eps, dev_eps, enc = self.make_run()
+        with pytest.raises(TrainingDiverged, match="diverged in step 2") as info:
+            train(train_eps, dev_eps, enc, RunConfig(max_steps=5, eval_every=1, learning_rate=0.01))
+        result = info.value.result
+        assert info.value.step == 2
+        assert [e["step"] for e in result.log] == [0, 1, 1]
+        assert result.encoder is not enc
+        for params in (enc.params, result.encoder.params):
+            assert all(np.isfinite(v).all() for v in params.as_dict().values())
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_exploding_learning_rate_raises_with_finite_checkpoint(self):
+        train_eps, dev_eps, enc = self.make_run()
+        cfg = RunConfig(similarity_kind="l2", learning_rate=1e6, max_steps=20, eval_every=5)
+        with pytest.raises(TrainingDiverged) as info:
+            train(train_eps, dev_eps, enc, cfg)
+        result = info.value.result
+        assert 1 < info.value.step <= cfg.max_steps
+        assert result.log[-1]["step"] == info.value.step - 1
+        assert all(np.isfinite(v).all() for v in result.encoder.params.as_dict().values())
 
     def test_frozen_encoder_short_circuits(self):
         train_eps, dev_eps, _ = self.make_task()

@@ -15,7 +15,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -152,7 +152,10 @@ def cmd_train(args) -> int:
     encoder = make_encoder(enc_cfg, train_eps)
     diverged = None
     try:
-        result = train(train_eps, dev_eps, encoder, cfg)
+        # train() turns every non-finite value into TrainingDiverged, so
+        # numpy's overflow warnings would only precede the one-line error
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = train(train_eps, dev_eps, encoder, cfg)
     except TrainingDiverged as exc:  # still save the best checkpoint so far
         diverged, result = exc, exc.result
     out = Path(args.out)

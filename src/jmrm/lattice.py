@@ -5,15 +5,20 @@ The joint score of a pair is
     R(y, t) = lam * f_l[y] + sum_i ( f_e(t_i | y) + f_t(t_i | t_{i-1}) )
 
 with f_e the relation-masked slot emissions and f_t the transition mask
-(START row for t_0).  Every dynamic program here is one right-to-left
-sweep over positions, _sweep, run in a chosen semiring: with logsumexp it
-gives the backward scores and, over reversed positions and transposed
-transitions, the forward scores, so log Z and the marginals are exact;
-with max it gives the best completions that Viterbi reads greedily.
-Masked configurations carry IEEE -inf, whose exp is exactly 0, so they
-contribute exactly zero probability mass and never produce NaN: the
-logsumexp below subtracts the max only when it is finite.  Scores must be
-finite, so NaN and +inf are rejected where the inputs are built.
+(START row for t_0).  Each dynamic program is one right-to-left sweep over
+positions.  The sum-product sweep, _sweep, runs logsumexp over the dense
+(T, T) transitions: it gives the backward scores and, over reversed
+positions and transposed transitions, the forward scores, so log Z and the
+marginals are exact.  The max-plus sweep, _suffix_max, gives the best
+completions that Viterbi reads greedily; it runs on the mask's open/closed
+form (TransitionMask.open_cols and closed_succ), so a position costs
+O(Y T (K+1)) instead of O(Y T^2), and its output is bit-identical to the
+dense max.  The sum-product sweep stays dense: regrouping a logsumexp the
+same way moves log Z in its last bits, which flips near-tied decisions
+downstream.  Masked configurations carry IEEE -inf, whose exp is exactly
+0, so they contribute exactly zero probability mass and never produce NaN:
+the logsumexp below subtracts the max only when it is finite.  Scores must
+be finite, so NaN and +inf are rejected where the inputs are built.
 """
 
 from __future__ import annotations
@@ -35,6 +40,9 @@ class InfeasibleLattice(RuntimeError):
 
 class NonFiniteScores(ValueError):
     """An intent or slot score is NaN or infinite; masks, not scores, carry -inf."""
+
+
+_max = np.maximum.reduce  # np.max without its Python-level dispatch
 
 
 def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -61,7 +69,7 @@ class JointScoreInputs:
         y, (m, t) = self.f_l.shape[0], self.f_o.shape
         if self.rm.rm.shape != (y, t):
             raise ValueError(f"relation mask shape {self.rm.rm.shape} != ({y}, {t})")
-        if self.tm.trans.shape != (t, t) or self.tm.start.shape != (t,):
+        if self.tm.start.shape != (t,):  # TransitionMask pins trans to (T, T)
             raise ValueError("transition mask shape mismatch")
         if not np.isfinite(self.lam):
             raise ValueError("lam must be finite")
@@ -104,19 +112,42 @@ def joint_score(y: int, t: np.ndarray, jin: JointScoreInputs) -> float:
     return float(jin.lam * jin.f_l[y] + s)
 
 
-def _sweep(fe: np.ndarray, trans: np.ndarray, last, reduce) -> np.ndarray:
-    """The one position recursion, right to left over an (..., m, T) array.
+def _sweep(fe: np.ndarray, trans: np.ndarray, last) -> np.ndarray:
+    """The sum-product recursion, right to left over an (..., m, T) array.
 
     h[..., m-1, :] = last and
-    h[..., i, o] = reduce_p(trans[o, p] + fe[..., i+1, p] + h[..., i+1, p]);
-    reduce is logsumexp (sum-product semiring) or np.max (max-plus).
+    h[..., i, o] = logsumexp_p(trans[o, p] + fe[..., i+1, p] + h[..., i+1, p]).
     """
     h = np.empty(fe.shape)
     h[..., -1, :] = last
     for i in range(fe.shape[-2] - 2, -1, -1):
         ahead = fe[..., i + 1, :] + h[..., i + 1, :]
-        h[..., i, :] = reduce(trans + ahead[..., None, :], axis=-1)
+        h[..., i, :] = logsumexp(trans + ahead[..., None, :], axis=-1)
     return h
+
+
+def _suffix_max(fe: np.ndarray, tm: TransitionMask) -> np.ndarray:
+    """Best completion after t_i = o, right to left over a (Y, m, T) stack.
+
+    h[:, m-1, :] = 0 and h[:, i, o] = 1 + max of fe[:, i+1, p] + h[:, i+1, p]
+    over the p that may follow o.  Per position that is one max over
+    tm.open_cols, stored in the sentinel row T, and one max over the gather
+    of tm.closed_succ, whose rows all end with T: O(Y T (K+1)) instead of
+    O(Y T^2).  Every allowed transition scores exactly 1 and rounding is
+    monotone, so adding it after the max equals the dense
+    max_p(trans[o, p] + ...) bit for bit.  The work runs label-major,
+    (m, T, Y), so both gathers take whole rows.
+    """
+    y, m, t = fe.shape
+    open_cols, closed_succ = tm.open_cols, tm.closed_succ
+    fe = fe.transpose(1, 2, 0)
+    h = np.zeros((m, t, y))
+    ahead = np.empty((t + 1, y))
+    for i in range(m - 2, -1, -1):
+        np.add(fe[i + 1], h[i + 1], ahead[:t])
+        ahead[t] = _max(ahead.take(open_cols, 0), 0, initial=NEG_INF)
+        np.add(_max(ahead.take(closed_succ, 0), 1), 1.0, h[i])
+    return h.transpose(2, 0, 1)
 
 
 def log_partition(jin: JointScoreInputs) -> JointPosterior:
@@ -129,8 +160,8 @@ def log_partition(jin: JointScoreInputs) -> JointPosterior:
     fe = apply_relation_mask(jin.f_o, jin.rm, slice(None))  # (Y, m, T)
     trans, start = jin.tm.trans, jin.tm.start
     # one intent at a time: its (T, T) temporaries stay in cache
-    alpha = np.stack([_sweep(f[::-1], trans.T, start, logsumexp)[::-1] for f in fe]) + fe
-    beta = np.stack([_sweep(f, trans, 0.0, logsumexp) for f in fe])
+    alpha = np.stack([_sweep(f[::-1], trans.T, start)[::-1] for f in fe]) + fe
+    beta = np.stack([_sweep(f, trans, 0.0) for f in fe])
     intent_score = jin.lam * jin.f_l
     log_joint = intent_score + logsumexp(alpha[:, -1], axis=-1)
     log_z = float(logsumexp(log_joint, axis=0))
@@ -180,11 +211,12 @@ def viterbi_decode(jin: JointScoreInputs) -> tuple[int, np.ndarray, float]:
     Ties break to the lowest intent id, then the lexicographically smallest
     slot-id sequence; the greedy forward pass below picks, at each
     position, the smallest slot id that still admits an optimal completion
-    (np.argmax returns the first maximizer).  The returned score is
-    recomputed with joint_score, so it matches it bit-for-bit.
+    (np.argmax returns the first maximizer).  The returned score is the
+    path's running sum, added up in joint_score's order, so it matches
+    joint_score bit for bit.
     """
     fe = apply_relation_mask(jin.f_o, jin.rm, slice(None))  # (Y, m, T)
-    sm = _sweep(fe, jin.tm.trans, 0.0, np.max)  # best completion after t_i = o
+    sm = _suffix_max(fe, jin.tm)
     first = jin.tm.start + fe[:, 0] + sm[:, 0]
     totals = jin.lam * jin.f_l + np.max(first, axis=1)
     if np.max(totals) == NEG_INF:
@@ -194,7 +226,7 @@ def viterbi_decode(jin: JointScoreInputs) -> tuple[int, np.ndarray, float]:
     path = np.empty(jin.n_positions, dtype=int)
     acc, into = 0.0, jin.tm.start
     for i in range(jin.n_positions):
-        path[i] = int(np.argmax(acc + into + fe[i] + sm[i]))
-        acc = acc + into[path[i]] + fe[i, path[i]]
-        into = jin.tm.trans[path[i]]
-    return best_y, path, joint_score(best_y, path, jin)
+        o = path[i] = int(np.argmax(acc + into + fe[i] + sm[i]))
+        acc = acc + into[o] + fe[i, o]
+        into = jin.tm.trans[o]
+    return best_y, path, float(jin.lam * jin.f_l[best_y] + acc)

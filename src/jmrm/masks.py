@@ -11,7 +11,7 @@ additive constant, so the joint softmax is unaffected by it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -37,8 +37,45 @@ class RelationMask:
 
 @dataclass(frozen=True)
 class TransitionMask:
+    """Slot adjacency scores: trans[o1, o2] for o2 right after o1, start[o] for t_0 = o.
+
+    Every entry is 1 (allowed) or -inf (banned); construction rejects
+    anything else, keeps read-only copies, and derives the open/closed form
+    the max-plus Viterbi sweep runs on:
+
+    open_cols    the columns every row allows (O and every B-X under BIO)
+    closed_succ  (T, K+1): row o's allowed columns that are not open, then
+                 the sentinel index T, repeated to pad the row; K is the
+                 longest such list, 1 under BIO (B-X and I-X feed I-X) and
+                 0 when every column is open
+    """
+
     trans: np.ndarray  # (T, T), entries in {1, -inf}
     start: np.ndarray  # (T,), entries in {1, -inf}
+    open_cols: np.ndarray = field(init=False, repr=False, compare=False)
+    closed_succ: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        trans, start = np.array(self.trans, dtype=float), np.array(self.start, dtype=float)
+        t = start.size
+        if start.shape != (t,) or trans.shape != (t, t):
+            raise ValueError(
+                f"transition mask shapes {trans.shape} and {start.shape} are not (T, T) and (T,)"
+            )
+        allowed = trans == 1.0
+        for name, scores, ok in (("trans", trans, allowed), ("start", start, start == 1.0)):
+            if not (ok | (scores == NEG_INF)).all():
+                raise ValueError(f"transition mask {name} entries must be 1.0 or -inf")
+        is_open = allowed.all(axis=0)
+        closed = allowed & ~is_open
+        # closed cells keep their column, all others become T; sorting moves
+        # each row's closed successors to its front
+        succ = np.sort(np.where(closed, np.arange(t), t), axis=1)
+        closed_succ = succ[:, : closed.sum(axis=1).max(initial=0) + 1].copy()
+        for name, value in (("trans", trans), ("start", start),
+                            ("open_cols", np.flatnonzero(is_open)), ("closed_succ", closed_succ)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
 
 def build_relation_mask(
@@ -72,18 +109,12 @@ def build_transition_mask(ls: LabelSpace) -> TransitionMask:
     B-X or I-X of the same type.  A sequence may start with O or any
     B-label, never an I-label.
     """
-    t = ls.n_slots
-    kinds = [ls.slot_kind(o) for o in range(t)]
-    trans = np.full((t, t), NEG_INF)
-    start = np.full(t, NEG_INF)
-    for o2, (kind2, type2) in enumerate(kinds):
-        if kind2 in ("O", "B"):
-            start[o2] = 1.0
-            trans[:, o2] = 1.0
-        else:  # I-label: only after B/I of the same type
-            for o1, (kind1, type1) in enumerate(kinds):
-                if kind1 in ("B", "I") and type1 == type2:
-                    trans[o1, o2] = 1.0
+    labels = [ls.slot_kind(o) for o in range(ls.n_slots)]
+    opens = np.array([kind != "I" for kind, _ in labels], dtype=bool)
+    # O has no type, and "" never equals a B/I type (those are non-empty)
+    types = np.array([stype or "" for _, stype in labels], dtype=str)
+    trans = np.where(opens[None, :] | (types[:, None] == types[None, :]), 1.0, NEG_INF)
+    start = np.where(opens, 1.0, NEG_INF)
     return TransitionMask(trans=trans, start=start)
 
 

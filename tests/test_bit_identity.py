@@ -1,14 +1,16 @@
-"""The loop-free encoder window, prototype and separate-loss paths, and the
-training loop, are bit-identical to the code they replaced.
+"""The loop-free encoder window, prototype and separate-loss paths, the
+transition mask, and the training loop, are bit-identical to the code they
+replaced.
 
 The references below are that code: a per-position window mean, the
 (i, j) double loop that scatters the window gradient, per-token prototype
 sums, the prototype gradient spread through per-class member lists, one
-softmax cross-entropy per token, and the training loop that selected the
-masks per query and rebuilt a context after every step.  Every comparison
-is exact (np.array_equal or ==), not a tolerance: the benchmark's
-snips-train quality guards record how rounding breaks near-tied intent
-scores, so they depend on the exact bits.
+softmax cross-entropy per token, the (o1, o2) double loop over BIO cells,
+and the training loop that selected the masks per query and rebuilt a
+context after every step.  Every comparison is exact (np.array_equal or
+==), not a tolerance: the benchmark's snips-train quality guards record
+how rounding breaks near-tied intent scores, so they depend on the exact
+bits.
 """
 
 import numpy as np
@@ -33,6 +35,7 @@ from jmrm.lattice import (
     viterbi_decode,
 )
 from jmrm.masks import (
+    NEG_INF,
     RelationMask,
     all_ones_relation_mask,
     apply_relation_mask,
@@ -59,7 +62,7 @@ from jmrm.trainer import (
     train,
 )
 
-from conftest import make_sample, snips_shaped_episode
+from conftest import SNIPS_SPACE, make_sample, snips_shaped_episode
 
 KINDS = ("cos", "l2", "vpb")
 
@@ -122,6 +125,23 @@ def ref_prototypes(support, ls, encoder):
     slot_counts = np.array([len(x) for x in slot_members])
     return (intent_sum / intent_counts[:, None], slot_sum / slot_counts[:, None],
             support_rows, intent_members, slot_members)
+
+
+def ref_transition_mask(ls):
+    """(trans, start) filled cell by cell from the BIO rule."""
+    t = ls.n_slots
+    kinds = [ls.slot_kind(o) for o in range(t)]
+    trans = np.full((t, t), NEG_INF)
+    start = np.full(t, NEG_INF)
+    for o2, (kind2, type2) in enumerate(kinds):
+        if kind2 in ("O", "B"):
+            start[o2] = 1.0
+            trans[:, o2] = 1.0
+        else:  # I-label: only after B/I of the same type
+            for o1, (kind1, type1) in enumerate(kinds):
+                if kind1 in ("B", "I") and type1 == type2:
+                    trans[o1, o2] = 1.0
+    return trans, start
 
 
 def ref_softmax_ce(scores, gold):
@@ -227,6 +247,30 @@ class TestEncoderWindow:
                                     {k: v.copy() for k, v in start.items()})
         for k in want:
             assert np.array_equal(got[k], want[k]), k
+
+
+# --- the BIO transition mask ----------------------------------------------------
+
+
+def bio_spaces():
+    spaces = {"snips": SNIPS_SPACE,
+              "o-only": LabelSpace(("a",), ("O",)),
+              "one-type": LabelSpace(("a", "b"), ("B-x", "O", "I-x"))}
+    for split in generate_synthetic(SynthSpec()):
+        for corpus in split:
+            spaces[f"synth-{corpus.domain_name}"] = corpus.label_space
+    return spaces
+
+
+BIO_SPACES = bio_spaces()
+
+
+@pytest.mark.parametrize("ls", BIO_SPACES.values(), ids=BIO_SPACES.keys())
+def test_transition_mask_matches_cell_loop(ls):
+    tm = build_transition_mask(ls)
+    trans, start = ref_transition_mask(ls)
+    assert np.array_equal(tm.trans, trans)
+    assert np.array_equal(tm.start, start)
 
 
 # --- prototypes and compute_loss on a SNIPS-shaped episode ----------------------

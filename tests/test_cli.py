@@ -121,15 +121,21 @@ class TestPipeline:
         (entry,) = [e for e in log if e["event"] == "eval" and e["step"] == dev["best_step"]]
         assert dev["metrics"] == entry["dev"]
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_divergence_keeps_the_best_checkpoint(self, workspace, capsys):
+    def test_divergence_keeps_the_best_checkpoint(self, workspace):
         ws, cfg = workspace
         build(ws, cfg)
         cfg = trainable_config(ws, similarity_kind="l2", learning_rate=1e6, max_steps=20,
                                eval_every=5)
-        assert run_cli("train", "--config", cfg, "--episodes", ws / "eps_source.json",
-                       "--dev", ws / "eps_dev.json", "--out", ws / "run") == 1
-        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        # a real process, so numpy warnings would reach the stderr checked here
+        proc = subprocess.run(
+            [sys.executable, "-m", "jmrm.cli", "train", "--config", str(cfg),
+             "--episodes", str(ws / "eps_source.json"), "--dev", str(ws / "eps_dev.json"),
+             "--out", str(ws / "run")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        (line,) = proc.stderr.splitlines()  # the one-line JSON error and nothing else
+        payload = json.loads(line)
         assert payload["error"] == "TrainingDiverged"
         assert re.match(r"training diverged in step \d+: ", payload["message"])
         lines = (ws / "run" / "training_log.jsonl").read_text().splitlines()

@@ -12,7 +12,6 @@ from jmrm.encoder import (
     EncoderParams,
     FrozenEncoder,
     encode_tokens,
-    encode_utterance,
     encoder_backward,
     init_encoder,
     load_encoder,

@@ -1,0 +1,48 @@
+"""Source hygiene, checked with the standard library alone: no module of the
+package or of the test suite imports a name it never uses."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+FILES = sorted((ROOT / "src" / "jmrm").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names bound by an import in path and never read there.
+
+    `import a.b` binds `a`.  Names listed in a module's __all__ count as
+    used, and so does everything a package __init__ imports: that is the
+    package's public API.
+    """
+    if path.name == "__init__.py":
+        return []
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple))
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used |= {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    return [f"{name} (line {line})" for name, line in sorted(imported.items()) if name not in used]
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    assert unused_imports(path) == []
+
+
+def test_scan_sees_an_unused_import(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("import os\nimport numpy as np\nfrom a.b import c, d\n"
+                      "__all__ = ['d']\nprint(np.pi)\n")
+    assert unused_imports(module) == ["c (line 3)", "os (line 1)"]

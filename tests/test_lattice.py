@@ -23,6 +23,7 @@ from jmrm.lattice import (
 from jmrm.masks import (
     NEG_INF,
     RelationMask,
+    TransitionMask,
     all_ones_relation_mask,
     apply_relation_mask,
     build_transition_mask,
@@ -421,9 +422,9 @@ class TestNonFiniteScores:
 
 # --- dense per-intent reference recursions -----------------------------------
 #
-# Written position by position and intent by intent, independently of the
-# single semiring sweep in jmrm.lattice.  The enumeration oracles reach only
-# tiny lattices; these pin SNIPS-sized ones.
+# Written position by position and intent by intent, over the dense (T, T)
+# transition scores, independently of the sweeps in jmrm.lattice.  The
+# enumeration oracles reach only tiny lattices; these pin SNIPS-sized ones.
 
 
 def ref_forward(fe, tm):
@@ -490,10 +491,15 @@ def ref_viterbi(jin):
     return y, path, joint_score(y, np.array(path), jin)
 
 
-SNIPS_SPACE = LabelSpace(
-    tuple(f"intent{k}" for k in range(7)),
-    ("O",) + tuple(f"{p}-type{k}" for k in range(39) for p in ("B", "I")),
-)
+def bio_space(n_intents, n_slots):
+    """O plus (n_slots - 1) / 2 B/I pairs; n_slots=79 is the SNIPS shape."""
+    return LabelSpace(
+        tuple(f"intent{k}" for k in range(n_intents)),
+        ("O",) + tuple(f"{p}-type{k}" for k in range((n_slots - 1) // 2) for p in ("B", "I")),
+    )
+
+
+SNIPS_SPACE = bio_space(7, 79)
 
 
 class TestLargeInstancesAgainstReference:
@@ -526,6 +532,79 @@ class TestLargeInstancesAgainstReference:
                 assert np.all(post.slot_unary_marginals[-1] == 0.0)
             y, path, score = viterbi_decode(jin)
             assert (y, [int(o) for o in path], score) == ref_viterbi(jin)
+
+
+@pytest.mark.parametrize("bio", [True, False], ids=["bio", "permissive"])
+@pytest.mark.parametrize("m", [1, 2, 3, 12, 40])
+@pytest.mark.parametrize("t_n", [3, 9, 79])
+@pytest.mark.parametrize("y_n", [1, 2, 7])
+def test_viterbi_matches_dense_reference(y_n, t_n, m, bio):
+    """(y, path, score) equal the dense recursion's at three scales, each
+    also integer-rounded to make exact ties; m=1 runs no sweep step."""
+    ls = bio_space(y_n, t_n)
+    tm = build_transition_mask(ls) if bio else permissive_transition_mask(t_n)
+    for scale in (1.0, 30.0, 1e3):
+        rng = np.random.default_rng([y_n, t_n, m, bio, int(scale)])
+        rm = rng.random((y_n, t_n)) < 0.3
+        rm[:, 0] = True
+        f_l = scale * rng.standard_normal(y_n)
+        f_o = scale * rng.standard_normal((m, t_n))
+        for fl, fo in ((f_l, f_o), (np.round(f_l), np.round(f_o))):
+            jin = JointScoreInputs(fl, fo, RelationMask(rm, True), tm, 1.0)
+            y, path, score = viterbi_decode(jin)
+            assert (y, [int(o) for o in path], score) == ref_viterbi(jin)
+            assert score == joint_score(y, path, jin)
+
+
+def test_viterbi_on_masks_with_many_closed_columns():
+    """Masks beyond BIO: no open column, and rows with several closed
+    successors (K > 1); the diagonal keeps every constant path feasible."""
+    rng = np.random.default_rng(15)
+    no_open = many_closed = 0
+    for _ in range(40):
+        t_n, m = int(rng.integers(2, 12)), int(rng.integers(1, 8))
+        allowed = rng.random((t_n, t_n)) < rng.uniform(0.1, 0.9)
+        np.fill_diagonal(allowed, True)
+        tm = TransitionMask(np.where(allowed, 1.0, NEG_INF), np.ones(t_n))
+        no_open += tm.open_cols.size == 0
+        many_closed += tm.closed_succ.shape[1] > 2
+        jin = JointScoreInputs(rng.standard_normal(3), np.round(rng.standard_normal((m, t_n))),
+                               all_ones_relation_mask(3, t_n), tm, 1.0)
+        y, path, score = viterbi_decode(jin)
+        assert (y, [int(o) for o in path], score) == ref_viterbi(jin)
+    assert no_open and many_closed
+
+
+class TestTransitionStructure:
+    """The open/closed form the max-plus sweep runs on."""
+
+    def test_bio_open_columns_and_closed_successors(self):
+        t_n = SNIPS_SPACE.n_slots
+        tm = build_transition_mask(SNIPS_SPACE)
+        kinds = [SNIPS_SPACE.slot_kind(o) for o in range(t_n)]
+        opened = [o for o, (kind, _) in enumerate(kinds) if kind in ("O", "B")]
+        assert tm.open_cols.tolist() == opened
+        assert tm.closed_succ.shape == (t_n, 2)  # K = 1, then the sentinel
+        for p, (kind, stype) in enumerate(kinds):
+            if kind == "I":  # fed by B-X and I-X only
+                feeders = {o for o in range(t_n) if p in tm.closed_succ[o]}
+                assert feeders == {SNIPS_SPACE.slot_id(f"B-{stype}"), p}
+        assert np.all(tm.closed_succ[SNIPS_SPACE.o_id] == t_n)
+
+    def test_permissive_has_no_closed_column(self):
+        tm = permissive_transition_mask(9)
+        assert tm.open_cols.tolist() == list(range(9))
+        assert tm.closed_succ.tolist() == [[9]] * 9
+
+    def test_structure_rebuilds_the_dense_scores(self):
+        rng = np.random.default_rng(16)
+        for tm in (build_transition_mask(SNIPS_SPACE), permissive_transition_mask(5),
+                   TransitionMask(np.where(rng.random((6, 6)) < 0.5, 1.0, NEG_INF), np.ones(6))):
+            t_n = tm.start.shape[0]
+            allowed = np.zeros((t_n, t_n + 1), dtype=bool)
+            allowed[:, tm.open_cols] = True
+            allowed[np.arange(t_n)[:, None], tm.closed_succ] = True
+            assert np.array_equal(allowed[:, :t_n], tm.trans == 1.0)
 
 
 class TestInfeasibleLattice:

@@ -6,6 +6,7 @@ import pytest
 from jmrm.core import LabelSpace
 from jmrm.masks import (
     NEG_INF,
+    TransitionMask,
     all_ones_relation_mask,
     apply_relation_mask,
     build_relation_mask,
@@ -125,6 +126,32 @@ class TestTransitionMask:
         for intent in range(music_space.n_intents):
             assert rm.rm[intent, o]
             assert np.isfinite(tm.start[o]) and np.isfinite(tm.trans[o, o])
+
+
+class TestTransitionMaskValidation:
+    @pytest.mark.parametrize("bad", [0.5, np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["trans", "start"])
+    def test_entries_must_be_one_or_neg_inf(self, where, bad):
+        scores = {"trans": np.ones((3, 3)), "start": np.ones(3)}
+        scores[where].flat[1] = bad
+        with pytest.raises(ValueError, match=f"{where} entries"):
+            TransitionMask(**scores)
+
+    @pytest.mark.parametrize("trans, start", [((3, 2), (3,)), ((3, 3), (2,)),
+                                              ((3, 3), (3, 1)), ((9,), (3,))])
+    def test_shapes_must_be_square_and_matching(self, trans, start):
+        with pytest.raises(ValueError, match="shapes"):
+            TransitionMask(np.ones(trans), np.ones(start))
+
+    def test_holds_read_only_copies(self, music_space):
+        trans, start = np.ones((3, 3)), np.ones(3)
+        tm = TransitionMask(trans, start)
+        trans[0, 1] = start[0] = NEG_INF  # the caller's arrays are not the mask's
+        assert tm.trans[0, 1] == 1.0 and tm.start[0] == 1.0
+        tm = build_transition_mask(music_space)
+        for name in ("trans", "start", "open_cols", "closed_succ"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(tm, name)[0] = 0
 
 
 class TestApplyRelationMask:

@@ -15,7 +15,6 @@ from jmrm.masks import (
     permissive_transition_mask,
 )
 from jmrm.trainer import (
-    AdamState,
     RunConfig,
     TrainingDiverged,
     adam_step,

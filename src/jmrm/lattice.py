@@ -5,22 +5,32 @@ The joint score of a pair is
     R(y, t) = lam * f_l[y] + sum_i ( f_e(t_i | y) + f_t(t_i | t_{i-1}) )
 
 with f_e the relation-masked slot emissions and f_t the transition mask
-(START row for t_0).  Each dynamic program is one right-to-left sweep over
-positions.  The sum-product sweep, _sweep, runs logsumexp over the dense
-(T, T) transitions: it gives the backward scores and, over reversed
-positions and transposed transitions, the forward scores, so log Z and the
-marginals are exact.  The max-plus sweep, _suffix_max, gives the best
-completions that Viterbi reads greedily; it runs on the mask's open/closed
-form (TransitionMask.open_cols and closed_succ), so a position costs
-O(Y T (K+1)) instead of O(Y T^2), and its output is bit-identical to the
-dense max.  The sum-product sweep stays dense: regrouping a logsumexp the
-same way moves log Z in its last bits, which flips near-tied decisions
-downstream.  Masked configurations carry IEEE -inf, whose exp is exactly
-0, so they contribute exactly zero probability mass and never produce NaN:
-the logsumexp below subtracts the max only when it is finite.  Scores must
-be finite, so NaN and +inf are rejected where the inputs are built.
-"""
+(START row for t_0).  Each dynamic program is one sweep over positions for
+every intent at once, and each runs on the mask's open/closed form
+(TransitionMask), not on the dense (T, T) transitions, with outputs
+bit-identical to the dense recursions.  The sum-product sweeps give log Z
+and the marginals:
 
+  - _forward sums each column's predecessors in index order, as numpy does
+    the dense forward's strided sums.  One logsumexp over all T
+    predecessors serves every open column, and a gather of
+    TransitionMask.closed_pred serves the closed ones.  A banned
+    predecessor's term is exp(-inf) = 0, and adding 0 is exact, so leaving
+    it out keeps every bit.
+  - _backward's dense row sums are contiguous, so numpy sums them pairwise,
+    and there dropping a zero term would regroup the others.  It only
+    deduplicates: rows with the same successors are summed once per class
+    (TransitionMask.row_rep), whole.  Only the cells both masks allow are
+    exponentiated; the rest stay at the exp(-inf) = 0 they stand for.
+
+The max-plus sweep, _suffix_max, gives the best completions that Viterbi
+reads greedily: one max over the open columns and one over the closed
+successors per position, O(Y T (K+1)) instead of O(Y T^2).  Masked
+configurations carry IEEE -inf, whose exp is exactly 0, so they contribute
+exactly zero probability mass and never produce NaN: each logsumexp
+subtracts its max only when the max is finite.  Scores must be finite, so
+NaN and +inf are rejected where the inputs are built.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -112,18 +122,75 @@ def joint_score(y: int, t: np.ndarray, jin: JointScoreInputs) -> float:
     return float(jin.lam * jin.f_l[y] + s)
 
 
-def _sweep(fe: np.ndarray, trans: np.ndarray, last) -> np.ndarray:
-    """The sum-product recursion, right to left over an (..., m, T) array.
+def _lse_in_order(a: np.ndarray) -> np.ndarray:
+    """logsumexp over axis 0, adding the terms in index order.
 
-    h[..., m-1, :] = last and
-    h[..., i, o] = logsumexp_p(trans[o, p] + fe[..., i+1, p] + h[..., i+1, p]).
+    The same steps as logsumexp, but add.accumulate is sequential whatever
+    the shape, where a sum whose other axes are all of size 1 is pairwise.
     """
-    h = np.empty(fe.shape)
-    h[..., -1, :] = last
-    for i in range(fe.shape[-2] - 2, -1, -1):
-        ahead = fe[..., i + 1, :] + h[..., i + 1, :]
-        h[..., i, :] = logsumexp(trans + ahead[..., None, :], axis=-1)
-    return h
+    mx = _max(a, 0)
+    safe = np.where(np.isfinite(mx), mx, 0.0)
+    return np.log(np.add.accumulate(np.exp(a - safe), 0)[-1]) + safe
+
+
+def _forward(fe: np.ndarray, tm: TransitionMask) -> np.ndarray:
+    """Forward scores, left to right over a (Y, m, T) stack.
+
+    alpha[:, 0, o] = start[o] + fe[:, 0, o] and
+    alpha[:, j, o] = logsumexp_p(trans[p, o] + alpha[:, j-1, p]) + fe[:, j, o],
+    summed over the allowed p in index order (see the module docstring).
+    The padding of tm.closed_pred reads the sentinel row T, held at -inf.
+    The work runs label-major, (m, T, Y), so both gathers take whole rows.
+    Call under np.errstate(divide="ignore").
+    """
+    y, m, t = fe.shape
+    open_cols, closed_cols = tm.open_cols, tm.closed_cols
+    pred = tm.closed_pred.T  # (J, C): axis 0 walks each column's predecessors
+    fe = fe.transpose(1, 2, 0)
+    alpha = np.empty((m, t, y))
+    np.add(tm.start[:, None], fe[0], alpha[0])
+    ahead = np.full((t + 1, y), NEG_INF)
+    for j in range(1, m):
+        np.add(alpha[j - 1], 1.0, ahead[:t])  # every allowed transition scores 1
+        alpha[j, open_cols] = _lse_in_order(ahead[:t])
+        if closed_cols.size:
+            alpha[j, closed_cols] = _lse_in_order(ahead.take(pred, 0))
+        alpha[j] += fe[j]
+    # C order, as the dense code left it: later row sums depend on the layout
+    return np.ascontiguousarray(alpha.transpose(2, 0, 1))
+
+
+def _backward(fe: np.ndarray, tm: TransitionMask) -> np.ndarray:
+    """Backward scores, right to left over a (Y, m, T) stack.
+
+    beta[:, m-1, :] = 0 and
+    beta[:, i, o] = logsumexp_p(trans[o, p] + fe[:, i+1, p] + beta[:, i+1, p]).
+    Each class's row sum runs whole over a C-contiguous (Y, R, T) array, so
+    numpy groups it as it grouped the dense row.  terms holds the exp of the
+    cells both masks allow and 0 elsewhere; tm.row_class copies each class's
+    result to its rows.  The row max is _suffix_max's structured one: every
+    allowed transition scores 1 and rounding is monotone, so 1 + max equals
+    the dense max bit for bit.  Call under np.errstate(divide="ignore").
+    """
+    y, m, t = fe.shape
+    r = tm.row_rep.size
+    succ = tm.closed_succ[tm.row_rep]
+    # the cells both masks allow, as flat indices into the (Y, R, T) terms;
+    # yr indexes the (Y, R) row maxima and cell the (Y, T+1) ahead buffer
+    into = np.flatnonzero((fe > NEG_INF).any(axis=1)[:, None, :] & (tm.trans[tm.row_rep] == 1.0))
+    yr, p = np.divmod(into, t)
+    cell = yr // r * (t + 1) + p
+    beta = np.zeros((y, m, t))
+    terms = np.zeros((y, r, t))
+    ahead = np.empty((y, t + 1))
+    for i in range(m - 2, -1, -1):
+        np.add(fe[:, i + 1], beta[:, i + 1], ahead[:, :t])
+        ahead[:, t] = _max(ahead.take(tm.open_cols, 1), 1, initial=NEG_INF)
+        mx = _max(ahead.take(succ, 1), 2) + 1.0
+        safe = np.where(np.isfinite(mx), mx, 0.0)
+        np.put(terms, into, np.exp(ahead.take(cell) + 1.0 - safe.take(yr)))
+        beta[:, i] = (np.log(np.add.reduce(terms, -1)) + safe)[:, tm.row_class]
+    return beta
 
 
 def _suffix_max(fe: np.ndarray, tm: TransitionMask) -> np.ndarray:
@@ -158,10 +225,8 @@ def log_partition(jin: JointScoreInputs) -> JointPosterior:
     relation mask are exactly zero.
     """
     fe = apply_relation_mask(jin.f_o, jin.rm, slice(None))  # (Y, m, T)
-    trans, start = jin.tm.trans, jin.tm.start
-    # one intent at a time: its (T, T) temporaries stay in cache
-    alpha = np.stack([_sweep(f[::-1], trans.T, start)[::-1] for f in fe]) + fe
-    beta = np.stack([_sweep(f, trans, 0.0) for f in fe])
+    with np.errstate(divide="ignore"):
+        alpha, beta = _forward(fe, jin.tm), _backward(fe, jin.tm)
     intent_score = jin.lam * jin.f_l
     log_joint = intent_score + logsumexp(alpha[:, -1], axis=-1)
     log_z = float(logsumexp(log_joint, axis=0))

@@ -41,19 +41,32 @@ class TransitionMask:
 
     Every entry is 1 (allowed) or -inf (banned); construction rejects
     anything else, keeps read-only copies, and derives the open/closed form
-    the max-plus Viterbi sweep runs on:
+    the lattice sweeps run on:
 
     open_cols    the columns every row allows (O and every B-X under BIO)
+    closed_cols  the other columns, ascending (every I-X under BIO)
     closed_succ  (T, K+1): row o's allowed columns that are not open, then
                  the sentinel index T, repeated to pad the row; K is the
                  longest such list, 1 under BIO (B-X and I-X feed I-X) and
                  0 when every column is open
+    closed_pred  (C, J+1): closed column closed_cols[c]'s allowed rows,
+                 ascending, then T, repeated to pad the row; J is the longest
+                 such list, 2 under BIO (B-X and I-X feed I-X)
+    row_class    (T,): rows with equal closed_succ rows, hence equal trans
+                 rows, share a class id in 0..R-1 (R = 40 of 79 under SNIPS
+                 BIO: O and the B-X/I-X pair of each type; 1 when every
+                 column is open)
+    row_rep      (R,): the first row of each class
     """
 
     trans: np.ndarray  # (T, T), entries in {1, -inf}
     start: np.ndarray  # (T,), entries in {1, -inf}
     open_cols: np.ndarray = field(init=False, repr=False, compare=False)
+    closed_cols: np.ndarray = field(init=False, repr=False, compare=False)
     closed_succ: np.ndarray = field(init=False, repr=False, compare=False)
+    closed_pred: np.ndarray = field(init=False, repr=False, compare=False)
+    row_class: np.ndarray = field(init=False, repr=False, compare=False)
+    row_rep: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         trans, start = np.array(self.trans, dtype=float), np.array(self.start, dtype=float)
@@ -68,14 +81,35 @@ class TransitionMask:
                 raise ValueError(f"transition mask {name} entries must be 1.0 or -inf")
         is_open = allowed.all(axis=0)
         closed = allowed & ~is_open
-        # closed cells keep their column, all others become T; sorting moves
-        # each row's closed successors to its front
-        succ = np.sort(np.where(closed, np.arange(t), t), axis=1)
-        closed_succ = succ[:, : closed.sum(axis=1).max(initial=0) + 1].copy()
-        for name, value in (("trans", trans), ("start", start),
-                            ("open_cols", np.flatnonzero(is_open)), ("closed_succ", closed_succ)):
+        closed_cols = np.flatnonzero(~is_open)
+        # flat indices run row-major: row o's closed successors in ascending
+        # order, and, on the transpose, closed column c's predecessors
+        closed_succ = _padded_lists(*np.divmod(np.flatnonzero(closed), t), t, t)
+        cols, rows = np.divmod(np.flatnonzero(closed.T), t)
+        closed_pred = _padded_lists(np.searchsorted(closed_cols, cols), rows, closed_cols.size, t)
+        # equal rows sort next to each other; a class starts where a row
+        # differs from the one before it
+        order = np.lexsort(closed_succ.T[::-1])
+        ranked = closed_succ[order]
+        first = np.ones(t, dtype=bool)
+        first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+        row_class = np.empty(t, dtype=np.intp)
+        row_class[order] = np.cumsum(first) - 1
+        for name, value in (("trans", trans), ("start", start), ("open_cols", np.flatnonzero(is_open)),
+                            ("closed_cols", closed_cols), ("closed_succ", closed_succ),
+                            ("closed_pred", closed_pred), ("row_class", row_class),
+                            ("row_rep", order[first])):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
+
+
+def _padded_lists(keys: np.ndarray, values: np.ndarray, n: int, t: int) -> np.ndarray:
+    """(n, K+1): row k lists values[keys == k] in order, then the sentinel
+    t, repeated to pad the row; K is the longest list.  keys are sorted."""
+    pos = np.arange(keys.size) - np.searchsorted(keys, keys)
+    out = np.full((n, pos.max(initial=-1) + 2), t)
+    out[keys, pos] = values
+    return out
 
 
 def build_relation_mask(

@@ -111,6 +111,14 @@ def random_bio_strings(rng: np.random.Generator, types: list[str], m: int) -> li
     return [menu[int(i)] for i in rng.integers(0, len(menu), size=m)]
 
 
+def bio_space(n_intents: int, n_slots: int) -> LabelSpace:
+    """O plus (n_slots - 1) / 2 B/I pairs; n_slots=79 is the SNIPS shape."""
+    return LabelSpace(
+        tuple(f"intent{k}" for k in range(n_intents)),
+        ("O",) + tuple(f"{p}-type{k}" for k in range((n_slots - 1) // 2) for p in ("B", "I")),
+    )
+
+
 # --- a SNIPS-shaped episode --------------------------------------------------
 #
 # Y=7 intents and T=79 BIO labels over 39 slot types, as in SNIPS.  Intent j
@@ -118,10 +126,7 @@ def random_bio_strings(rng: np.random.Generator, types: list[str], m: int) -> li
 # with widths 2, 1, 3 in successive rounds, so 8 support utterances per
 # intent (56 in all, lengths alternating 12 and 40) contain every label.
 
-SNIPS_SPACE = LabelSpace(
-    tuple(f"intent{k}" for k in range(7)),
-    ("O",) + tuple(f"{p}-type{k}" for k in range(39) for p in ("B", "I")),
-)
+SNIPS_SPACE = bio_space(7, 79)
 
 
 def _snips_spans(j: int):

@@ -1,13 +1,13 @@
 """The loop-free encoder window, prototype and separate-loss paths, the
-transition mask, and the training loop, are bit-identical to the code they
-replaced.
+transition mask, the structured sum-product sweep, and the training loop,
+are bit-identical to the code they replaced.
 
 The references below are that code: a per-position window mean, the
 (i, j) double loop that scatters the window gradient, per-token prototype
 sums, the prototype gradient spread through per-class member lists, one
 softmax cross-entropy per token, the (o1, o2) double loop over BIO cells,
-and the training loop that selected the masks per query and rebuilt a
-context after every step.  Every comparison is exact (np.array_equal or
+the dense per-intent log_partition, and the training loop that selected
+the masks per query and rebuilt a context after every step.  Every comparison is exact (np.array_equal or
 ==), not a tolerance: the benchmark's snips-train quality guards record
 how rounding breaks near-tied intent scores, so they depend on the exact
 bits.
@@ -29,6 +29,7 @@ from jmrm.episodes import SynthSpec, build_episode, generate_synthetic
 from jmrm.lattice import (
     InfeasibleGold,
     JointScoreInputs,
+    log_partition,
     logsumexp,
     loss_gradients,
     nll_loss,
@@ -37,6 +38,7 @@ from jmrm.lattice import (
 from jmrm.masks import (
     NEG_INF,
     RelationMask,
+    TransitionMask,
     all_ones_relation_mask,
     apply_relation_mask,
     build_relation_mask,
@@ -62,7 +64,7 @@ from jmrm.trainer import (
     train,
 )
 
-from conftest import SNIPS_SPACE, make_sample, snips_shaped_episode
+from conftest import SNIPS_SPACE, bio_space, make_sample, snips_shaped_episode
 
 KINDS = ("cos", "l2", "vpb")
 
@@ -318,6 +320,95 @@ def test_sum_sep_masked_gold_raises(snips_case):
     ctx.rm = RelationMask(rm, ctx.rm.forced_o)
     with pytest.raises(InfeasibleGold, match=f"gold class {label} is masked"):
         compute_loss(query, ctx, config)
+
+
+# --- log_partition against the dense per-intent kernel --------------------------
+
+
+def ref_sweep(fe, trans, last):
+    """The dense sum-product recursion, right to left over an (..., m, T) array.
+
+    h[..., m-1, :] = last and
+    h[..., i, o] = logsumexp_p(trans[o, p] + fe[..., i+1, p] + h[..., i+1, p]).
+    """
+    h = np.empty(fe.shape)
+    h[..., -1, :] = last
+    for i in range(fe.shape[-2] - 2, -1, -1):
+        ahead = fe[..., i + 1, :] + h[..., i + 1, :]
+        h[..., i, :] = logsumexp(trans + ahead[..., None, :], axis=-1)
+    return h
+
+
+def ref_log_partition_dense(jin):
+    """(log Z, q, unary marginals) one intent at a time: the forward pass
+    sweeps the reversed positions over trans.T, whose F-ordered temporaries
+    numpy sums in index order; the backward pass sums C-ordered rows, which
+    numpy sums pairwise."""
+    fe = apply_relation_mask(jin.f_o, jin.rm, slice(None))  # (Y, m, T)
+    trans, start = jin.tm.trans, jin.tm.start
+    alpha = np.stack([ref_sweep(f[::-1], trans.T, start)[::-1] for f in fe]) + fe
+    beta = np.stack([ref_sweep(f, trans, 0.0) for f in fe])
+    intent_score = jin.lam * jin.f_l
+    log_joint = intent_score + logsumexp(alpha[:, -1], axis=-1)
+    log_z = float(logsumexp(log_joint, axis=0))
+    unary = np.exp(intent_score[:, None, None] + alpha + beta - log_z)
+    return log_z, np.exp(log_joint - log_z), unary
+
+
+def assert_partition_matches_dense(jin):
+    log_z, q, unary = ref_log_partition_dense(jin)
+    post = log_partition(jin)
+    assert post.log_z == log_z
+    assert np.array_equal(post.intent_marginals, q)
+    assert np.array_equal(post.slot_unary_marginals, unary)
+    # loss_gradients sums the marginals over intents, which depends on layout
+    assert post.slot_unary_marginals.flags.c_contiguous
+
+
+@pytest.mark.parametrize("bio", [True, False], ids=["bio", "permissive"])
+@pytest.mark.parametrize("m", [1, 2, 3, 12, 40])
+@pytest.mark.parametrize("t_n", [3, 9, 79])
+@pytest.mark.parametrize("y_n", [1, 2, 7])
+def test_log_partition_matches_dense_kernel(y_n, t_n, m, bio):
+    """log Z, q and the marginals equal the dense kernel's bit for bit at
+    three scales, each also integer-rounded to make exact ties."""
+    ls = bio_space(y_n, t_n)
+    tm = build_transition_mask(ls) if bio else permissive_transition_mask(t_n)
+    for scale in (1.0, 30.0, 1e3):
+        rng = np.random.default_rng([y_n, t_n, m, bio, int(scale)])
+        rm = rng.random((y_n, t_n)) < 0.3
+        rm[:, 0] = True
+        if bio and y_n > 1:
+            # the last intent may use I-type0 only, which BIO bans from
+            # opening a sequence: that intent gets zero mass
+            rm[-1] = False
+            rm[-1, ls.slot_id("I-type0")] = True
+        f_l = scale * rng.standard_normal(y_n)
+        f_o = scale * rng.standard_normal((m, t_n))
+        for fl, fo in ((f_l, f_o), (np.round(f_l), np.round(f_o))):
+            assert_partition_matches_dense(JointScoreInputs(fl, fo, RelationMask(rm, True), tm, 1.0))
+
+
+def test_log_partition_matches_dense_kernel_beyond_bio():
+    """Masks with no open column, and closed columns with many predecessors
+    (K > 1), over 1 to 3 intents; the diagonal keeps every constant path
+    feasible."""
+    rng = np.random.default_rng(17)
+    no_open = many_pred = 0
+    for _ in range(60):
+        t_n, m, y_n = int(rng.integers(2, 14)), int(rng.integers(1, 9)), int(rng.integers(1, 4))
+        allowed = rng.random((t_n, t_n)) < rng.uniform(0.1, 0.9)
+        np.fill_diagonal(allowed, True)
+        tm = TransitionMask(np.where(allowed, 1.0, NEG_INF), np.ones(t_n))
+        no_open += tm.open_cols.size == 0
+        many_pred += tm.closed_pred.shape[1] > 8  # long enough for the sum order to matter
+        rm = rng.random((y_n, t_n)) < 0.7
+        rm[np.arange(y_n), rng.integers(t_n, size=y_n)] = True
+        f_o = rng.choice([1.0, 30.0]) * rng.standard_normal((m, t_n))
+        for fo in (f_o, np.round(f_o)):
+            assert_partition_matches_dense(
+                JointScoreInputs(rng.standard_normal(y_n), fo, RelationMask(rm, False), tm, 1.0))
+    assert no_open and many_pred
 
 
 # --- the training loop ----------------------------------------------------------

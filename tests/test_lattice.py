@@ -31,6 +31,8 @@ from jmrm.masks import (
 )
 from jmrm.oracles import random_instance
 
+from conftest import SNIPS_SPACE, bio_space
+
 
 def brute_force(jin):
     """Minimal in-test enumeration, independent of jmrm.oracles."""
@@ -145,6 +147,35 @@ class TestLogPartition:
             rm2[y, o] = True
             jin2 = JointScoreInputs(jin.f_l, jin.f_o, RelationMask(rm2, True), jin.tm, jin.lam)
             assert log_partition(jin2).log_z >= before - 1e-12
+
+    @staticmethod
+    def long_large_scale(tied):
+        """m=200 at emission scale 1e4, Y=7, T=79: exp of the raw scores
+        would overflow, and with tied emissions every path is a tied term."""
+        rng = np.random.default_rng(19)
+        t_n, m = SNIPS_SPACE.n_slots, 200
+        rm = rng.random((7, t_n)) < 0.3
+        rm[:, 0] = True
+        f_l = 1e4 * (np.ones(7) if tied else rng.standard_normal(7))
+        f_o = 1e4 * (np.ones((m, t_n)) if tied else rng.standard_normal((m, t_n)))
+        return JointScoreInputs(f_l, f_o, RelationMask(rm, True), build_transition_mask(SNIPS_SPACE))
+
+    @pytest.mark.parametrize("tied", [False, True], ids=["random", "tied"])
+    def test_long_sequences_at_large_scale_stay_finite(self, tied):
+        post = log_partition(self.long_large_scale(tied))
+        assert np.isfinite(post.log_z)
+        assert np.all(np.isfinite(post.slot_unary_marginals))
+        assert post.intent_marginals.sum() == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("tied", [False, pytest.param(True, marks=pytest.mark.xfail(
+        strict=True, reason="log Z is about 2e6 here, and the unscaled forward and backward "
+        "scores carry its rounding: the tied slices miss q(y) by up to 5.7e-9"))],
+        ids=["random", "tied"])
+    def test_long_sequences_at_large_scale_marginal_slices_sum_to_q(self, tied):
+        post = log_partition(self.long_large_scale(tied))
+        sums = post.slot_unary_marginals.sum(axis=2)  # (Y, m): each (y, i) slice
+        np.testing.assert_allclose(sums, np.broadcast_to(post.intent_marginals[:, None], sums.shape),
+                                   rtol=0, atol=1e-9)
 
     def test_extreme_magnitudes_no_nan(self):
         rng = np.random.default_rng(4)
@@ -491,17 +522,6 @@ def ref_viterbi(jin):
     return y, path, joint_score(y, np.array(path), jin)
 
 
-def bio_space(n_intents, n_slots):
-    """O plus (n_slots - 1) / 2 B/I pairs; n_slots=79 is the SNIPS shape."""
-    return LabelSpace(
-        tuple(f"intent{k}" for k in range(n_intents)),
-        ("O",) + tuple(f"{p}-type{k}" for k in range((n_slots - 1) // 2) for p in ("B", "I")),
-    )
-
-
-SNIPS_SPACE = bio_space(7, 79)
-
-
 class TestLargeInstancesAgainstReference:
     """Y=7, T=79 (SNIPS-shaped BIO space) against the dense reference."""
 
@@ -605,6 +625,44 @@ class TestTransitionStructure:
             allowed[:, tm.open_cols] = True
             allowed[np.arange(t_n)[:, None], tm.closed_succ] = True
             assert np.array_equal(allowed[:, :t_n], tm.trans == 1.0)
+
+    @staticmethod
+    def masks():
+        rng = np.random.default_rng(18)
+        yield build_transition_mask(SNIPS_SPACE)
+        yield permissive_transition_mask(5)
+        for _ in range(20):
+            t_n = int(rng.integers(2, 14))
+            allowed = rng.random((t_n, t_n)) < rng.uniform(0.1, 0.9)
+            yield TransitionMask(np.where(allowed, 1.0, NEG_INF), np.ones(t_n))
+
+    def test_open_columns_and_predecessors_rebuild_the_columns(self):
+        for tm in self.masks():
+            t_n = tm.start.shape[0]
+            assert np.array_equal(np.sort(np.r_[tm.open_cols, tm.closed_cols]), np.arange(t_n))
+            allowed = np.zeros((t_n + 1, t_n), dtype=bool)
+            allowed[:, tm.open_cols] = True
+            allowed[tm.closed_pred, tm.closed_cols[:, None]] = True
+            assert np.array_equal(allowed[:t_n], tm.trans == 1.0)
+            # ascending predecessors, then the sentinel in every row
+            assert np.all(np.diff(tm.closed_pred, axis=1) >= 0)
+            assert np.all(tm.closed_pred[:, -1] == t_n)
+
+    def test_row_classes_group_equal_rows(self):
+        for tm in self.masks():
+            n_classes = tm.row_rep.size
+            assert np.array_equal(tm.row_class[tm.row_rep], np.arange(n_classes))
+            for k in range(n_classes):
+                members = np.flatnonzero(tm.row_class == k)
+                assert tm.row_rep[k] == members[0]
+                assert np.all(tm.trans[members] == tm.trans[members[0]])
+            reps = tm.trans[tm.row_rep]
+            assert len({row.tobytes() for row in reps}) == n_classes
+
+    def test_class_counts(self):
+        # O, then one class per type: B-X and I-X both allow I-X
+        assert build_transition_mask(SNIPS_SPACE).row_rep.size == 40
+        assert permissive_transition_mask(79).row_rep.size == 1
 
 
 class TestInfeasibleLattice:

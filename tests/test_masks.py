@@ -153,6 +153,12 @@ class TestTransitionMaskValidation:
             with pytest.raises(ValueError, match="read-only"):
                 getattr(tm, name)[0] = 0
 
+    def test_derived_structure_is_read_only(self, music_space):
+        tm = build_transition_mask(music_space)
+        for name in ("closed_cols", "closed_pred", "row_class", "row_rep"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(tm, name)[0] = 0
+
 
 class TestApplyRelationMask:
     def test_identity_when_row_all_ones(self, music_space):

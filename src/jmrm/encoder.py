@@ -8,9 +8,11 @@ Two kinds:
   semantics transferable across domains at desk scale.  No parameters.
 * ``trainable``: a token embedding table plus a linear projection over a
   symmetric context-window mean, with exact reverse-mode gradients.  The
-  window mean and its backward scatter are each one ``np.add.at`` over the
-  same (position, neighbour) pairs, which rounds like a loop over
-  positions and then neighbours.
+  window mean adds 2w+1 shifted slices and its backward scatter is one
+  flat ``np.add.at`` over the (position, neighbour) pairs; both round like
+  a loop over positions and then neighbours.  ``encode_tokens`` can return
+  the ``WindowState`` that ``encoder_backward`` takes, so a backward pass
+  never recomputes its forward.
 """
 
 from __future__ import annotations
@@ -81,6 +83,14 @@ class EncoderParams:
         )
 
 
+@dataclass(frozen=True)
+class WindowState:
+    """What encoder_backward needs of one trainable encode_tokens call."""
+
+    ids: np.ndarray  # (m,) token_table rows
+    h: np.ndarray  # (m, dim) window means
+
+
 @dataclass
 class Encoder:
     """An embedding function: a config plus (for the trainable kind) params."""
@@ -92,8 +102,8 @@ class Encoder:
     def is_trainable(self) -> bool:
         return self.config.kind == TRAINABLE
 
-    def encode_tokens(self, tokens: Sequence[str]) -> np.ndarray:
-        return encode_tokens(self.params, self.config, tokens)
+    def encode_tokens(self, tokens: Sequence[str], return_state: bool = False):
+        return encode_tokens(self.params, self.config, tokens, return_state)
 
     def encode_utterance(self, tokens: Sequence[str]) -> np.ndarray:
         return encode_utterance(self.params, self.config, tokens)
@@ -149,27 +159,48 @@ def _window_pairs(m: int, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return i, j, np.bincount(i, minlength=m)
 
 
+def add_rows_at(target: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """np.add.at(target, rows, values) for a C-contiguous (n, d) target,
+    through numpy's faster 1-D path: value k still adds into row rows[k] in
+    order k, so every element rounds as in the 2-D call."""
+    if not target.flags.c_contiguous:
+        raise ValueError("add_rows_at needs a C-contiguous target")
+    d = target.shape[1]
+    flat = (rows[:, None] * d + np.arange(d)).reshape(-1)
+    np.add.at(target.reshape(-1), flat, values.reshape(-1))
+
+
 def _window_means(table_rows: np.ndarray, w: int) -> np.ndarray:
     if w == 0:
         return table_rows
-    i, j, sizes = _window_pairs(table_rows.shape[0], w)
+    m = table_rows.shape[0]
+    w = min(w, m - 1)
+    # offset o adds row i + o into every row i it reaches; ascending o adds
+    # each window's rows in ascending order, as a loop over them would
     sums = np.zeros_like(table_rows)
-    np.add.at(sums, i, table_rows[j])
-    return sums / sizes[:, None]
+    for o in range(-w, w + 1):
+        sums[max(0, -o) : m - max(0, o)] += table_rows[max(0, o) : m + min(0, o)]
+    return sums / _window_pairs(m, w)[2][:, None]
 
 
 def encode_tokens(
-    params: EncoderParams | None, config: EncoderConfig, tokens: Sequence[str]
-) -> np.ndarray:
-    """Embed each token; returns an (m, dim) matrix."""
+    params: EncoderParams | None,
+    config: EncoderConfig,
+    tokens: Sequence[str],
+    return_state: bool = False,
+):
+    """Embed each token; returns an (m, dim) matrix, or with return_state
+    the pair (matrix, WindowState), whose state is None for the hashed kind."""
     if len(tokens) < 1:
         raise ValueError("tokens must be non-empty")
     if config.kind == HASHED_FROZEN:
-        return np.stack([_hashed_unit_vector(t, config.seed, config.dim) for t in tokens])
+        rows = np.stack([_hashed_unit_vector(t, config.seed, config.dim) for t in tokens])
+        return (rows, None) if return_state else rows
     assert params is not None
-    ids = [params.vocab.get(t, 0) for t in tokens]
+    ids = np.array([params.vocab.get(t, 0) for t in tokens], dtype=int)
     h = _window_means(params.token_table[ids], config.context_window)
-    return h @ params.projection.T + params.bias
+    rows = h @ params.projection.T + params.bias
+    return (rows, WindowState(ids, h)) if return_state else rows
 
 
 def encode_utterance(
@@ -186,34 +217,33 @@ def zero_grads(params: EncoderParams) -> dict[str, np.ndarray]:
 def encoder_backward(
     params: EncoderParams | None,
     config: EncoderConfig,
-    tokens: Sequence[str],
+    state: WindowState,
     d_rows: np.ndarray | None = None,
     d_utt: np.ndarray | None = None,
     out: dict[str, np.ndarray] | None = None,
 ) -> dict[str, np.ndarray]:
     """Accumulate exact gradients of encode_tokens / encode_utterance.
 
-    d_rows is an upstream (m, dim) gradient on the token matrix, d_utt a
-    (dim,) gradient on the utterance mean; either may be omitted.  Results
-    are summed into ``out`` when given.
+    state is the WindowState encode_tokens returned for the tokens.  d_rows
+    is an upstream (m, dim) gradient on the token matrix, d_utt a (dim,)
+    gradient on the utterance mean; either may be omitted.  Results are
+    summed into ``out`` when given.
     """
     if config.kind != TRAINABLE:
         raise FrozenEncoder("hashed-frozen encoder has no parameters")
     assert params is not None
-    m, d = len(tokens), config.dim
+    m, d = state.h.shape
     grads = out if out is not None else zero_grads(params)
     total = np.zeros((m, d))
     if d_rows is not None:
         total += d_rows
     if d_utt is not None:
         total += np.asarray(d_utt) / m
-    ids = np.array([params.vocab.get(t, 0) for t in tokens], dtype=int)
-    h = _window_means(params.token_table[ids], config.context_window)
-    grads["projection"] += total.T @ h
+    grads["projection"] += total.T @ state.h
     grads["bias"] += total.sum(axis=0)
     dh = total @ params.projection
     i, j, sizes = _window_pairs(m, config.context_window)
-    np.add.at(grads["token_table"], ids[j], (dh / sizes[:, None])[i])
+    add_rows_at(grads["token_table"], state.ids[j], (dh / sizes[:, None])[i])
     return grads
 
 

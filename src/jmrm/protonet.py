@@ -5,6 +5,9 @@ sharing that intent; a slot prototype is the mean token embedding over all
 support word positions carrying that slot label.  Emission scores are
 similarities between query embeddings and prototypes; higher is always
 more similar (L2 is the negative squared euclidean distance).
+similarity_to_protos scores a whole (r, d) matrix of embeddings at once;
+its dot products are one stacked matrix-vector product per row, which
+rounds exactly like scoring the rows one at a time.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import LabelSpace, Sample
-from .encoder import Encoder
+from .encoder import Encoder, WindowState, add_rows_at
 
 COS = "cos"
 L2 = "l2"
@@ -34,6 +37,9 @@ class Prototypes:
     slot_protos: np.ndarray  # (T, d)
     intent_counts: np.ndarray  # (Y,)
     slot_counts: np.ndarray  # (T,)
+    # a trainable encoder's forward state of each support sample, in
+    # support order, for the backward pass through the prototypes
+    support_states: tuple[WindowState, ...] | None = None
 
 
 @dataclass
@@ -61,44 +67,67 @@ def compute_prototypes(
     if not slot_counts.all():
         o = slot_counts.argmin()
         raise ValueError(f"slot label {ls.slot_labels[o]!r} has no support occurrences")
-    rows = [encoder.encode_tokens(sample.tokens) for sample in support]
-    # ufunc.at adds in index order: support order, then token position
     intent_sum = np.zeros((y, encoder.config.dim))
-    np.add.at(intent_sum, intents, np.stack([r.mean(axis=0) for r in rows]))
     slot_sum = np.zeros((t, encoder.config.dim))
-    np.add.at(slot_sum, slots, np.concatenate(rows))
+    means, states, start = [], [], 0
+    # ufunc.at adds in index order: support order, then token position; one
+    # sample's rows at a time, so the support's token matrix is never whole
+    for sample in support:
+        rows, state = encoder.encode_tokens(sample.tokens, True)
+        add_rows_at(slot_sum, slots[start : start + len(rows)], rows)
+        start += len(rows)
+        means.append(rows.mean(axis=0))
+        states.append(state)
+    add_rows_at(intent_sum, intents, np.stack(means))
     return Prototypes(
         intent_protos=intent_sum / intent_counts[:, None],
         slot_protos=slot_sum / slot_counts[:, None],
         intent_counts=intent_counts,
         slot_counts=slot_counts,
+        support_states=tuple(states) if encoder.is_trainable else None,
     )
 
 
-def similarity_to_protos(e: np.ndarray, protos: np.ndarray, kind: str) -> np.ndarray:
-    """Vectorized similarity of one embedding against an (n, d) prototype matrix."""
-    e = np.asarray(e, dtype=float)
-    protos = np.asarray(protos, dtype=float)
-    if kind == L2:
-        diff = protos - e
-        return -(diff * diff).sum(axis=1)
+def _proto_norms(protos: np.ndarray, kind: str) -> np.ndarray:
     c_norms = np.linalg.norm(protos, axis=1)
     if np.any(c_norms == 0.0):
-        raise DegenerateVector(f"zero-norm prototype under {kind} similarity")
+        n = int(np.argmin(c_norms))
+        raise DegenerateVector(f"zero-norm prototype {n} under {kind} similarity")
+    return c_norms
+
+
+def similarity_to_protos(e: np.ndarray, protos: np.ndarray, kind: str) -> np.ndarray:
+    """Similarities of an (r, d) embedding matrix against (n, d) prototypes,
+    (r, n); a single (d,) embedding gives (n,)."""
+    e = np.asarray(e, dtype=float)
+    s = _row_similarities(np.atleast_2d(e), np.asarray(protos, dtype=float), kind)
+    return s[0] if e.ndim == 1 else s
+
+
+def _row_similarities(rows: np.ndarray, protos: np.ndarray, kind: str) -> np.ndarray:
+    if kind == L2:
+        diff = protos - rows[:, None, :]
+        return -(diff * diff).sum(axis=2)
+    if kind not in (VPB, COS):
+        raise ValueError(f"unknown similarity kind {kind!r}")
+    c_norms = _proto_norms(protos, kind)
+    # one gemv per row: a single gemm rows @ protos.T rounds differently
+    dots = np.matmul(protos, rows[:, :, None])[:, :, 0]
     if kind == VPB:
-        return protos @ e / c_norms - c_norms / 2.0
-    if kind == COS:
-        e_norm = np.linalg.norm(e)
-        if e_norm == 0.0:
-            raise DegenerateVector("zero-norm embedding under cos similarity")
-        return protos @ e / (e_norm * c_norms)
-    raise ValueError(f"unknown similarity kind {kind!r}")
+        return dots / c_norms - c_norms / 2.0
+    # (r, 1): sqrt(e . e) row by row, as np.linalg.norm computes it
+    e_norms = np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]))[:, 0]
+    if np.any(e_norms == 0.0):
+        i = int(np.argmin(e_norms[:, 0]))
+        raise DegenerateVector(f"zero-norm embedding row {i} under cos similarity")
+    return dots / (e_norms * c_norms)
 
 
 def similarity_grads(
     e: np.ndarray, protos: np.ndarray, kind: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of similarity_to_protos: (d s_n / d e, d s_n / d c_n).
+    """Gradients of similarity_to_protos for one (d,) embedding e:
+    (d s_n / d e, d s_n / d c_n).
 
     Both returned arrays have shape (n, d): row n is the gradient of the
     n-th similarity with respect to e and to the n-th prototype.
@@ -108,9 +137,7 @@ def similarity_grads(
     if kind == L2:
         diff = e[None, :] - protos
         return -2.0 * diff, 2.0 * diff
-    c_norms = np.linalg.norm(protos, axis=1)
-    if np.any(c_norms == 0.0):
-        raise DegenerateVector(f"zero-norm prototype under {kind} similarity")
+    c_norms = _proto_norms(protos, kind)
     unit_c = protos / c_norms[:, None]
     if kind == VPB:
         ds_de = unit_c
@@ -137,7 +164,5 @@ def compute_emissions(
 ) -> Emissions:
     """Intent emission vector (Y,) and slot emission matrix (m, T) for a query."""
     rows = encoder.encode_tokens(query.tokens)
-    utt = rows.mean(axis=0)
-    intent = similarity_to_protos(utt, protos.intent_protos, kind)
-    slot = np.stack([similarity_to_protos(r, protos.slot_protos, kind) for r in rows])
-    return Emissions(intent=intent, slot=slot)
+    intent = similarity_to_protos(rows.mean(axis=0), protos.intent_protos, kind)
+    return Emissions(intent=intent, slot=similarity_to_protos(rows, protos.slot_protos, kind))

@@ -224,10 +224,10 @@ def compute_loss(
     """
     enc = ctx.encoder
     kind = config.similarity_kind
-    q_rows = enc.encode_tokens(query.tokens)
+    q_rows, q_state = enc.encode_tokens(query.tokens, True)
     q_utt = q_rows.mean(axis=0)
     f_l = similarity_to_protos(q_utt, ctx.protos.intent_protos, kind)
-    f_o = np.stack([similarity_to_protos(r, ctx.protos.slot_protos, kind) for r in q_rows])
+    f_o = similarity_to_protos(q_rows, ctx.protos.slot_protos, kind)
 
     loss, d_fl, d_fo = _loss_and_emission_grads(query, f_l, f_o, ctx, config)
     if not enc.is_trainable:
@@ -246,14 +246,13 @@ def compute_loss(
     d_c_slot /= ctx.protos.slot_counts[:, None]
 
     grads = zero_grads(enc.params)
-    encoder_backward(
-        enc.params, enc.config, query.tokens, d_rows=d_q_rows, d_utt=d_q_utt, out=grads
-    )
+    encoder_backward(enc.params, enc.config, q_state, d_rows=d_q_rows, d_utt=d_q_utt, out=grads)
     # prototypes are per-class means over the support set, so each support
-    # utterance and token gets its class's gradient share
-    for sample in ctx.episode.support:
+    # utterance and token gets its class's gradient share; the support's
+    # forward state was kept when the context built the prototypes
+    for sample, state in zip(ctx.episode.support, ctx.protos.support_states):
         encoder_backward(
-            enc.params, enc.config, sample.tokens,
+            enc.params, enc.config, state,
             d_rows=d_c_slot[list(sample.slots)], d_utt=d_c_intent[sample.intent], out=grads,
         )
     return loss, grads

@@ -1,16 +1,20 @@
 """The loop-free encoder window, prototype and separate-loss paths, the
+row-batched emissions, the backward pass from a kept forward state, the
 transition mask, the structured sum-product sweep, and the training loop,
 are bit-identical to the code they replaced.
 
 The references below are that code: a per-position window mean, the
 (i, j) double loop that scatters the window gradient, per-token prototype
-sums, the prototype gradient spread through per-class member lists, one
-softmax cross-entropy per token, the (o1, o2) double loop over BIO cells,
-the dense per-intent log_partition, and the training loop that selected
-the masks per query and rebuilt a context after every step.  Every comparison is exact (np.array_equal or
-==), not a tolerance: the benchmark's snips-train quality guards record
-how rounding breaks near-tied intent scores, so they depend on the exact
-bits.
+sums, the 2-D ufunc.at window, prototype sums and token-based backward
+scatter, one similarity call per embedding row, the prototype gradient
+spread through per-class member lists, one softmax cross-entropy per
+token, the (o1, o2) double loop over BIO cells, the dense per-intent
+log_partition, and the training loop that selected the masks per query
+and rebuilt a context after every step.  Every comparison is exact, not a
+tolerance: the benchmark's snips-train quality guards record how rounding
+breaks near-tied intent scores, so they depend on the exact bits.
+assert_same_bits compares bytes, so it also tells -0.0 from 0.0, as the
+run fingerprints (reprs) do.
 """
 
 import numpy as np
@@ -47,9 +51,12 @@ from jmrm.masks import (
 )
 from jmrm.metrics import EMPTY_METRICS, score
 from jmrm.protonet import (
+    COS,
+    L2,
+    VPB,
+    DegenerateVector,
     compute_emissions,
     compute_prototypes,
-    similarity_grads,
     similarity_to_protos,
 )
 from jmrm.trainer import (
@@ -67,6 +74,13 @@ from jmrm.trainer import (
 from conftest import SNIPS_SPACE, bio_space, make_sample, snips_shaped_episode
 
 KINDS = ("cos", "l2", "vpb")
+
+
+def assert_same_bits(got, want):
+    """Same dtype, shape and bytes; unlike np.array_equal, -0.0 != 0.0."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
 
 
 # --- references: the loops as they were ---------------------------------------
@@ -129,6 +143,116 @@ def ref_prototypes(support, ls, encoder):
             support_rows, intent_members, slot_members)
 
 
+def ref_similarity_to_protos(e, protos, kind):
+    """Vectorized similarity of one embedding against an (n, d) prototype matrix."""
+    e = np.asarray(e, dtype=float)
+    protos = np.asarray(protos, dtype=float)
+    if kind == L2:
+        diff = protos - e
+        return -(diff * diff).sum(axis=1)
+    c_norms = np.linalg.norm(protos, axis=1)
+    if np.any(c_norms == 0.0):
+        raise DegenerateVector(f"zero-norm prototype under {kind} similarity")
+    if kind == VPB:
+        return protos @ e / c_norms - c_norms / 2.0
+    if kind == COS:
+        e_norm = np.linalg.norm(e)
+        if e_norm == 0.0:
+            raise DegenerateVector("zero-norm embedding under cos similarity")
+        return protos @ e / (e_norm * c_norms)
+    raise ValueError(f"unknown similarity kind {kind!r}")
+
+
+def ref_similarity_grads(e, protos, kind):
+    """Gradients of similarity_to_protos: (d s_n / d e, d s_n / d c_n).
+
+    Both returned arrays have shape (n, d): row n is the gradient of the
+    n-th similarity with respect to e and to the n-th prototype.
+    """
+    e = np.asarray(e, dtype=float)
+    protos = np.asarray(protos, dtype=float)
+    if kind == L2:
+        diff = e[None, :] - protos
+        return -2.0 * diff, 2.0 * diff
+    c_norms = np.linalg.norm(protos, axis=1)
+    if np.any(c_norms == 0.0):
+        raise DegenerateVector(f"zero-norm prototype under {kind} similarity")
+    unit_c = protos / c_norms[:, None]
+    if kind == VPB:
+        ds_de = unit_c
+        dots = protos @ e
+        ds_dc = (
+            e[None, :] / c_norms[:, None]
+            - dots[:, None] * protos / (c_norms**3)[:, None]
+            - unit_c / 2.0
+        )
+        return ds_de, ds_dc
+    if kind == COS:
+        e_norm = np.linalg.norm(e)
+        if e_norm == 0.0:
+            raise DegenerateVector("zero-norm embedding under cos similarity")
+        s = protos @ e / (e_norm * c_norms)
+        ds_de = protos / (e_norm * c_norms)[:, None] - s[:, None] * e[None, :] / e_norm**2
+        ds_dc = e[None, :] / (e_norm * c_norms)[:, None] - s[:, None] * protos / (c_norms**2)[:, None]
+        return ds_de, ds_dc
+    raise ValueError(f"unknown similarity kind {kind!r}")
+
+
+def ref_window_pairs(m, w):
+    pos = np.arange(m)
+    i, j = np.nonzero(np.abs(pos[:, None] - pos) <= w)
+    return i, j, np.bincount(i, minlength=m)
+
+
+def ref_window_means_at(table_rows, w):
+    if w == 0:
+        return table_rows
+    i, j, sizes = ref_window_pairs(table_rows.shape[0], w)
+    sums = np.zeros_like(table_rows)
+    np.add.at(sums, i, table_rows[j])
+    return sums / sizes[:, None]
+
+
+def ref_encode_tokens_at(params, config, tokens):
+    ids = [params.vocab.get(t, 0) for t in tokens]
+    h = ref_window_means_at(params.token_table[ids], config.context_window)
+    return h @ params.projection.T + params.bias
+
+
+def ref_encoder_backward_at(params, config, tokens, d_rows, d_utt, out):
+    """The token-based backward: re-derives ids and window means, then one
+    2-D ufunc.at scatter."""
+    m, d = len(tokens), config.dim
+    grads = out
+    total = np.zeros((m, d))
+    if d_rows is not None:
+        total += d_rows
+    if d_utt is not None:
+        total += np.asarray(d_utt) / m
+    ids = np.array([params.vocab.get(t, 0) for t in tokens], dtype=int)
+    h = ref_window_means_at(params.token_table[ids], config.context_window)
+    grads["projection"] += total.T @ h
+    grads["bias"] += total.sum(axis=0)
+    dh = total @ params.projection
+    i, j, sizes = ref_window_pairs(m, config.context_window)
+    np.add.at(grads["token_table"], ids[j], (dh / sizes[:, None])[i])
+    return grads
+
+
+def ref_prototypes_at(support, ls, encoder):
+    """(intent protos, slot protos) summed by 2-D ufunc.at."""
+    intents = np.array([sample.intent for sample in support], dtype=int)
+    intent_counts = np.bincount(intents, minlength=ls.n_intents)
+    slots = np.concatenate([sample.slots for sample in support])
+    slot_counts = np.bincount(slots, minlength=ls.n_slots)
+    rows = [ref_encode_tokens_at(encoder.params, encoder.config, s.tokens) for s in support]
+    intent_sum = np.zeros((ls.n_intents, encoder.config.dim))
+    np.add.at(intent_sum, intents, np.stack([r.mean(axis=0) for r in rows]))
+    slot_sum = np.zeros((ls.n_slots, encoder.config.dim))
+    np.add.at(slot_sum, slots, np.concatenate(rows))
+    return intent_sum / intent_counts[:, None], slot_sum / slot_counts[:, None]
+
+
 def ref_transition_mask(ls):
     """(trans, start) filled cell by cell from the BIO rule."""
     t = ls.n_slots
@@ -160,8 +284,8 @@ def ref_compute_loss(query, ctx, config):
         ctx.episode.support, ls, enc)
     q_rows = ref_encode_tokens(enc.params, enc.config, query.tokens)
     q_utt = q_rows.mean(axis=0)
-    f_l = similarity_to_protos(q_utt, intent_protos, kind)
-    f_o = np.stack([similarity_to_protos(r, slot_protos, kind) for r in q_rows])
+    f_l = ref_similarity_to_protos(q_utt, intent_protos, kind)
+    f_o = np.stack([ref_similarity_to_protos(r, slot_protos, kind) for r in q_rows])
     rm, tm = ctx.rm, ctx.tm
     gold_y, gold_t = query.intent, np.asarray(query.slots, dtype=int)
     if config.loss_mode == "joint":
@@ -184,13 +308,13 @@ def ref_compute_loss(query, ctx, config):
         _, d_fo = loss_gradients(0, gold_t, post, jin)
         loss = loss + seq_loss
 
-    ds_de_l, ds_dc_l = similarity_grads(q_utt, intent_protos, kind)
+    ds_de_l, ds_dc_l = ref_similarity_grads(q_utt, intent_protos, kind)
     d_q_utt = ds_de_l.T @ d_fl
     d_c_intent = ds_dc_l * d_fl[:, None]
     d_q_rows = np.empty_like(q_rows)
     d_c_slot = np.zeros_like(slot_protos)
     for i in range(q_rows.shape[0]):
-        ds_de_o, ds_dc_o = similarity_grads(q_rows[i], slot_protos, kind)
+        ds_de_o, ds_dc_o = ref_similarity_grads(q_rows[i], slot_protos, kind)
         d_q_rows[i] = ds_de_o.T @ d_fo[i]
         d_c_slot += ds_dc_o * d_fo[i][:, None]
     grads = ref_encoder_backward(enc.params, enc.config, query.tokens, d_q_rows, d_q_utt,
@@ -233,9 +357,10 @@ class TestEncoderWindow:
         w = m + 1 if w is None else w
         _, enc, tokens = window_case(m, w)
         rows = enc.params.token_table[[enc.params.vocab.get(t, 0) for t in tokens]]
-        assert np.array_equal(_window_means(rows, w), ref_window_means(rows, w))
-        assert np.array_equal(encode_tokens(enc.params, enc.config, tokens),
-                              ref_encode_tokens(enc.params, enc.config, tokens))
+        assert_same_bits(_window_means(rows, w), ref_window_means(rows, w))
+        assert_same_bits(_window_means(rows, w), ref_window_means_at(rows, w))
+        assert_same_bits(encode_tokens(enc.params, enc.config, tokens),
+                         ref_encode_tokens(enc.params, enc.config, tokens))
 
     def test_encoder_backward(self, m, w):
         w = m + 1 if w is None else w
@@ -243,12 +368,13 @@ class TestEncoderWindow:
         d_rows, d_utt = rng.standard_normal((m, 6)), rng.standard_normal(6)
         # accumulate into gradients that already hold values, as compute_loss does
         start = {k: rng.standard_normal(v.shape) for k, v in zero_grads(enc.params).items()}
-        got = encoder_backward(enc.params, enc.config, tokens, d_rows, d_utt,
+        _, state = encode_tokens(enc.params, enc.config, tokens, True)
+        got = encoder_backward(enc.params, enc.config, state, d_rows, d_utt,
                                {k: v.copy() for k, v in start.items()})
         want = ref_encoder_backward(enc.params, enc.config, tokens, d_rows, d_utt,
                                     {k: v.copy() for k, v in start.items()})
         for k in want:
-            assert np.array_equal(got[k], want[k]), k
+            assert_same_bits(got[k], want[k])
 
 
 # --- the BIO transition mask ----------------------------------------------------
@@ -290,8 +416,65 @@ def test_prototypes_match_member_loops(snips_case):
     episode, enc = snips_case
     protos = compute_prototypes(episode.support, episode.label_space, enc)
     intent_protos, slot_protos, *_ = ref_prototypes(episode.support, episode.label_space, enc)
-    assert np.array_equal(protos.intent_protos, intent_protos)
-    assert np.array_equal(protos.slot_protos, slot_protos)
+    assert_same_bits(protos.intent_protos, intent_protos)
+    assert_same_bits(protos.slot_protos, slot_protos)
+
+
+@pytest.mark.parametrize("w", [0, 1, 3])
+def test_prototypes_and_kept_state_backward_match_add_at(w):
+    """compute_prototypes and a backward pass from each support sample's
+    kept state equal the 2-D ufunc.at sums and the token-based backward,
+    accumulating into gradients that already hold values."""
+    rng = np.random.default_rng([11, w])
+    episode = snips_shaped_episode(rng)
+    vocab = [t for s in episode.support for t in s.tokens]
+    enc = init_encoder(EncoderConfig(kind="trainable", dim=16, context_window=w, seed=w), vocab)
+    ls = episode.label_space
+    protos = compute_prototypes(episode.support, ls, enc)
+    intent_protos, slot_protos = ref_prototypes_at(episode.support, ls, enc)
+    assert_same_bits(protos.intent_protos, intent_protos)
+    assert_same_bits(protos.slot_protos, slot_protos)
+    assert len(protos.support_states) == len(episode.support)
+    start = {k: rng.standard_normal(v.shape) for k, v in zero_grads(enc.params).items()}
+    got = {k: v.copy() for k, v in start.items()}
+    want = {k: v.copy() for k, v in start.items()}
+    for sample, state in zip(episode.support, protos.support_states):
+        d_rows = rng.standard_normal((len(sample.tokens), 16))
+        d_utt = rng.standard_normal(16)
+        encoder_backward(enc.params, enc.config, state, d_rows, d_utt, got)
+        ref_encoder_backward_at(enc.params, enc.config, sample.tokens, d_rows, d_utt, want)
+    for k in want:
+        assert_same_bits(got[k], want[k])
+
+
+@pytest.mark.parametrize("scale", [1.0, 30.0, 1e-3])
+@pytest.mark.parametrize("t_n", [3, 9, 79])
+@pytest.mark.parametrize("r", [1, 2, 12, 40])
+@pytest.mark.parametrize("kind", KINDS)
+def test_row_batched_similarity_matches_rows(kind, r, t_n, scale):
+    """An (r, d) embedding matrix scores like its rows one at a time, and a
+    single (d,) embedding like itself; integer rounding makes exact ties."""
+    rng = np.random.default_rng([r, t_n, int(1e3 * scale)])
+    for d in (16, 32):
+        protos = scale * rng.standard_normal((t_n, d))
+        rows = scale * rng.standard_normal((r, d))
+        tied = (scale * np.round(protos / scale), scale * np.round(rows / scale))
+        for p, e in ((protos, rows), tied):
+            want = np.stack([ref_similarity_to_protos(x, p, kind) for x in e])
+            assert_same_bits(similarity_to_protos(e, p, kind), want)
+            assert_same_bits(similarity_to_protos(e[-1], p, kind), want[-1])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_compute_emissions_matches_rows(snips_case, kind):
+    episode, enc = snips_case
+    protos = compute_prototypes(episode.support, episode.label_space, enc)
+    for query in episode.query:
+        em = compute_emissions(query, protos, enc, kind)
+        rows = ref_encode_tokens(enc.params, enc.config, query.tokens)
+        assert_same_bits(em.intent, ref_similarity_to_protos(rows.mean(axis=0), protos.intent_protos, kind))
+        assert_same_bits(em.slot, np.stack([ref_similarity_to_protos(r, protos.slot_protos, kind)
+                                            for r in rows]))
 
 
 @pytest.mark.parametrize("loss_mode", LOSS_MODES)
@@ -303,9 +486,9 @@ def test_compute_loss_matches_loops(snips_case, kind, loss_mode):
     for query in episode.query:
         loss, grads = compute_loss(query, ctx, config)
         ref_loss, ref_grads = ref_compute_loss(query, ctx, config)
-        assert loss == ref_loss
+        assert_same_bits(loss, ref_loss)
         for k in ref_grads:
-            assert np.array_equal(grads[k], ref_grads[k]), k
+            assert_same_bits(grads[k], ref_grads[k])
 
 
 def test_sum_sep_masked_gold_raises(snips_case):

@@ -11,6 +11,7 @@ from jmrm.encoder import (
     EncoderConfig,
     EncoderParams,
     FrozenEncoder,
+    add_rows_at,
     encode_tokens,
     encoder_backward,
     init_encoder,
@@ -27,6 +28,11 @@ def frozen(dim=16, seed=0):
 def trainable(dim=4, w=0, seed=0, scale=0.5):
     return EncoderConfig(kind="trainable", dim=dim, context_window=w,
                          init_scale=scale, seed=seed)
+
+
+def state_of(enc, tokens):
+    """The WindowState encode_tokens keeps for encoder_backward."""
+    return encode_tokens(enc.params, enc.config, tokens, True)[1]
 
 
 class TestHashedFrozen:
@@ -50,7 +56,12 @@ class TestHashedFrozen:
 
     def test_backward_raises(self):
         with pytest.raises(FrozenEncoder):
-            encoder_backward(None, frozen(), ["x"], d_utt=np.zeros(16))
+            encoder_backward(None, frozen(), None, d_utt=np.zeros(16))
+
+    def test_keeps_no_state(self):
+        rows, state = encode_tokens(None, frozen(), ["x", "y"], True)
+        assert state is None
+        np.testing.assert_array_equal(rows, encode_tokens(None, frozen(), ["x", "y"]))
 
 
 class TestTrainable:
@@ -110,7 +121,7 @@ class TestBackward:
     def test_zero_upstream_zero_grads(self):
         enc = init_encoder(trainable(dim=4, w=1), ["a", "b"])
         grads = encoder_backward(
-            enc.params, enc.config, ["a", "b"],
+            enc.params, enc.config, state_of(enc, ["a", "b"]),
             d_rows=np.zeros((2, 4)), d_utt=np.zeros(4),
         )
         for g in grads.values():
@@ -119,7 +130,7 @@ class TestBackward:
     def test_absent_token_gets_zero_grad(self):
         enc = init_encoder(trainable(dim=4, w=0), ["a", "b"])
         grads = encoder_backward(
-            enc.params, enc.config, ["a"], d_rows=np.ones((1, 4))
+            enc.params, enc.config, state_of(enc, ["a"]), d_rows=np.ones((1, 4))
         )
         np.testing.assert_array_equal(grads["token_table"][enc.params.vocab["b"]], 0.0)
         assert np.any(grads["token_table"][enc.params.vocab["a"]] != 0.0)
@@ -146,7 +157,7 @@ class TestBackward:
                 return float(np.sum(rows * d_rows) + rows.mean(axis=0) @ d_utt)
 
             grads = encoder_backward(
-                enc.params, enc.config, tokens, d_rows=d_rows, d_utt=d_utt
+                enc.params, enc.config, state_of(enc, tokens), d_rows=d_rows, d_utt=d_utt
             )
             worst = 0.0
             for name, arr in enc.params.as_dict().items():
@@ -166,11 +177,28 @@ class TestBackward:
     def test_accumulates_into_out(self):
         enc = init_encoder(trainable(dim=3), ["a"])
         out = zero_grads(enc.params)
-        encoder_backward(enc.params, enc.config, ["a"], d_utt=np.ones(3), out=out)
+        encoder_backward(enc.params, enc.config, state_of(enc, ["a"]), d_utt=np.ones(3), out=out)
         once = {k: v.copy() for k, v in out.items()}
-        encoder_backward(enc.params, enc.config, ["a"], d_utt=np.ones(3), out=out)
+        encoder_backward(enc.params, enc.config, state_of(enc, ["a"]), d_utt=np.ones(3), out=out)
         for k in out:
             np.testing.assert_allclose(out[k], 2 * once[k])
+
+
+class TestAddRowsAt:
+    def test_matches_add_at_with_repeated_rows(self):
+        rng = np.random.default_rng(3)
+        target = rng.standard_normal((5, 3))
+        rows, values = rng.integers(0, 5, size=40), rng.standard_normal((40, 3))
+        want = target.copy()
+        np.add.at(want, rows, values)
+        add_rows_at(target, rows, values)
+        assert target.tobytes() == want.tobytes()
+
+    def test_refuses_a_target_it_would_copy(self):
+        # reshape(-1) of a non-contiguous array is a copy: the adds would be lost
+        target = np.zeros((3, 4)).T
+        with pytest.raises(ValueError, match="C-contiguous"):
+            add_rows_at(target, np.array([0]), np.ones((1, 3)))
 
 
 class TestCheckpoint:

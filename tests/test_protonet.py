@@ -1,10 +1,12 @@
 """Prototypes, similarity functions, and emission scores."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from jmrm.core import LabelSpace
-from jmrm.encoder import EncoderConfig, init_encoder
+from jmrm.core import Episode, LabelSpace
+from jmrm.encoder import EncoderConfig, encode_tokens, init_encoder
 from jmrm.protonet import (
     COS,
     L2,
@@ -15,6 +17,7 @@ from jmrm.protonet import (
     similarity_grads,
     similarity_to_protos,
 )
+from jmrm.trainer import RunConfig, build_context, compute_loss
 
 from conftest import make_sample
 
@@ -121,6 +124,23 @@ class TestSimilarity:
 
 
 class TestPrototypes:
+    def test_frozen_encoder_keeps_no_support_state(self, enc):
+        ls = LabelSpace(("play_music",), ("O", "B-artist"))
+        support = [make_sample(ls, "play madonna", "play_music", "O B-artist")]
+        assert compute_prototypes(support, ls, enc).support_states is None
+
+    def test_trainable_encoder_keeps_each_support_state(self):
+        ls = LabelSpace(("play_music",), ("O", "B-artist"))
+        support = [make_sample(ls, "play madonna", "play_music", "O B-artist"),
+                   make_sample(ls, "play queen now", "play_music", "O B-artist O")]
+        enc = init_encoder(EncoderConfig(kind="trainable", dim=4, context_window=1), ["play", "queen"])
+        protos = compute_prototypes(support, ls, enc)
+        assert len(protos.support_states) == len(support)
+        for sample, state in zip(support, protos.support_states):
+            want = encode_tokens(enc.params, enc.config, sample.tokens, True)[1]
+            np.testing.assert_array_equal(state.ids, want.ids)
+            np.testing.assert_array_equal(state.h, want.h)
+
     def test_single_sample_per_intent(self, enc):
         ls = LabelSpace(
             ("play_music", "book_restaurant"), ("O", "B-artist", "B-city")
@@ -239,3 +259,49 @@ class TestEmissions:
                     assert em.slot[i, o] == pytest.approx(
                         similarity(rows[i], protos.slot_protos[o], kind), abs=1e-12
                     )
+
+
+class TestDegenerateRows:
+    """A zero-norm row in the row-batched path raises DegenerateVector
+    before any division: no NaN and no RuntimeWarning, through the decoder's
+    emissions and through the training loss."""
+
+    LS = LabelSpace(("play_music",), ("O", "B-artist"))
+
+    def case(self, zero_token):
+        """An episode and an encoder whose row for zero_token is zero
+        ("<unk>" for every out-of-vocabulary token)."""
+        support = (make_sample(self.LS, "play queen", "play_music", "O B-artist"),)
+        query = (make_sample(self.LS, "play zz madonna", "play_music", "O O B-artist"),)
+        enc = init_encoder(EncoderConfig(kind="trainable", dim=4), ["play", "queen", "madonna"])
+        enc.params.token_table[enc.params.vocab[zero_token]] = 0.0  # bias starts at zero
+        return Episode(support, query, self.LS, "music"), enc
+
+    def assert_raises_cleanly(self, episode, enc, kind, match):
+        protos = compute_prototypes(episode.support, self.LS, enc)
+        config = RunConfig(similarity_kind=kind)
+        ctx = build_context(episode, enc, config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateVector, match=match):
+                compute_emissions(episode.query[0], protos, enc, kind)
+            with pytest.raises(DegenerateVector, match=match):
+                compute_loss(episode.query[0], ctx, config)
+
+    def test_zero_embedding_row_under_cos_names_the_row(self):
+        episode, enc = self.case("<unk>")
+        self.assert_raises_cleanly(episode, enc, COS, "zero-norm embedding row 1 under cos")
+
+    @pytest.mark.parametrize("kind", [VPB, COS])
+    def test_zero_prototype(self, kind):
+        episode, enc = self.case("queen")
+        self.assert_raises_cleanly(episode, enc, kind, f"zero-norm prototype 1 under {kind}")
+
+    @pytest.mark.parametrize("zero_token", ["<unk>", "queen"])
+    def test_l2_scores_zero_rows(self, zero_token):
+        episode, enc = self.case(zero_token)
+        protos = compute_prototypes(episode.support, self.LS, enc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            em = compute_emissions(episode.query[0], protos, enc, L2)
+        assert np.isfinite(em.intent).all() and np.isfinite(em.slot).all()

@@ -30,7 +30,6 @@ from .encoder import (
     EncoderParams,
     FrozenEncoder,
     encode_tokens,
-    encode_utterance,
     encoder_backward,
     init_encoder,
     load_encoder,

@@ -93,7 +93,7 @@ def _run_config(args, file_cfg: dict) -> RunConfig:
     return run_config_from_dict({**file_cfg.get("run", {}), **overrides})
 
 
-def _encoder_config(args, file_cfg: dict, seed: int) -> EncoderConfig:
+def _encoder_config(file_cfg: dict, seed: int) -> EncoderConfig:
     enc = {"kind": HASHED_FROZEN, "dim": 32, "seed": seed, **file_cfg.get("encoder", {})}
     return config_from_dict(EncoderConfig, enc, "encoder config")
 
@@ -146,7 +146,7 @@ def cmd_build_episodes(args) -> int:
 def cmd_train(args) -> int:
     file_cfg = _load_config_file(args.config)
     cfg = _run_config(args, file_cfg)
-    enc_cfg = _encoder_config(args, file_cfg, cfg.seed)
+    enc_cfg = _encoder_config(file_cfg, cfg.seed)
     train_eps = load_episode_file(args.episodes)
     dev_eps = load_episode_file(args.dev)
     encoder = make_encoder(enc_cfg, train_eps)
@@ -203,7 +203,7 @@ def cmd_eval(args) -> int:
 def cmd_ablate(args) -> int:
     file_cfg = _load_config_file(args.config)
     cfg = _run_config(args, file_cfg)
-    enc_cfg = _encoder_config(args, file_cfg, cfg.seed)
+    enc_cfg = _encoder_config(file_cfg, cfg.seed)
     train_eps = load_episode_file(args.episodes)
     dev_eps = load_episode_file(args.dev)
     test_eps = load_episode_file(args.test)

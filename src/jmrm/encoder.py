@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 from typing import Sequence
 
@@ -105,9 +105,6 @@ class Encoder:
     def encode_tokens(self, tokens: Sequence[str], return_state: bool = False):
         return encode_tokens(self.params, self.config, tokens, return_state)
 
-    def encode_utterance(self, tokens: Sequence[str]) -> np.ndarray:
-        return encode_utterance(self.params, self.config, tokens)
-
     def copy(self) -> "Encoder":
         return Encoder(self.config, self.params.copy() if self.params else None)
 
@@ -120,12 +117,7 @@ def init_encoder(config: EncoderConfig, vocab: Sequence[str] = ()) -> Encoder:
     """
     if config.kind == HASHED_FROZEN:
         return Encoder(config, None)
-    ordered = [UNK_TOKEN]
-    seen = {UNK_TOKEN}
-    for tok in vocab:
-        if tok not in seen:
-            seen.add(tok)
-            ordered.append(tok)
+    ordered = list(dict.fromkeys([UNK_TOKEN, *vocab]))
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     d = config.dim
     table = rng.uniform(-config.init_scale, config.init_scale, size=(len(ordered), d))
@@ -203,13 +195,6 @@ def encode_tokens(
     return (rows, WindowState(ids, h)) if return_state else rows
 
 
-def encode_utterance(
-    params: EncoderParams | None, config: EncoderConfig, tokens: Sequence[str]
-) -> np.ndarray:
-    """Utterance embedding: the mean of all token embeddings."""
-    return encode_tokens(params, config, tokens).mean(axis=0)
-
-
 def zero_grads(params: EncoderParams) -> dict[str, np.ndarray]:
     return {name: np.zeros_like(arr) for name, arr in params.as_dict().items()}
 
@@ -218,33 +203,28 @@ def encoder_backward(
     params: EncoderParams | None,
     config: EncoderConfig,
     state: WindowState,
-    d_rows: np.ndarray | None = None,
-    d_utt: np.ndarray | None = None,
-    out: dict[str, np.ndarray] | None = None,
-) -> dict[str, np.ndarray]:
-    """Accumulate exact gradients of encode_tokens / encode_utterance.
+    d_rows: np.ndarray,
+    d_utt: np.ndarray,
+    out: dict[str, np.ndarray],
+) -> None:
+    """Add exact parameter gradients of encode_tokens into out.
 
-    state is the WindowState encode_tokens returned for the tokens.  d_rows
-    is an upstream (m, dim) gradient on the token matrix, d_utt a (dim,)
-    gradient on the utterance mean; either may be omitted.  Results are
-    summed into ``out`` when given.
+    state is the WindowState encode_tokens returned for the tokens, d_rows
+    an upstream (m, dim) gradient on the token matrix and d_utt a (dim,)
+    gradient on the mean of its rows.
     """
     if config.kind != TRAINABLE:
         raise FrozenEncoder("hashed-frozen encoder has no parameters")
     assert params is not None
     m, d = state.h.shape
-    grads = out if out is not None else zero_grads(params)
     total = np.zeros((m, d))
-    if d_rows is not None:
-        total += d_rows
-    if d_utt is not None:
-        total += np.asarray(d_utt) / m
-    grads["projection"] += total.T @ state.h
-    grads["bias"] += total.sum(axis=0)
+    total += d_rows
+    total += d_utt / m
+    out["projection"] += total.T @ state.h
+    out["bias"] += total.sum(axis=0)
     dh = total @ params.projection
     i, j, sizes = _window_pairs(m, config.context_window)
-    add_rows_at(grads["token_table"], state.ids[j], (dh / sizes[:, None])[i])
-    return grads
+    add_rows_at(out["token_table"], state.ids[j], (dh / sizes[:, None])[i])
 
 
 # --- checkpoints -----------------------------------------------------------
@@ -252,16 +232,7 @@ def encoder_backward(
 
 def save_encoder(path, encoder: Encoder) -> None:
     """Write a versioned JSON checkpoint (config + vocabulary + matrices)."""
-    payload: dict = {
-        "magic": CHECKPOINT_MAGIC,
-        "config": {
-            "kind": encoder.config.kind,
-            "dim": encoder.config.dim,
-            "context_window": encoder.config.context_window,
-            "init_scale": encoder.config.init_scale,
-            "seed": encoder.config.seed,
-        },
-    }
+    payload: dict = {"magic": CHECKPOINT_MAGIC, "config": asdict(encoder.config)}
     if encoder.params is not None:
         row_order = sorted(encoder.params.vocab, key=encoder.params.vocab.get)
         payload["vocab"] = row_order

@@ -133,25 +133,25 @@ def build_support_set(corpus: Corpus, k: int, rng: np.random.Generator) -> list[
     return [corpus.samples[i] for i in selected]
 
 
-def _episode_label_space(corpus: Corpus, support: Sequence[Sample]) -> LabelSpace:
-    """Labels present in the support set, in corpus declaration order.
+def episode_label_space(full: LabelSpace, support: Sequence[Sample]) -> LabelSpace:
+    """The labels of full that the support set uses, in declaration order.
 
     'O' is always included: a label space requires it and the all-O
     sequence must stay decodable.
     """
     used_intents = {s.intent for s in support}
     used_slots = {sid for s in support for sid in s.slots}
-    used_slots.add(corpus.label_space.o_id)
+    used_slots.add(full.o_id)
     intents = tuple(
-        name for i, name in enumerate(corpus.label_space.intents) if i in used_intents
+        name for i, name in enumerate(full.intents) if i in used_intents
     )
     slot_labels = tuple(
-        name for i, name in enumerate(corpus.label_space.slot_labels) if i in used_slots
+        name for i, name in enumerate(full.slot_labels) if i in used_slots
     )
     return LabelSpace(intents, slot_labels)
 
 
-def _remap(sample: Sample, old: LabelSpace, new: LabelSpace) -> Sample:
+def remap(sample: Sample, old: LabelSpace, new: LabelSpace) -> Sample:
     return Sample(
         tokens=sample.tokens,
         intent=new.intent_id(old.intents[sample.intent]),
@@ -177,11 +177,11 @@ def build_episode(
     picks = rng.choice(len(remaining), size=query_size, replace=False)
     query = [remaining[int(i)] for i in picks]
 
-    ls = _episode_label_space(corpus, support)
+    ls = episode_label_space(corpus.label_space, support)
     # support covers every occurring corpus class, so queries always remap
     return Episode(
-        support=tuple(_remap(s, corpus.label_space, ls) for s in support),
-        query=tuple(_remap(s, corpus.label_space, ls) for s in query),
+        support=tuple(remap(s, corpus.label_space, ls) for s in support),
+        query=tuple(remap(s, corpus.label_space, ls) for s in query),
         label_space=ls,
         domain_name=corpus.domain_name,
     )

@@ -137,14 +137,11 @@ def run_ablation(
     base_config: RunConfig,
     enc_config: EncoderConfig,
     n_seeds: int,
-    similarities: Sequence[str] = SIMILARITY_KINDS,
-    grid: dict[str, dict[str, bool]] | None = None,
 ) -> list[dict]:
     """The full named-configuration x similarity x seed grid."""
-    grid = ABLATION_GRID if grid is None else grid
     records = []
-    for name, flags in grid.items():
-        for sim in similarities:
+    for name, flags in ABLATION_GRID.items():
+        for sim in SIMILARITY_KINDS:
             for k in range(n_seeds):
                 seed = base_config.seed + k
                 cfg = replace(base_config, similarity_kind=sim, seed=seed, **flags)

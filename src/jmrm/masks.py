@@ -26,14 +26,6 @@ class RelationMask:
     rm: np.ndarray  # (Y, T) bool
     forced_o: bool
 
-    @property
-    def n_intents(self) -> int:
-        return self.rm.shape[0]
-
-    @property
-    def n_slots(self) -> int:
-        return self.rm.shape[1]
-
 
 @dataclass(frozen=True)
 class TransitionMask:

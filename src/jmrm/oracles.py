@@ -17,6 +17,8 @@ import numpy as np
 
 from .core import Episode, LabelSpace, Sample
 from .encoder import EncoderConfig, TRAINABLE, init_encoder
+from .episodes import episode_label_space, remap
+from .experiments import episode_vocabulary
 from .lattice import JointScoreInputs, log_partition, nll_loss, loss_gradients, viterbi_decode
 from .masks import NEG_INF, RelationMask, build_transition_mask
 from .trainer import RunConfig, build_context, compute_loss
@@ -92,32 +94,29 @@ _SLOT_MENUS = (
 )
 
 
-def random_label_space(rng: np.random.Generator, max_intents: int = 3, max_slots: int = 5) -> LabelSpace:
+def random_label_space(rng: np.random.Generator, max_intents: int = 3) -> LabelSpace:
     y = int(rng.integers(1, max_intents + 1))
     menu = _SLOT_MENUS[int(rng.integers(len(_SLOT_MENUS)))]
-    menu = menu[: max(2, min(len(menu), max_slots))]
     return LabelSpace(tuple(f"intent{i}" for i in range(y)), tuple(menu))
 
 
 def random_instance(
     rng: np.random.Generator,
     max_intents: int = 3,
-    max_slots: int = 5,
-    max_len: int = 4,
     emission_scale: float = 5.0,
-) -> tuple[JointScoreInputs, LabelSpace]:
-    """Random masked instance: emissions in [-scale, scale], random relation
-    mask with a forced O column, and the BIO transition mask."""
-    ls = random_label_space(rng, max_intents, max_slots)
+) -> JointScoreInputs:
+    """Random masked instance of up to 4 positions: emissions in [-scale,
+    scale], random relation mask with a forced O column, and the BIO
+    transition mask."""
+    ls = random_label_space(rng, max_intents)
     y_n, t_n = ls.n_intents, ls.n_slots
-    m = int(rng.integers(1, max_len + 1))
+    m = int(rng.integers(1, 5))
     f_l = rng.uniform(-emission_scale, emission_scale, size=y_n)
     f_o = rng.uniform(-emission_scale, emission_scale, size=(m, t_n))
     rm = rng.random((y_n, t_n)) < 0.6
     rm[:, ls.o_id] = True
     lam = float(rng.choice([0.5, 1.0, 2.0]))
-    jin = JointScoreInputs(f_l, f_o, RelationMask(rm, True), build_transition_mask(ls), lam)
-    return jin, ls
+    return JointScoreInputs(f_l, f_o, RelationMask(rm, True), build_transition_mask(ls), lam)
 
 
 def _random_bio_sequence(rng: np.random.Generator, ls: LabelSpace, m: int) -> tuple[int, ...]:
@@ -130,19 +129,15 @@ def _random_bio_sequence(rng: np.random.Generator, ls: LabelSpace, m: int) -> tu
     return tuple(seq)
 
 
-def random_episode(
-    rng: np.random.Generator,
-    n_tokens: int = 8,
-    max_intents: int = 2,
-    max_len: int = 5,
-    n_support: int = 3,
-) -> Episode:
-    """Small random episode with BIO-valid gold and a feasible query."""
+def random_episode(rng: np.random.Generator) -> Episode:
+    """Small random episode (up to 2 intents, 8 distinct tokens, 3 support
+    samples) with BIO-valid gold and a feasible query."""
+    n_tokens = 8
     vocab = [f"tok{v}" for v in range(n_tokens)]
-    full_ls = random_label_space(rng, max_intents=max_intents, max_slots=5)
+    full_ls = random_label_space(rng, max_intents=2)
     support = []
-    for n in range(n_support):
-        m = int(rng.integers(1, max_len + 1))
+    for n in range(3):
+        m = int(rng.integers(1, 6))
         tokens = tuple(vocab[int(i)] for i in rng.integers(0, n_tokens, size=m))
         intent = int(rng.integers(full_ls.n_intents))
         slots = _random_bio_sequence(rng, full_ls, m)
@@ -153,17 +148,8 @@ def random_episode(
             slots = slots + (full_ls.o_id,)
         support.append(Sample(tokens, intent, slots))
     # episode-local space: relabel against the labels the support actually uses
-    used_intents = sorted({s.intent for s in support})
-    used_slots = sorted({o for s in support for o in s.slots} | {full_ls.o_id})
-    ls = LabelSpace(
-        tuple(full_ls.intents[i] for i in used_intents),
-        tuple(full_ls.slot_labels[o] for o in used_slots),
-    )
-    imap = {old: new for new, old in enumerate(used_intents)}
-    smap = {old: new for new, old in enumerate(used_slots)}
-    support = [
-        Sample(s.tokens, imap[s.intent], tuple(smap[o] for o in s.slots)) for s in support
-    ]
+    ls = episode_label_space(full_ls, support)
+    support = [remap(s, full_ls, ls) for s in support]
     # query reuses a support sample's labeling with fresh tokens, so the
     # gold pair always co-occurs in the support set
     base = support[int(rng.integers(len(support)))]
@@ -185,7 +171,7 @@ def partition_suite(trials: int, seed: int) -> dict:
     max_logz_err = 0.0
     max_marg_err = 0.0
     for _ in range(trials):
-        jin, _ = random_instance(rng)
+        jin = random_instance(rng)
         post = log_partition(jin)
         ref = enumerate_joint(jin)
         max_logz_err = max(max_logz_err, abs(post.log_z - ref.log_z) / max(1.0, abs(ref.log_z)))
@@ -208,7 +194,7 @@ def decode_suite(trials: int, seed: int) -> dict:
     mismatches = 0
     violations = 0
     for _ in range(trials):
-        jin, _ = random_instance(rng)
+        jin = random_instance(rng)
         y, path, dec_score = viterbi_decode(jin)
         ref = enumerate_joint(jin)
         if (y, tuple(int(o) for o in path)) != ref.argmax_pair:
@@ -236,7 +222,7 @@ def normalization_suite(trials: int, seed: int) -> dict:
     worst_total = 0.0
     masked_nonzero = 0
     for _ in range(trials):
-        jin, _ = random_instance(rng)
+        jin = random_instance(rng)
         post = log_partition(jin)
         ref = enumerate_joint(jin)
         total = 0.0
@@ -266,7 +252,7 @@ def emission_gradient_suite(trials: int, seed: int, step: float = 1e-5) -> dict:
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(4,)))
     worst = 0.0
     for _ in range(trials):
-        jin, _ = random_instance(rng)
+        jin = random_instance(rng)
         gold_y, gold_t = _feasible_gold(rng, jin)
         loss, post = nll_loss(gold_y, np.asarray(gold_t), jin)
         d_fl, d_fo = loss_gradients(gold_y, np.asarray(gold_t), post, jin)
@@ -313,9 +299,7 @@ def encoder_gradient_suite(trials: int, seed: int, step: float = 1e-5) -> dict:
             init_scale=0.5,
             seed=int(rng.integers(2**31)),
         )
-        vocab = sorted({t for s in episode.support for t in s.tokens}
-                       | {t for s in episode.query for t in s.tokens})
-        encoder = init_encoder(enc_cfg, vocab)
+        encoder = init_encoder(enc_cfg, episode_vocabulary([episode]))
         query = episode.query[0]
 
         def loss_now() -> tuple[float, dict | None]:
@@ -343,7 +327,7 @@ def shift_invariance_suite(trials: int, seed: int, shift: float = 3.7) -> dict:
     worst = 0.0
     decode_changes = 0
     for _ in range(trials):
-        jin, _ = random_instance(rng)
+        jin = random_instance(rng)
         post = log_partition(jin)
         decoded = viterbi_decode(jin)
         row = int(rng.integers(jin.n_positions))

@@ -37,8 +37,8 @@ class Prototypes:
     slot_protos: np.ndarray  # (T, d)
     intent_counts: np.ndarray  # (Y,)
     slot_counts: np.ndarray  # (T,)
-    # a trainable encoder's forward state of each support sample, in
-    # support order, for the backward pass through the prototypes
+    # a trainable encoder's forward state of each support sample, in support
+    # order, for the backward pass through the prototypes; eval drops it
     support_states: tuple[WindowState, ...] | None = None
 
 

@@ -166,6 +166,9 @@ def build_context(
         rm = all_ones_relation_mask(ls.n_intents, ls.n_slots)
     tm = build_transition_mask(ls) if msd else permissive_transition_mask(ls.n_slots)
     protos = compute_prototypes(episode.support, ls, encoder)
+    if not training:
+        # decoding runs no backward pass, so it keeps no support forward state
+        protos.support_states = None
     return EpisodeContext(episode, encoder, protos, rm, tm)
 
 

@@ -56,7 +56,7 @@ class TestHashedFrozen:
 
     def test_backward_raises(self):
         with pytest.raises(FrozenEncoder):
-            encoder_backward(None, frozen(), None, d_utt=np.zeros(16))
+            encoder_backward(None, frozen(), None, np.zeros((1, 16)), np.zeros(16), {})
 
     def test_keeps_no_state(self):
         rows, state = encode_tokens(None, frozen(), ["x", "y"], True)
@@ -91,17 +91,15 @@ class TestTrainable:
     def test_utterance_mean(self):
         enc = init_encoder(trainable(dim=5), ["a", "b"])
         rows = enc.encode_tokens(["a", "b"])
-        np.testing.assert_allclose(
-            enc.encode_utterance(["a", "b"]), (rows[0] + rows[1]) / 2
-        )
+        np.testing.assert_allclose(rows.mean(axis=0), (rows[0] + rows[1]) / 2)
         np.testing.assert_array_equal(
-            enc.encode_utterance(["a"]), enc.encode_tokens(["a"])[0]
+            enc.encode_tokens(["a"]).mean(axis=0), enc.encode_tokens(["a"])[0]
         )
 
     def test_mean_permutation_invariant_without_context(self):
         enc = init_encoder(trainable(dim=5), ["a", "b", "c"])
-        u1 = enc.encode_utterance(["a", "b", "c"])
-        u2 = enc.encode_utterance(["c", "a", "b"])
+        u1 = enc.encode_tokens(["a", "b", "c"]).mean(axis=0)
+        u2 = enc.encode_tokens(["c", "a", "b"]).mean(axis=0)
         np.testing.assert_allclose(u1, u2)
 
     def test_context_window_mixes_neighbours(self):
@@ -117,21 +115,23 @@ class TestTrainable:
             enc.encode_tokens([])
 
 
+def backward(enc, tokens, d_rows, d_utt):
+    """encoder_backward's gradients, summed into zeros."""
+    grads = zero_grads(enc.params)
+    encoder_backward(enc.params, enc.config, state_of(enc, tokens), d_rows, d_utt, grads)
+    return grads
+
+
 class TestBackward:
     def test_zero_upstream_zero_grads(self):
         enc = init_encoder(trainable(dim=4, w=1), ["a", "b"])
-        grads = encoder_backward(
-            enc.params, enc.config, state_of(enc, ["a", "b"]),
-            d_rows=np.zeros((2, 4)), d_utt=np.zeros(4),
-        )
+        grads = backward(enc, ["a", "b"], np.zeros((2, 4)), np.zeros(4))
         for g in grads.values():
             np.testing.assert_array_equal(g, 0.0)
 
     def test_absent_token_gets_zero_grad(self):
         enc = init_encoder(trainable(dim=4, w=0), ["a", "b"])
-        grads = encoder_backward(
-            enc.params, enc.config, state_of(enc, ["a"]), d_rows=np.ones((1, 4))
-        )
+        grads = backward(enc, ["a"], np.ones((1, 4)), np.zeros(4))
         np.testing.assert_array_equal(grads["token_table"][enc.params.vocab["b"]], 0.0)
         assert np.any(grads["token_table"][enc.params.vocab["a"]] != 0.0)
 
@@ -156,9 +156,7 @@ class TestBackward:
                 rows = encode_tokens(enc.params, enc.config, tokens)
                 return float(np.sum(rows * d_rows) + rows.mean(axis=0) @ d_utt)
 
-            grads = encoder_backward(
-                enc.params, enc.config, state_of(enc, tokens), d_rows=d_rows, d_utt=d_utt
-            )
+            grads = backward(enc, tokens, d_rows, d_utt)
             worst = 0.0
             for name, arr in enc.params.as_dict().items():
                 flat = arr.reshape(-1)
@@ -177,9 +175,10 @@ class TestBackward:
     def test_accumulates_into_out(self):
         enc = init_encoder(trainable(dim=3), ["a"])
         out = zero_grads(enc.params)
-        encoder_backward(enc.params, enc.config, state_of(enc, ["a"]), d_utt=np.ones(3), out=out)
+        state = state_of(enc, ["a"])
+        encoder_backward(enc.params, enc.config, state, np.zeros((1, 3)), np.ones(3), out)
         once = {k: v.copy() for k, v in out.items()}
-        encoder_backward(enc.params, enc.config, state_of(enc, ["a"]), d_utt=np.ones(3), out=out)
+        encoder_backward(enc.params, enc.config, state, np.zeros((1, 3)), np.ones(3), out)
         for k in out:
             np.testing.assert_allclose(out[k], 2 * once[k])
 

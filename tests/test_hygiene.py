@@ -1,7 +1,10 @@
 """Source hygiene, checked with the standard library alone: no module of the
-package or of the test suite imports a name it never uses."""
+package or of the test suite imports a name it never uses, and every jmrm
+name the benchmark patches exists."""
 
 import ast
+import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,3 +49,29 @@ def test_scan_sees_an_unused_import(tmp_path):
     module.write_text("import os\nimport numpy as np\nfrom a.b import c, d\n"
                       "__all__ = ['d']\nprint(np.pi)\n")
     assert unused_imports(module) == ["c (line 3)", "os (line 1)"]
+
+
+class RecordingPatcher:
+    """Stands in for tracing.Patcher: records what would be patched."""
+
+    def __init__(self):
+        self.targets = []
+
+    def patch(self, module_name, attr, make_wrapper):
+        self.targets.append((module_name, attr))
+
+
+def test_benchmark_patches_resolve(monkeypatch):
+    """Every (module, attr) that benchmarks/tracing.py PATCHES and the
+    workloads Probe wrap exists, so a src/ change that drops a traced name
+    fails here with that name, not only in a traced benchmark run."""
+    monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave benchmarks/ untouched
+    tracing, workloads = importlib.import_module("tracing"), importlib.import_module("workloads")
+    probe_patches = RecordingPatcher()
+    workloads.Probe(test_ids=set(), _patcher=probe_patches).install()
+    assert len(probe_patches.targets) == 3
+    targets = [(module, attr) for module, attr, _ in tracing.PATCHES] + probe_patches.targets
+    missing = [f"{module}.{attr}" for module, attr in targets
+               if not hasattr(importlib.import_module(module), attr)]
+    assert missing == []

@@ -79,7 +79,7 @@ class TestJointScore:
     def test_matches_term_by_term_oracle(self):
         rng = np.random.default_rng(0)
         for _ in range(40):
-            jin, _ = random_instance(rng)
+            jin = random_instance(rng)
             ref = brute_force(jin)
             for (y, t), r in ref.items():
                 got = joint_score(y, np.array(t), jin)
@@ -109,7 +109,7 @@ class TestLogPartition:
     def test_matches_enumeration(self):
         rng = np.random.default_rng(1)
         for _ in range(60):
-            jin, _ = random_instance(rng)
+            jin = random_instance(rng)
             post = log_partition(jin)
             ref = brute_force(jin)
             finite = [r for r in ref.values() if r > NEG_INF]
@@ -125,7 +125,7 @@ class TestLogPartition:
     def test_posterior_invariants(self):
         rng = np.random.default_rng(2)
         for _ in range(40):
-            jin, _ = random_instance(rng)
+            jin = random_instance(rng)
             post = log_partition(jin)
             assert post.intent_marginals.sum() == pytest.approx(1.0, abs=1e-9)
             for y in range(jin.n_intents):
@@ -137,7 +137,7 @@ class TestLogPartition:
     def test_monotone_masking_never_decreases_log_z(self):
         rng = np.random.default_rng(3)
         for _ in range(40):
-            jin, _ = random_instance(rng)
+            jin = random_instance(rng)
             zeros = np.argwhere(~jin.rm.rm)
             if len(zeros) == 0:
                 continue
@@ -180,7 +180,7 @@ class TestLogPartition:
     def test_extreme_magnitudes_no_nan(self):
         rng = np.random.default_rng(4)
         for _ in range(25):
-            jin, _ = random_instance(rng, emission_scale=1e6)
+            jin = random_instance(rng, emission_scale=1e6)
             post = log_partition(jin)
             assert np.isfinite(post.log_z)
             assert not np.any(np.isnan(post.intent_marginals))
@@ -210,7 +210,7 @@ class TestY1CrfEquivalence:
 
         rng = np.random.default_rng(5)
         for _ in range(25):
-            jin, _ = random_instance(rng, max_intents=1)
+            jin = random_instance(rng, max_intents=1)
             post = log_partition(jin)
             emit = np.where(jin.rm.rm[0][None, :], jin.f_o, NEG_INF)
             log_z_slot, marg = crf_forward_backward(emit, jin.tm.trans, jin.tm.start)
@@ -231,7 +231,7 @@ class TestNllLoss:
     def test_matches_brute_force_probability(self):
         rng = np.random.default_rng(6)
         for _ in range(30):
-            jin, _ = random_instance(rng)
+            jin = random_instance(rng)
             ref = brute_force(jin)
             feasible = [pair for pair, r in ref.items() if r > NEG_INF]
             gold = feasible[int(rng.integers(len(feasible)))]
@@ -255,7 +255,7 @@ class TestNllLoss:
     def test_raising_gold_intent_score_lowers_loss(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
-            jin, _ = random_instance(rng, max_intents=3)
+            jin = random_instance(rng, max_intents=3)
             if jin.n_intents < 2:
                 continue
             post = log_partition(jin)
@@ -288,7 +288,7 @@ class TestLossGradients:
     def test_intent_gradient_sums_to_zero(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
-            jin, _ = random_instance(rng)
+            jin = random_instance(rng)
             ref = brute_force(jin)
             feasible = [pair for pair, r in ref.items() if r > NEG_INF]
             gold = feasible[int(rng.integers(len(feasible)))]
@@ -303,7 +303,7 @@ class TestLossGradients:
     def test_finite_difference_spot_check(self):
         rng = np.random.default_rng(9)
         step = 1e-5
-        jin, _ = random_instance(rng)
+        jin = random_instance(rng)
         ref = brute_force(jin)
         feasible = [pair for pair, r in ref.items() if r > NEG_INF]
         gold = feasible[0]
@@ -354,7 +354,7 @@ class TestViterbi:
     def test_matches_enumeration_with_tie_breaking(self):
         rng = np.random.default_rng(11)
         for _ in range(60):
-            jin, _ = random_instance(rng)
+            jin = random_instance(rng)
             y, path, score = viterbi_decode(jin)
             ref = brute_force(jin)
             best_pair, best_score = None, NEG_INF
@@ -379,7 +379,7 @@ class TestViterbi:
     def test_score_matches_joint_score_bitwise(self):
         rng = np.random.default_rng(12)
         for _ in range(40):
-            jin, _ = random_instance(rng)
+            jin = random_instance(rng)
             y, path, score = viterbi_decode(jin)
             assert score == joint_score(y, path, jin)
 
@@ -389,7 +389,7 @@ class TestShiftInvariance:
         rng = np.random.default_rng(13)
         c = 3.7
         for _ in range(25):
-            jin, _ = random_instance(rng)
+            jin = random_instance(rng)
             post = log_partition(jin)
             y, path, _ = viterbi_decode(jin)
 

@@ -151,10 +151,10 @@ class TestPrototypes:
         ]
         protos = compute_prototypes(support, ls, enc)
         np.testing.assert_allclose(
-            protos.intent_protos[0], enc.encode_utterance(("play", "madonna"))
+            protos.intent_protos[0], enc.encode_tokens(("play", "madonna")).mean(axis=0)
         )
         np.testing.assert_allclose(
-            protos.intent_protos[1], enc.encode_utterance(("book", "in", "paris"))
+            protos.intent_protos[1], enc.encode_tokens(("book", "in", "paris")).mean(axis=0)
         )
 
     def test_identical_samples_mean_is_the_embedding(self, music_space, enc):
@@ -190,7 +190,7 @@ class TestPrototypes:
         # independent per-class averaging
         for l in range(music_space.n_intents):
             members = [s for s in support if s.intent == l]
-            ref = np.mean([enc.encode_utterance(s.tokens) for s in members], axis=0)
+            ref = np.mean([enc.encode_tokens(s.tokens).mean(axis=0) for s in members], axis=0)
             np.testing.assert_allclose(protos.intent_protos[l], ref, atol=1e-12)
             assert protos.intent_counts[l] == len(members)
         for o in range(music_space.n_slots):

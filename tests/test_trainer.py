@@ -87,6 +87,15 @@ class TestBuildContext:
         assert len(built) == 1
         assert encoded == [s.tokens for s in small_episode.support]
 
+    def test_only_training_contexts_keep_support_state(self, small_episode):
+        vocab = [t for s in small_episode.support for t in s.tokens]
+        enc = init_encoder(EncoderConfig(kind="trainable", dim=8, seed=0), vocab)
+        train_ctx = build_context(small_episode, enc, RunConfig())
+        assert len(train_ctx.protos.support_states) == len(small_episode.support)
+        # decoding runs no backward pass
+        eval_ctx = build_context(small_episode, enc, RunConfig(), training=False)
+        assert eval_ctx.protos.support_states is None
+
 
 class TestComputeLoss:
     def test_joint_with_masks_off_is_unmasked_lattice(self, small_episode):

@@ -1,4 +1,5 @@
-"""Core domain types, the JSON input boundary, episode file I/O, and BIO spans.
+"""Core domain types, the JSON input boundary, labeled-file I/O, the episode
+label-space rule, and BIO spans.
 
 A labeled sample is a tokenized utterance with one intent label and one
 slot label per token (BIO scheme).  An episode bundles a small labeled
@@ -336,15 +337,30 @@ def parse_labeled_records(data: bytes | str, source: str, key: str, lists: tuple
     return records
 
 
-def _check_episode_local_space(ep: Episode, path: str) -> None:
-    ls = ep.label_space
-    used_slots = {ls.slot_labels[sid] for s in ep.support for sid in s.slots} | {O_LABEL}
-    for what, declared, used in (
-        ("intents", set(ls.intents), {ls.intents[s.intent] for s in ep.support}),
-        ("slot labels", set(ls.slot_labels), used_slots),
-    ):
-        _expect(declared == used, path,
-                f"declared {what} {sorted(declared)} != support {what} {sorted(used)}")
+def episode_label_space(full: LabelSpace, support: Sequence[Sample]) -> LabelSpace:
+    """The labels of full that the support set uses, in declaration order.
+
+    'O' is always included: a label space requires it and the all-O
+    sequence must stay decodable.
+    """
+    used_intents = {s.intent for s in support}
+    used_slots = {sid for s in support for sid in s.slots}
+    used_slots.add(full.o_id)
+    intents = tuple(
+        name for i, name in enumerate(full.intents) if i in used_intents
+    )
+    slot_labels = tuple(
+        name for i, name in enumerate(full.slot_labels) if i in used_slots
+    )
+    return LabelSpace(intents, slot_labels)
+
+
+def remap(sample: Sample, old: LabelSpace, new: LabelSpace) -> Sample:
+    return Sample(
+        tokens=sample.tokens,
+        intent=new.intent_id(old.intents[sample.intent]),
+        slots=tuple(new.slot_id(old.slot_labels[sid]) for sid in sample.slots),
+    )
 
 
 def parse_episodes(data: bytes | str, source: str = "<input>") -> list[Episode]:
@@ -354,9 +370,11 @@ def parse_episodes(data: bytes | str, source: str = "<input>") -> list[Episode]:
         data, source, "episodes", ("support", "query")
     ):
         _expect(len(samples["support"]) >= 1, f"{path}.support", "must be non-empty")
-        episode = Episode(samples["support"], samples["query"], ls, domain)
-        _check_episode_local_space(episode, path)
-        episodes.append(episode)
+        used = episode_label_space(ls, samples["support"])
+        unused = [name for name in ls.intents if name not in used.intents]
+        unused += [name for name in ls.slot_labels if name not in used.slot_labels]
+        _expect(not unused, path, f"declared labels unused by the support set: {unused}")
+        episodes.append(Episode(samples["support"], samples["query"], ls, domain))
     return episodes
 
 
@@ -368,20 +386,26 @@ def sample_to_dict(sample: Sample, ls: LabelSpace) -> dict:
     }
 
 
-def episode_to_dict(ep: Episode) -> dict:
-    return {
-        "domain": ep.domain_name,
-        "intents": list(ep.label_space.intents),
-        "slot_labels": list(ep.label_space.slot_labels),
-        "support": [sample_to_dict(s, ep.label_space) for s in ep.support],
-        "query": [sample_to_dict(s, ep.label_space) for s in ep.query],
-    }
+def labeled_record(domain: str, ls: LabelSpace, **lists: Sequence[Sample]) -> dict:
+    """One record of a labeled file: the domain, the label space, then each sample list."""
+    record = {"domain": domain, "intents": list(ls.intents), "slot_labels": list(ls.slot_labels)}
+    for name, samples in lists.items():
+        record[name] = [sample_to_dict(s, ls) for s in samples]
+    return record
+
+
+def serialize_labeled_records(key: str, records: Iterable[dict]) -> str:
+    """A labeled file of records under ``key`` (stable byte layout)."""
+    payload = {key: list(records)}
+    return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
 def serialize_episodes(episodes: Iterable[Episode]) -> str:
     """Serialize episodes to the episode JSON schema (stable byte layout)."""
-    payload = {"episodes": [episode_to_dict(ep) for ep in episodes]}
-    return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    return serialize_labeled_records("episodes", (
+        labeled_record(ep.domain_name, ep.label_space, support=ep.support, query=ep.query)
+        for ep in episodes
+    ))
 
 
 def load_episode_file(path) -> list[Episode]:

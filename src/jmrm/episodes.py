@@ -12,10 +12,9 @@ relations are domain-specific.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -25,8 +24,11 @@ from .core import (
     MalformedInput,
     O_LABEL,
     Sample,
+    episode_label_space,
+    labeled_record,
     parse_labeled_records,
-    sample_to_dict,
+    remap,
+    serialize_labeled_records,
     validate_sample,
 )
 
@@ -79,16 +81,9 @@ class SynthSpec:
             raise ValueError("vocab_overlap must lie in [0, 1]")
 
 
-def _class_counts(samples: Sequence[Sample]) -> tuple[Counter, Counter]:
-    """Occurrence counts of intents (per sample) and slots (per labeled word)."""
-    return Counter(s.intent for s in samples), Counter(sid for s in samples for sid in s.slots)
-
-
-def _covers(samples: Sequence[Sample], need_intents: set[int], need_slots: set[int], k: int) -> bool:
-    intent_counts, slot_counts = _class_counts(samples)
-    return all(intent_counts[c] >= k for c in need_intents) and all(
-        slot_counts[c] >= k for c in need_slots
-    )
+def _classes(sample: Sample) -> list[tuple[str, int]]:
+    """The classes a sample counts toward: its intent once, a slot label per labeled word."""
+    return [("intent", sample.intent)] + [("slot", sid) for sid in sample.slots]
 
 
 def build_support_set(corpus: Corpus, k: int, rng: np.random.Generator) -> list[Sample]:
@@ -97,66 +92,43 @@ def build_support_set(corpus: Corpus, k: int, rng: np.random.Generator) -> list[
     Greedy add in shuffled order until every occurring class reaches the K
     threshold, then prune: each selected sample is removed (in a fresh
     shuffled order) iff coverage still holds without it.  The result is
-    irreducible but not necessarily minimum-size.
+    irreducible but not necessarily minimum-size.  One running count of the
+    selection per class decides both: a sample can only take its own
+    classes below K.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    intent_counts, slot_counts = _class_counts(corpus.samples)
-    for intent, count in sorted(intent_counts.items()):
-        if count < k:
+    total = Counter(key for s in corpus.samples for key in _classes(s))
+    # sorted keys put every intent before every slot label, each by id
+    for (kind, cid), n in sorted(total.items()):
+        if n < k:
             raise InsufficientCorpus(
-                f"intent {corpus.label_space.intents[intent]!r} occurs in "
-                f"{count} samples, need >= {k}"
+                f"intent {corpus.label_space.intents[cid]!r} occurs in {n} samples, need >= {k}"
+                if kind == "intent" else
+                f"slot label {corpus.label_space.slot_labels[cid]!r} has "
+                f"{n} word occurrences, need >= {k}"
             )
-    for sid, count in sorted(slot_counts.items()):
-        if count < k:
-            raise InsufficientCorpus(
-                f"slot label {corpus.label_space.slot_labels[sid]!r} has "
-                f"{count} word occurrences, need >= {k}"
-            )
-    need_intents = set(intent_counts)
-    need_slots = set(slot_counts)
 
-    order = rng.permutation(len(corpus.samples))
+    have: Counter = Counter()
+    below_k = len(total)
     selected: list[int] = []
-    for idx in order:
-        selected.append(int(idx))
-        if _covers([corpus.samples[i] for i in selected], need_intents, need_slots, k):
+    for idx in map(int, rng.permutation(len(corpus.samples))):
+        selected.append(idx)
+        for key in _classes(corpus.samples[idx]):
+            have[key] += 1
+            if have[key] == k:
+                below_k -= 1
+        if below_k == 0:
             break
     # prune to irreducibility
     candidates = list(selected)
     for idx in rng.permutation(len(candidates)):
         candidate = candidates[int(idx)]
-        rest = [i for i in selected if i != candidate]
-        if _covers([corpus.samples[i] for i in rest], need_intents, need_slots, k):
-            selected = rest
+        own = Counter(_classes(corpus.samples[candidate]))
+        if all(have[key] - n >= k for key, n in own.items()):
+            selected.remove(candidate)
+            have.subtract(own)
     return [corpus.samples[i] for i in selected]
-
-
-def episode_label_space(full: LabelSpace, support: Sequence[Sample]) -> LabelSpace:
-    """The labels of full that the support set uses, in declaration order.
-
-    'O' is always included: a label space requires it and the all-O
-    sequence must stay decodable.
-    """
-    used_intents = {s.intent for s in support}
-    used_slots = {sid for s in support for sid in s.slots}
-    used_slots.add(full.o_id)
-    intents = tuple(
-        name for i, name in enumerate(full.intents) if i in used_intents
-    )
-    slot_labels = tuple(
-        name for i, name in enumerate(full.slot_labels) if i in used_slots
-    )
-    return LabelSpace(intents, slot_labels)
-
-
-def remap(sample: Sample, old: LabelSpace, new: LabelSpace) -> Sample:
-    return Sample(
-        tokens=sample.tokens,
-        intent=new.intent_id(old.intents[sample.intent]),
-        slots=tuple(new.slot_id(old.slot_labels[sid]) for sid in sample.slots),
-    )
 
 
 def build_episode(
@@ -328,18 +300,10 @@ def generate_synthetic(spec: SynthSpec) -> tuple[list[Corpus], list[Corpus], lis
 # "corpora" key and one "samples" array per record in place of support/query.
 
 
-def corpus_to_dict(corpus: Corpus) -> dict:
-    return {
-        "domain": corpus.domain_name,
-        "intents": list(corpus.label_space.intents),
-        "slot_labels": list(corpus.label_space.slot_labels),
-        "samples": [sample_to_dict(s, corpus.label_space) for s in corpus.samples],
-    }
-
-
 def serialize_corpora(corpora: Iterable[Corpus]) -> str:
-    payload = {"corpora": [corpus_to_dict(c) for c in corpora]}
-    return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    return serialize_labeled_records("corpora", (
+        labeled_record(c.domain_name, c.label_space, samples=c.samples) for c in corpora
+    ))
 
 
 def parse_corpora(data: bytes | str, source: str = "<input>") -> list[Corpus]:

@@ -15,13 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Episode, LabelSpace, Sample
+from .core import Episode, LabelSpace, Sample, episode_label_space, remap
 from .encoder import EncoderConfig, TRAINABLE, init_encoder
-from .episodes import episode_label_space, remap
 from .experiments import episode_vocabulary
 from .lattice import JointScoreInputs, log_partition, nll_loss, loss_gradients, viterbi_decode
 from .masks import NEG_INF, RelationMask, build_transition_mask
-from .trainer import RunConfig, build_context, compute_loss
+from .protonet import SIMILARITY_KINDS
+from .trainer import LOSS_MODES, RunConfig, build_context, compute_loss
 
 
 def naive_pair_score(y: int, t: tuple[int, ...], jin: JointScoreInputs) -> float:
@@ -281,13 +281,12 @@ def encoder_gradient_suite(trials: int, seed: int, step: float = 1e-5) -> dict:
     """End-to-end parameter gradients of compute_loss vs finite differences."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(5,)))
     worst = 0.0
-    kinds = ("cos", "l2", "vpb")
-    modes = ("joint", "sum_sep", "seq_ce")
+    n_kinds = len(SIMILARITY_KINDS)
     for trial in range(trials):
         episode = random_episode(rng)
         cfg = RunConfig(
-            similarity_kind=kinds[trial % 3],
-            loss_mode=modes[(trial // 3) % 3],
+            similarity_kind=SIMILARITY_KINDS[trial % n_kinds],
+            loss_mode=LOSS_MODES[(trial // n_kinds) % len(LOSS_MODES)],
             lam=float(rng.choice([0.5, 1.0])),
             i2s_train=bool(rng.random() < 0.7),
             msd_train=bool(rng.random() < 0.7),

@@ -1,7 +1,8 @@
 """The loop-free encoder window, prototype and separate-loss paths, the
 row-batched emissions, the backward pass from a kept forward state, the
-transition mask, the structured sum-product sweep, and the training loop,
-are bit-identical to the code they replaced.
+transition mask, the structured sum-product sweep, the training loop, the
+K-shot support selection and the labeled-file writer are bit-identical to
+the code they replaced.
 
 The references below are that code: a per-position window mean, the
 (i, j) double loop that scatters the window gradient, per-token prototype
@@ -9,13 +10,22 @@ sums, the 2-D ufunc.at window, prototype sums and token-based backward
 scatter, one similarity call per embedding row, the prototype gradient
 spread through per-class member lists, one softmax cross-entropy per
 token, the (o1, o2) double loop over BIO cells, the dense per-intent
-log_partition, and the training loop that selected the masks per query
-and rebuilt a context after every step.  Every comparison is exact, not a
-tolerance: the benchmark's snips-train quality guards record how rounding
-breaks near-tied intent scores, so they depend on the exact bits.
+log_partition, the training loop that selected the masks per query
+and rebuilt a context after every step, the support selection that
+recounted the whole selection after every move, and the per-file record
+builders.  Every comparison is exact, not a tolerance: the benchmark's
+snips-train quality guards record how rounding breaks near-tied intent
+scores, so they depend on the exact bits.
 assert_same_bits compares bytes, so it also tells -0.0 from 0.0, as the
 run fingerprints (reprs) do.
 """
+
+import importlib
+import json
+import sys
+from collections import Counter
+from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 import pytest
@@ -28,8 +38,16 @@ from jmrm.encoder import (
     init_encoder,
     zero_grads,
 )
-from jmrm.core import Episode, LabelSpace
-from jmrm.episodes import SynthSpec, build_episode, generate_synthetic
+from jmrm.core import Episode, LabelSpace, Sample, sample_to_dict, serialize_episodes
+from jmrm.episodes import (
+    Corpus,
+    InsufficientCorpus,
+    SynthSpec,
+    build_episode,
+    build_support_set,
+    generate_synthetic,
+    serialize_corpora,
+)
 from jmrm.lattice import (
     InfeasibleGold,
     JointScoreInputs,
@@ -779,3 +797,175 @@ def test_train_matches_parent_loop_across_batch_sizes(batch_size):
 def test_train_matches_parent_loop_with_skips(masks):
     result = assert_same_training(cross_task(), batch_size=2, **MASKS[masks])
     assert (result.skipped_queries > 0) == (masks == "on")
+
+
+# --- K-shot support selection and the labeled-file writer -----------------------
+#
+# The references recount the whole selection after every add and every prune,
+# and write episode and corpus files through a record builder each.
+
+
+def ref_class_counts(samples: Sequence[Sample]) -> tuple[Counter, Counter]:
+    """Occurrence counts of intents (per sample) and slots (per labeled word)."""
+    return Counter(s.intent for s in samples), Counter(sid for s in samples for sid in s.slots)
+
+
+def ref_covers(samples: Sequence[Sample], need_intents: set[int], need_slots: set[int], k: int) -> bool:
+    intent_counts, slot_counts = ref_class_counts(samples)
+    return all(intent_counts[c] >= k for c in need_intents) and all(
+        slot_counts[c] >= k for c in need_slots
+    )
+
+
+def ref_build_support_set(corpus: Corpus, k: int, rng: np.random.Generator) -> list[Sample]:
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    intent_counts, slot_counts = ref_class_counts(corpus.samples)
+    for intent, count in sorted(intent_counts.items()):
+        if count < k:
+            raise InsufficientCorpus(
+                f"intent {corpus.label_space.intents[intent]!r} occurs in "
+                f"{count} samples, need >= {k}"
+            )
+    for sid, count in sorted(slot_counts.items()):
+        if count < k:
+            raise InsufficientCorpus(
+                f"slot label {corpus.label_space.slot_labels[sid]!r} has "
+                f"{count} word occurrences, need >= {k}"
+            )
+    need_intents = set(intent_counts)
+    need_slots = set(slot_counts)
+
+    order = rng.permutation(len(corpus.samples))
+    selected: list[int] = []
+    for idx in order:
+        selected.append(int(idx))
+        if ref_covers([corpus.samples[i] for i in selected], need_intents, need_slots, k):
+            break
+    # prune to irreducibility
+    candidates = list(selected)
+    for idx in rng.permutation(len(candidates)):
+        candidate = candidates[int(idx)]
+        rest = [i for i in selected if i != candidate]
+        if ref_covers([corpus.samples[i] for i in rest], need_intents, need_slots, k):
+            selected = rest
+    return [corpus.samples[i] for i in selected]
+
+
+def ref_episode_to_dict(ep: Episode) -> dict:
+    return {
+        "domain": ep.domain_name,
+        "intents": list(ep.label_space.intents),
+        "slot_labels": list(ep.label_space.slot_labels),
+        "support": [sample_to_dict(s, ep.label_space) for s in ep.support],
+        "query": [sample_to_dict(s, ep.label_space) for s in ep.query],
+    }
+
+
+def ref_serialize_episodes(episodes: Iterable[Episode]) -> str:
+    payload = {"episodes": [ref_episode_to_dict(ep) for ep in episodes]}
+    return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+def ref_corpus_to_dict(corpus: Corpus) -> dict:
+    return {
+        "domain": corpus.domain_name,
+        "intents": list(corpus.label_space.intents),
+        "slot_labels": list(corpus.label_space.slot_labels),
+        "samples": [sample_to_dict(s, corpus.label_space) for s in corpus.samples],
+    }
+
+
+def ref_serialize_corpora(corpora: Iterable[Corpus]) -> str:
+    payload = {"corpora": [ref_corpus_to_dict(c) for c in corpora]}
+    return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+def selection(build, corpus, k, seed):
+    """The positions build picks in corpus (or the type and message of its
+    error), and the generator state it leaves."""
+    position = {id(s): i for i, s in enumerate(corpus.samples)}
+    rng = np.random.default_rng(seed)
+    try:
+        picked = [position[id(s)] for s in build(corpus, k, rng)]
+    except ValueError as exc:  # InsufficientCorpus is one
+        picked = (type(exc), str(exc))
+    return picked, rng.bit_generator.state
+
+
+def assert_same_selections(corpora, ks=(1, 2, 3, 5), seeds=range(3)):
+    """Returns how many cases raised."""
+    raised = 0
+    for corpus in corpora:
+        for k in ks:
+            for seed in seeds:
+                want = selection(ref_build_support_set, corpus, k, seed)
+                assert selection(build_support_set, corpus, k, seed) == want
+                raised += isinstance(want[0], tuple)
+    return raised
+
+
+def random_specs(seed, n):
+    """n one-corpus-per-split SynthSpecs with random knobs, down to 2 samples."""
+    rng = np.random.default_rng(seed)
+    return [
+        SynthSpec(
+            n_source_domains=1, n_dev_domains=1, n_target_domains=1,
+            intents_per_domain=int(rng.integers(1, 4)),
+            slots_per_intent=int(rng.integers(1, 4)),
+            vocab_overlap=float(rng.random()),
+            template_count=int(rng.integers(1, 5)),
+            samples_per_domain=int(rng.integers(2, 40)),
+            seed=int(rng.integers(1000)),
+        )
+        for _ in range(n)
+    ]
+
+
+def all_corpora(spec):
+    return [c for split in generate_synthetic(spec) for c in split]
+
+
+@pytest.fixture(scope="module")
+def snips_shape():
+    """benchmarks/snips_shape.py, imported without writing bytecode there."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(Path(__file__).resolve().parent.parent / "benchmarks"))
+        mp.setattr(sys, "dont_write_bytecode", True)
+        return importlib.import_module("snips_shape")
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_support_set_matches_recount_on_default_synth(seed):
+    assert_same_selections(all_corpora(SynthSpec(seed=seed)))
+
+
+def test_support_set_matches_recount_on_random_synth():
+    raised = assert_same_selections(
+        [c for spec in random_specs(5, 8) for c in all_corpora(spec)])
+    assert raised > 0  # too-small corpora take the InsufficientCorpus paths
+
+
+@pytest.mark.parametrize("samples_per_intent", [1, 2, 3, 24])
+def test_support_set_matches_recount_on_snips_shape(snips_shape, samples_per_intent):
+    corpus = snips_shape.snips_shaped_corpus(
+        np.random.default_rng(samples_per_intent), "snips", samples_per_intent)
+    assert_same_selections([corpus], ks=(0, 1, 2, 3, 5))
+
+
+def non_ascii_corpus():
+    ls = LabelSpace(("réserver", "天気"), ("O", "B-città", "I-città"))
+    samples = (Sample(("à", "Zürich", "東京"), 0, (0, 1, 2)), Sample(("naïve",), 1, (0,)),
+               Sample(("ça", "Zürich"), 0, (0, 1)))
+    return Corpus("dômain", samples, ls)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_labeled_file_writer_matches_record_builders(seed):
+    corpora = all_corpora(SynthSpec(seed=seed)) + [non_ascii_corpus()]
+    assert serialize_corpora(corpora) == ref_serialize_corpora(corpora)
+    rng = np.random.default_rng(seed)
+    episodes = [build_episode(c, 1, 1, rng) for c in corpora]
+    text = serialize_episodes(episodes)
+    assert text == ref_serialize_episodes(episodes)
+    assert "東京" in text and "\\u" not in text  # ensure_ascii=False

@@ -74,7 +74,7 @@ class TestParse:
     def test_declared_label_unused_in_support(self):
         bad = json.loads(json.dumps(MINIMAL_FILE))
         bad["episodes"][0]["slot_labels"] = ["O", "B-track", "B-artist"]
-        with pytest.raises(MalformedInput, match="B-artist"):
+        with pytest.raises(MalformedInput, match=r"\$\.episodes\[0\]: .*\['B-artist'\]"):
             parse_episodes(json.dumps(bad))
 
     def test_schema_violation_reports_path(self):

@@ -143,9 +143,9 @@ def _hashed_unit_vector(token: str, seed: int, dim: int) -> np.ndarray:
 
 @lru_cache(maxsize=1024)
 def _window_pairs(m: int, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every (i, j) in [0, m) with |i - j| <= w, i-major with j ascending, and
-    each position's window size.  ufunc.at adds in index order, so a sum
-    over these pairs rounds exactly like a loop over i and then j."""
+    """The backward scatter's (i, j) in [0, m) with |i - j| <= w, i-major with
+    j ascending, and each window's size.  ufunc.at adds in index order, so a
+    sum over these pairs rounds exactly like a loop over i and then j."""
     pos = np.arange(m)
     i, j = np.nonzero(np.abs(pos[:, None] - pos) <= w)
     return i, j, np.bincount(i, minlength=m)
@@ -172,7 +172,12 @@ def _window_means(table_rows: np.ndarray, w: int) -> np.ndarray:
     sums = np.zeros_like(table_rows)
     for o in range(-w, w + 1):
         sums[max(0, -o) : m - max(0, o)] += table_rows[max(0, o) : m + min(0, o)]
-    return sums / _window_pairs(m, w)[2][:, None]
+    # window i spans min(i, w) rows before it and min(m - 1 - i, w) after it:
+    # 2w + 1 rows, except in the first and last w windows, which mirror
+    sizes = np.full(m, 2 * w + 1)
+    for k in range(w):
+        sizes[k] = sizes[m - 1 - k] = k + min(m - 1 - k, w) + 1
+    return sums / sizes[:, None]
 
 
 def encode_tokens(

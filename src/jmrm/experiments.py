@@ -8,6 +8,9 @@ eval-only-masks row, crossed with the three similarity functions:
     JMMSD   transition mask at train and eval
     JMRM    both masks at train and eval
     JM+RM   trained mask-free, both masks applied only at evaluation
+
+Under a frozen encoder the cells of one grid share each episode's
+prototypes: run_ablation builds them once per grid, not once per cell.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 
 from .core import Episode
 from .encoder import Encoder, EncoderConfig, HASHED_FROZEN, init_encoder
-from .protonet import SIMILARITY_KINDS
+from .protonet import SIMILARITY_KINDS, keep_frozen_prototypes
 from .trainer import RunConfig, TrainResult, evaluate, train
 
 ABLATION_GRID: dict[str, dict[str, bool]] = {
@@ -138,15 +141,17 @@ def run_ablation(
     enc_config: EncoderConfig,
     n_seeds: int,
 ) -> list[dict]:
-    """The full named-configuration x similarity x seed grid."""
+    """The full named-configuration x similarity x seed grid; a frozen
+    encoder's prototypes are built once per (episode, seed) for all cells."""
     records = []
-    for name, flags in ABLATION_GRID.items():
-        for sim in SIMILARITY_KINDS:
-            for k in range(n_seeds):
-                seed = base_config.seed + k
-                cfg = replace(base_config, similarity_kind=sim, seed=seed, **flags)
-                ecfg = replace(enc_config, seed=seed)
-                record, _ = run_cell(train_episodes, dev_episodes, test_episodes, cfg, ecfg)
-                record["name"] = name
-                records.append(record)
+    with keep_frozen_prototypes():
+        for name, flags in ABLATION_GRID.items():
+            for sim in SIMILARITY_KINDS:
+                for k in range(n_seeds):
+                    seed = base_config.seed + k
+                    cfg = replace(base_config, similarity_kind=sim, seed=seed, **flags)
+                    ecfg = replace(enc_config, seed=seed)
+                    record, _ = run_cell(train_episodes, dev_episodes, test_episodes, cfg, ecfg)
+                    record["name"] = name
+                    records.append(record)
     return records

@@ -8,12 +8,18 @@ more similar (L2 is the negative squared euclidean distance).
 similarity_to_protos scores a whole (r, d) matrix of embeddings at once;
 its dot products are one stacked matrix-vector product per row, which
 rounds exactly like scoring the rows one at a time.
+
+Under a frozen encoder an episode's prototypes are a pure function of
+(support, label space, encoder config), so an ablation grid builds them
+once, inside a keep_frozen_prototypes block.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -31,7 +37,7 @@ class DegenerateVector(ValueError):
     """Zero-norm vector where the similarity kind requires a direction."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Prototypes:
     intent_protos: np.ndarray  # (Y, d)
     slot_protos: np.ndarray  # (T, d)
@@ -48,14 +54,50 @@ class Emissions:
     slot: np.ndarray  # (m, T)
 
 
+# the innermost open block's prototypes, None outside one; a context
+# variable, so a block in one thread or task is not seen by another
+_kept: ContextVar[dict[tuple, Prototypes] | None] = ContextVar("kept_prototypes", default=None)
+
+
+@contextmanager
+def keep_frozen_prototypes() -> Iterator[None]:
+    """Within the block, compute_prototypes builds a frozen encoder's
+    prototypes once per (support, label space, encoder config) and returns
+    them read-only; they go when the block exits.  A trainable encoder's
+    parameters move in place, so its prototypes are never kept."""
+    token = _kept.set({})
+    try:
+        yield
+    finally:
+        _kept.reset(token)
+
+
 def compute_prototypes(
     support: Sequence[Sample], ls: LabelSpace, encoder: Encoder
 ) -> Prototypes:
     """Per-class mean embeddings over the support set.
 
     Every class of the (episode-local) label space must occur in the
-    support set, otherwise its prototype would be undefined.
+    support set, otherwise its prototype would be undefined.  Inside a
+    keep_frozen_prototypes block a frozen encoder's result is shared and
+    read-only.
     """
+    kept = _kept.get()
+    if kept is None or encoder.is_trainable:
+        return _build_prototypes(support, ls, encoder)
+    key = (tuple(support), ls, encoder.config)
+    protos = kept.get(key)
+    if protos is None:
+        protos = kept[key] = _build_prototypes(support, ls, encoder)
+        for arr in (protos.intent_protos, protos.slot_protos,
+                    protos.intent_counts, protos.slot_counts):
+            arr.flags.writeable = False
+    return protos
+
+
+def _build_prototypes(
+    support: Sequence[Sample], ls: LabelSpace, encoder: Encoder
+) -> Prototypes:
     y, t = ls.n_intents, ls.n_slots
     intents = np.array([sample.intent for sample in support], dtype=int)
     intent_counts = np.bincount(intents, minlength=y)

@@ -17,7 +17,7 @@ the support-derived relation mask.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -168,7 +168,7 @@ def build_context(
     protos = compute_prototypes(episode.support, ls, encoder)
     if not training:
         # decoding runs no backward pass, so it keeps no support forward state
-        protos.support_states = None
+        protos = replace(protos, support_states=None)
     return EpisodeContext(episode, encoder, protos, rm, tm)
 
 

@@ -1,8 +1,8 @@
 """The loop-free encoder window, prototype and separate-loss paths, the
 row-batched emissions, the backward pass from a kept forward state, the
 transition mask, the structured sum-product sweep, the training loop, the
-K-shot support selection and the labeled-file writer are bit-identical to
-the code they replaced.
+K-shot support selection, the labeled-file writer and the ablation grid are
+bit-identical to the code they replaced.
 
 The references below are that code: a per-position window mean, the
 (i, j) double loop that scatters the window gradient, per-token prototype
@@ -12,8 +12,8 @@ spread through per-class member lists, one softmax cross-entropy per
 token, the (o1, o2) double loop over BIO cells, the dense per-intent
 log_partition, the training loop that selected the masks per query
 and rebuilt a context after every step, the support selection that
-recounted the whole selection after every move, and the per-file record
-builders.  Every comparison is exact, not a tolerance: the benchmark's
+recounted the whole selection after every move, the per-file record
+builders, and the grid that built every cell's prototypes anew.  Every comparison is exact, not a tolerance: the benchmark's
 snips-train quality guards record how rounding breaks near-tied intent
 scores, so they depend on the exact bits.
 assert_same_bits compares bytes, so it also tells -0.0 from 0.0, as the
@@ -24,6 +24,7 @@ import importlib
 import json
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -48,6 +49,7 @@ from jmrm.episodes import (
     generate_synthetic,
     serialize_corpora,
 )
+from jmrm.experiments import ABLATION_GRID, run_ablation, run_cell
 from jmrm.lattice import (
     InfeasibleGold,
     JointScoreInputs,
@@ -71,6 +73,7 @@ from jmrm.metrics import EMPTY_METRICS, score
 from jmrm.protonet import (
     COS,
     L2,
+    SIMILARITY_KINDS,
     VPB,
     DegenerateVector,
     compute_emissions,
@@ -969,3 +972,44 @@ def test_labeled_file_writer_matches_record_builders(seed):
     text = serialize_episodes(episodes)
     assert text == ref_serialize_episodes(episodes)
     assert "東京" in text and "\\u" not in text  # ensure_ascii=False
+
+
+# --- the ablation grid ---------------------------------------------------------
+#
+# The reference is the grid loop as it was: no prototype store, so every cell
+# builds each episode's prototypes itself.
+
+
+def ref_run_ablation(train_episodes, dev_episodes, test_episodes, base_config, enc_config, n_seeds):
+    records = []
+    for name, flags in ABLATION_GRID.items():
+        for sim in SIMILARITY_KINDS:
+            for k in range(n_seeds):
+                seed = base_config.seed + k
+                cfg = replace(base_config, similarity_kind=sim, seed=seed, **flags)
+                ecfg = replace(enc_config, seed=seed)
+                record, _ = run_cell(train_episodes, dev_episodes, test_episodes, cfg, ecfg)
+                record["name"] = name
+                records.append(record)
+    return records
+
+
+def assert_same_grid(*args):
+    got, want = run_ablation(*args), ref_run_ablation(*args)
+    assert [repr(r) for r in got] == [repr(r) for r in want]
+
+
+def test_frozen_grid_matches_per_cell_prototypes():
+    """SNIPS-shaped episodes under the hashed-frozen encoder, two grid seeds;
+    one test episode is also a dev episode, so both splits share its build."""
+    rng = np.random.default_rng(11)
+    eps = [snips_shaped_episode(rng) for _ in range(4)]
+    enc_config = EncoderConfig(kind="hashed-frozen", dim=16, seed=3)
+    assert_same_grid(eps[:1], eps[1:3], eps[2:], RunConfig(seed=3), enc_config, 2)
+
+
+def test_trainable_grid_matches_per_cell_prototypes():
+    train_eps, dev_eps = synth_task()
+    enc_config = EncoderConfig(kind="trainable", dim=8, init_scale=0.3, seed=4)
+    config = RunConfig(learning_rate=0.01, max_steps=3, eval_every=2, seed=1)
+    assert_same_grid(train_eps[:3], dev_eps[:2], dev_eps[1:], config, enc_config, 1)

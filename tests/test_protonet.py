@@ -1,12 +1,17 @@
 """Prototypes, similarity functions, and emission scores."""
 
+import threading
 import warnings
+from collections import Counter
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
+from jmrm import experiments, protonet
 from jmrm.core import Episode, LabelSpace
 from jmrm.encoder import EncoderConfig, encode_tokens, init_encoder
+from jmrm.episodes import SynthSpec, build_episode, generate_synthetic
 from jmrm.protonet import (
     COS,
     L2,
@@ -14,6 +19,7 @@ from jmrm.protonet import (
     DegenerateVector,
     compute_emissions,
     compute_prototypes,
+    keep_frozen_prototypes,
     similarity_grads,
     similarity_to_protos,
 )
@@ -207,6 +213,97 @@ class TestPrototypes:
         support = [make_sample(music_space, "play", "play_music", "O")]
         with pytest.raises(ValueError, match="no support"):
             compute_prototypes(support, music_space, enc)
+
+
+def synth_episodes(n):
+    spec = SynthSpec(n_source_domains=1, n_dev_domains=1, n_target_domains=1,
+                     samples_per_domain=40, seed=7)
+    corpus = generate_synthetic(spec)[0][0]
+    rng = np.random.default_rng(0)
+    return [build_episode(corpus, 2, 3, rng) for _ in range(n)]
+
+
+class TestKeptPrototypes:
+    """A grid builds each frozen-encoder episode's prototypes once; nothing is
+    kept outside a grid or for a trainable encoder."""
+
+    LS = LabelSpace(("play_music",), ("O", "B-artist"))
+    SUPPORT = (make_sample(LS, "play madonna", "play_music", "O B-artist"),
+               make_sample(LS, "play queen now", "play_music", "O B-artist O"))
+
+    def test_grid_builds_each_support_label_space_and_config_once(self, monkeypatch):
+        builds, build = Counter(), protonet._build_prototypes
+
+        def counted(support, ls, encoder):
+            builds[tuple(support), ls, encoder.config] += 1
+            return build(support, ls, encoder)
+
+        monkeypatch.setattr(protonet, "_build_prototypes", counted)
+        eps = synth_episodes(3)
+        enc_config = EncoderConfig(kind="hashed-frozen", dim=8, seed=2)
+        # eps[2] is a dev and a test episode: both splits share its build
+        experiments.run_ablation(eps[:1], eps[1:], eps[2:], RunConfig(seed=2), enc_config, 2)
+        assert builds == Counter({(ep.support, ep.label_space, replace(enc_config, seed=s))
+                                  for ep in eps[1:] for s in (2, 3)})
+
+    def test_kept_prototypes_are_read_only(self, enc):
+        with keep_frozen_prototypes():
+            protos = compute_prototypes(self.SUPPORT, self.LS, enc)
+            assert compute_prototypes(list(self.SUPPORT), self.LS, enc) is protos
+        for arr in (protos.intent_protos, protos.slot_protos,
+                    protos.intent_counts, protos.slot_counts):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+        with pytest.raises(FrozenInstanceError):
+            protos.support_states = ()
+
+    def test_store_goes_when_the_grid_returns_or_raises(self, monkeypatch):
+        eps = synth_episodes(2)
+        args = (eps[:1], eps[1:], eps[1:], RunConfig(), EncoderConfig(kind="hashed-frozen", dim=8), 1)
+        experiments.run_ablation(*args)
+        assert protonet._kept.get() is None
+        run_cell, stores = experiments.run_cell, []
+
+        def failing_cell(*cell_args):
+            run_cell(*cell_args)
+            stores.append(protonet._kept.get())
+            raise RuntimeError("cell failed")
+
+        monkeypatch.setattr(experiments, "run_cell", failing_cell)
+        with pytest.raises(RuntimeError, match="cell failed"):
+            experiments.run_ablation(*args)
+        assert len(stores[0]) == 1 and protonet._kept.get() is None
+
+    def test_nested_block_restores_the_outer_store(self):
+        with keep_frozen_prototypes():
+            outer = protonet._kept.get()
+            with keep_frozen_prototypes():
+                assert protonet._kept.get() == {} and protonet._kept.get() is not outer
+            assert protonet._kept.get() is outer
+        assert protonet._kept.get() is None
+
+    def test_another_thread_does_not_see_the_block(self):
+        seen = []
+        with keep_frozen_prototypes():
+            thread = threading.Thread(target=lambda: seen.append(protonet._kept.get()))
+            thread.start()
+            thread.join(timeout=10)
+        assert not thread.is_alive() and seen == [None]
+
+    def test_trainable_encoder_keeps_nothing(self):
+        enc = init_encoder(EncoderConfig(kind="trainable", dim=4), ["play", "queen"])
+        with keep_frozen_prototypes():
+            first = compute_prototypes(self.SUPPORT, self.LS, enc)
+            assert compute_prototypes(self.SUPPORT, self.LS, enc) is not first
+            assert protonet._kept.get() == {}
+        assert first.intent_protos.flags.writeable
+
+    def test_outside_a_grid_every_call_builds_afresh(self, enc):
+        first = compute_prototypes(self.SUPPORT, self.LS, enc)
+        second = compute_prototypes(self.SUPPORT, self.LS, enc)
+        assert second is not first and second.slot_protos is not first.slot_protos
+        assert first.intent_protos.flags.writeable and protonet._kept.get() is None
 
 
 def make_sample_raw(tokens, intent, slots):

@@ -25,7 +25,13 @@ and the marginals:
 
 The max-plus sweep, _suffix_max, gives the best completions that Viterbi
 reads greedily: one max over the open columns and one over the closed
-successors per position, O(Y T (K+1)) instead of O(Y T^2).  Masked
+successors per position, O(Y T (K+1)) instead of O(Y T^2).  Viterbi
+decodes a batch of Q equal-length queries at once (JointScoreInputs with a
+leading query axis): the sweep runs on the (Q·Y, m, T) stack and the greedy
+pass takes one argmax per position for all Q.  Both are elementwise sums
+and maxima along the label axes, so a query's every value is rounded as in
+a call on that query alone, and the batch changes no bit; one query is the
+Q = 1 case.  The sum-product sweeps take one query at a time.  Masked
 configurations carry IEEE -inf, whose exp is exactly 0, so they contribute
 exactly zero probability mass and never produce NaN: each logsumexp
 subtracts its max only when the max is finite.  Scores must be finite, so
@@ -67,8 +73,11 @@ def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
 
 @dataclass
 class JointScoreInputs:
-    f_l: np.ndarray  # (Y,)
-    f_o: np.ndarray  # (m, T)
+    """One query's scores, or a batch of Q equal-length queries' scores
+    stacked on a leading axis; every query shares the masks and lam."""
+
+    f_l: np.ndarray  # (Y,) or (Q, Y)
+    f_o: np.ndarray  # (m, T) or (Q, m, T)
     rm: RelationMask
     tm: TransitionMask
     lam: float = 1.0
@@ -76,7 +85,12 @@ class JointScoreInputs:
     def __post_init__(self):
         self.f_l = np.asarray(self.f_l, dtype=float)
         self.f_o = np.asarray(self.f_o, dtype=float)
-        y, (m, t) = self.f_l.shape[0], self.f_o.shape
+        batch = self.f_l.shape[:-1]  # () or (Q,)
+        if self.f_l.ndim not in (1, 2) or self.f_o.shape[:-2] != batch or self.f_o.ndim < 2:
+            raise ValueError(
+                f"f_l {self.f_l.shape} and f_o {self.f_o.shape} are not (Y,) and (m, T), "
+                "nor (Q, Y) and (Q, m, T)")
+        y, t = self.n_intents, self.n_slots
         if self.rm.rm.shape != (y, t):
             raise ValueError(f"relation mask shape {self.rm.rm.shape} != ({y}, {t})")
         if self.tm.start.shape != (t,):  # TransitionMask pins trans to (T, T)
@@ -88,16 +102,25 @@ class JointScoreInputs:
                 raise NonFiniteScores(f"{name} holds NaN or infinite scores")
 
     @property
+    def batched(self) -> bool:
+        return self.f_l.ndim == 2
+
+    @property
     def n_intents(self) -> int:
-        return self.f_l.shape[0]
+        return self.f_l.shape[-1]
 
     @property
     def n_positions(self) -> int:
-        return self.f_o.shape[0]
+        return self.f_o.shape[-2]
 
     @property
     def n_slots(self) -> int:
-        return self.f_o.shape[1]
+        return self.f_o.shape[-1]
+
+
+def _one_query(jin: JointScoreInputs, what: str) -> None:
+    if jin.batched:
+        raise ValueError(f"{what} takes one query's scores, not a batch")
 
 
 @dataclass
@@ -109,6 +132,7 @@ class JointPosterior:
 
 def joint_score(y: int, t: np.ndarray, jin: JointScoreInputs) -> float:
     """R(y, t); -inf iff any emission or transition factor is masked."""
+    _one_query(jin, "joint_score")
     t = np.asarray(t, dtype=int)
     if t.shape[0] != jin.n_positions:
         raise ValueError(f"slot sequence length {t.shape[0]} != {jin.n_positions}")
@@ -224,6 +248,7 @@ def log_partition(jin: JointScoreInputs) -> JointPosterior:
     and t_i = o}; each (y, i) slice sums to q(y), and cells masked by the
     relation mask are exactly zero.
     """
+    _one_query(jin, "log_partition")
     fe = apply_relation_mask(jin.f_o, jin.rm, slice(None))  # (Y, m, T)
     with np.errstate(divide="ignore"):
         alpha, beta = _forward(fe, jin.tm), _backward(fe, jin.tm)
@@ -243,6 +268,7 @@ def nll_loss(
     gold_y: int, gold_t: np.ndarray, jin: JointScoreInputs
 ) -> tuple[float, JointPosterior]:
     """Cross-entropy of the gold pair: log Z - R(gold); always >= 0."""
+    _one_query(jin, "nll_loss")
     r = joint_score(gold_y, gold_t, jin)
     if r == NEG_INF:
         raise InfeasibleGold(
@@ -270,28 +296,44 @@ def loss_gradients(
     return d_fl, d_fo
 
 
-def viterbi_decode(jin: JointScoreInputs) -> tuple[int, np.ndarray, float]:
-    """Highest-scoring feasible (intent, slot sequence) pair.
+def viterbi_decode(
+    jin: JointScoreInputs,
+) -> tuple[int, np.ndarray, float] | tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Highest-scoring feasible (intent, slot sequence) pair of each query.
 
-    Ties break to the lowest intent id, then the lexicographically smallest
-    slot-id sequence; the greedy forward pass below picks, at each
-    position, the smallest slot id that still admits an optimal completion
-    (np.argmax returns the first maximizer).  The returned score is the
-    path's running sum, added up in joint_score's order, so it matches
-    joint_score bit for bit.
+    One query gives (y, path (m,), score); a batch of Q gives the (Q,)
+    intents, the (Q, m) paths and the (Q,) scores, each query's exactly as
+    a call on that query alone would give them: the batch is one more
+    leading axis of elementwise sums and axis maxima, so no value is
+    rounded differently.  Ties break to the lowest intent id, then the
+    lexicographically smallest slot-id sequence; the greedy forward pass
+    below picks, at each position, the smallest slot id that still admits
+    an optimal completion (np.argmax returns the first maximizer).  The
+    returned score is the path's running sum, added up in joint_score's
+    order, so it matches joint_score bit for bit.
     """
-    fe = apply_relation_mask(jin.f_o, jin.rm, slice(None))  # (Y, m, T)
+    f_l = jin.f_l.reshape(-1, jin.n_intents)
+    q, y, m, t = f_l.shape[0], jin.n_intents, jin.n_positions, jin.n_slots
+    # (Q·Y, m, T): query-major, so query n's intents are rows n·Y .. n·Y+Y-1
+    fe = apply_relation_mask(jin.f_o[..., None, :, :], jin.rm, slice(None)).reshape(q * y, m, t)
     sm = _suffix_max(fe, jin.tm)
-    first = jin.tm.start + fe[:, 0] + sm[:, 0]
-    totals = jin.lam * jin.f_l + np.max(first, axis=1)
-    if np.max(totals) == NEG_INF:
+    first = (jin.tm.start + fe[:, 0] + sm[:, 0]).reshape(q, y, t)
+    totals = jin.lam * f_l + _max(first, 2)
+    if np.any(_max(totals, 1) == NEG_INF):
         raise InfeasibleLattice("every (intent, slot sequence) pair is masked")
-    best_y = int(np.argmax(totals))
-    fe, sm = fe[best_y], sm[best_y]
-    path = np.empty(jin.n_positions, dtype=int)
-    acc, into = 0.0, jin.tm.start
-    for i in range(jin.n_positions):
-        o = path[i] = int(np.argmax(acc + into + fe[i] + sm[i]))
-        acc = acc + into[o] + fe[i, o]
-        into = jin.tm.trans[o]
-    return best_y, path, float(jin.lam * jin.f_l[best_y] + acc)
+    best_y = np.argmax(totals, axis=1)
+    rows = np.arange(q)
+    best = rows * y + best_y
+    fe, sm = fe.take(best, 0), sm.take(best, 0)  # (Q, m, T)
+    path = np.empty((q, m), dtype=int)
+    acc, into = np.zeros((q, 1)), jin.tm.start
+    for i in range(m):
+        # each query's running sum through t_i = o, then its best completion
+        reach = acc + into + fe[:, i]
+        o = path[:, i] = np.argmax(reach + sm[:, i], axis=1)
+        acc = reach[rows, o][:, None]
+        into = jin.tm.trans.take(o, 0)
+    score = jin.lam * f_l[rows, best_y] + acc[:, 0]
+    if jin.batched:
+        return best_y, path, score
+    return int(best_y[0]), path[0], float(score[0])

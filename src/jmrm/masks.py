@@ -149,8 +149,11 @@ def permissive_transition_mask(n_slots: int) -> TransitionMask:
     return TransitionMask(trans=np.ones((n_slots, n_slots)), start=np.ones(n_slots))
 
 
-def apply_relation_mask(f_o: np.ndarray, rm: RelationMask, intent: int | slice) -> np.ndarray:
+def apply_relation_mask(
+    f_o: np.ndarray, rm: RelationMask, intent: int | slice | np.ndarray
+) -> np.ndarray:
     """Slot emissions conditioned on an intent: unrelated columns become -inf.
 
-    intent=slice(None) gives the (Y, m, T) stack over every intent."""
+    intent=slice(None) gives the (Y, m, T) stack over every intent; a (Q,)
+    array of intents conditions a (Q, m, T) stack query by query."""
     return np.where(rm.rm[intent][..., None, :], f_o, NEG_INF)

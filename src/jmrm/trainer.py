@@ -272,20 +272,27 @@ def predict_episode(
     With msd_eval on, decoding is a joint Viterbi over the (relation-)
     masked lattice.  With msd_eval off, the intent is the emission argmax
     and slots are per-token argmaxes over the intent-conditioned emissions
-    (the classic prototype-pipeline decoder).
+    (the classic prototype-pipeline decoder).  Queries of equal length are
+    decoded as one batch, in one call; each query's result is the one it
+    would get alone.
     """
     ctx = build_context(episode, encoder, config, training=False)
-    predictions = []
-    for query in episode.query:
-        em = compute_emissions(query, ctx.protos, encoder, config.similarity_kind)
+    emissions = [compute_emissions(q, ctx.protos, encoder, config.similarity_kind)
+                 for q in episode.query]
+    by_length: dict[int, list[int]] = {}
+    for n, em in enumerate(emissions):
+        by_length.setdefault(em.slot.shape[0], []).append(n)
+    predictions: list = [None] * len(emissions)
+    for batch in by_length.values():
+        f_l = np.stack([emissions[n].intent for n in batch])
+        f_o = np.stack([emissions[n].slot for n in batch])
         if config.msd_eval:
-            jin = JointScoreInputs(em.intent, em.slot, ctx.rm, ctx.tm, config.lam)
-            y, path, _ = viterbi_decode(jin)
+            ys, paths, _ = viterbi_decode(JointScoreInputs(f_l, f_o, ctx.rm, ctx.tm, config.lam))
         else:
-            y = int(np.argmax(em.intent))
-            fe = apply_relation_mask(em.slot, ctx.rm, y)
-            path = np.argmax(fe, axis=1)
-        predictions.append((y, [int(o) for o in path]))
+            ys = np.argmax(f_l, axis=1)
+            paths = np.argmax(apply_relation_mask(f_o, ctx.rm, ys), axis=2)
+        for n, y, path in zip(batch, ys.tolist(), paths.tolist()):
+            predictions[n] = (y, path)
     return predictions
 
 

@@ -1,8 +1,8 @@
 """The loop-free encoder window, prototype and separate-loss paths, the
 row-batched emissions, the backward pass from a kept forward state, the
 transition mask, the structured sum-product sweep, the training loop, the
-K-shot support selection, the labeled-file writer and the ablation grid are
-bit-identical to the code they replaced.
+K-shot support selection, the labeled-file writer, the ablation grid and
+the batched decoder are bit-identical to the code they replaced.
 
 The references below are that code: a per-position window mean, the
 (i, j) double loop that scatters the window gradient, per-token prototype
@@ -13,9 +13,10 @@ token, the (o1, o2) double loop over BIO cells, the dense per-intent
 log_partition, the training loop that selected the masks per query
 and rebuilt a context after every step, the support selection that
 recounted the whole selection after every move, the per-file record
-builders, and the grid that built every cell's prototypes anew.  Every comparison is exact, not a tolerance: the benchmark's
-snips-train quality guards record how rounding breaks near-tied intent
-scores, so they depend on the exact bits.
+builders, the grid that built every cell's prototypes anew, and the
+decoder that ran one Viterbi call per query.  Every comparison is exact,
+not a tolerance: the benchmark's snips-train quality guards record how
+rounding breaks near-tied intent scores, so they depend on the exact bits.
 assert_same_bits compares bytes, so it also tells -0.0 from 0.0, as the
 run fingerprints (reprs) do.
 """
@@ -89,6 +90,7 @@ from jmrm.trainer import (
     build_context,
     compute_loss,
     init_adam_state,
+    predict_episode,
     train,
 )
 
@@ -1013,3 +1015,81 @@ def test_trainable_grid_matches_per_cell_prototypes():
     enc_config = EncoderConfig(kind="trainable", dim=8, init_scale=0.3, seed=4)
     config = RunConfig(learning_rate=0.01, max_steps=3, eval_every=2, seed=1)
     assert_same_grid(train_eps[:3], dev_eps[:2], dev_eps[1:], config, enc_config, 1)
+
+
+# --- batched decoding -------------------------------------------------------------
+#
+# viterbi_decode takes a batch of equal-length queries, and predict_episode
+# decodes an episode per length group; the reference is the per-query loop.
+
+
+@pytest.mark.parametrize("bio", [True, False], ids=["bio", "permissive"])
+@pytest.mark.parametrize("m", [1, 2, 3, 12, 40])
+@pytest.mark.parametrize("t_n", [3, 9, 79])
+@pytest.mark.parametrize("y_n", [1, 2, 7])
+def test_batched_viterbi_matches_per_query_calls(y_n, t_n, m, bio):
+    """Each query of a batch of 1, 2 or 8 decodes as it does alone, at three
+    scales, each also integer-rounded to make exact ties within and across
+    queries."""
+    ls = bio_space(y_n, t_n)
+    tm = build_transition_mask(ls) if bio else permissive_transition_mask(t_n)
+    for scale in (1.0, 30.0, 1e3):
+        rng = np.random.default_rng([y_n, t_n, m, bio, int(scale)])
+        related = rng.random((y_n, t_n)) < 0.3
+        related[:, 0] = True
+        rm = RelationMask(related, True)
+        f_l = scale * rng.standard_normal((8, y_n))
+        f_o = scale * rng.standard_normal((8, m, t_n))
+        for fl, fo in ((f_l, f_o), (np.round(f_l), np.round(f_o))):
+            alone = [viterbi_decode(JointScoreInputs(fl[n], fo[n], rm, tm, 1.0)) for n in range(8)]
+            for q in (1, 2, 8):
+                ys, paths, scores = viterbi_decode(JointScoreInputs(fl[:q], fo[:q], rm, tm, 1.0))
+                assert_same_bits(ys, [y for y, _, _ in alone[:q]])
+                assert_same_bits(paths, np.stack([path for _, path, _ in alone[:q]]))
+                assert_same_bits(scores, [s for _, _, s in alone[:q]])
+
+
+def ref_predict_episode(episode, encoder, config):
+    ctx = build_context(episode, encoder, config, training=False)
+    predictions = []
+    for query in episode.query:
+        em = compute_emissions(query, ctx.protos, encoder, config.similarity_kind)
+        if config.msd_eval:
+            jin = JointScoreInputs(em.intent, em.slot, ctx.rm, ctx.tm, config.lam)
+            y, path, _ = viterbi_decode(jin)
+        else:
+            y = int(np.argmax(em.intent))
+            fe = apply_relation_mask(em.slot, ctx.rm, y)
+            path = np.argmax(fe, axis=1)
+        predictions.append((y, [int(o) for o in path]))
+    return predictions
+
+
+@pytest.fixture(scope="module")
+def decode_cases():
+    """SNIPS-shaped episodes whose 12- and 40-token queries interleave, under
+    the hashed-frozen encoder; synth episodes of 4- to 8-token queries, under
+    the hashed-frozen and a trainable encoder."""
+    rng = np.random.default_rng(23)
+    lengths = (40, 12, 12, 40, 12, 40, 40, 12)
+    snips = [snips_shaped_episode(rng, lengths) for _ in range(2)]
+    frozen = init_encoder(EncoderConfig(kind="hashed-frozen", dim=16, seed=3), [])
+    train_eps, dev_eps = synth_task()
+    synth = train_eps[:2] + dev_eps[:1]
+    vocab = sorted({t for ep in synth for s in ep.support + ep.query for t in s.tokens})
+    trainable = init_encoder(EncoderConfig(kind="trainable", dim=8, init_scale=0.3, seed=4), vocab)
+    return [(snips, frozen), (synth, frozen), (synth, trainable)]
+
+
+@pytest.mark.parametrize("sim", SIMILARITY_KINDS)
+@pytest.mark.parametrize("flags", ABLATION_GRID.values(), ids=ABLATION_GRID.keys())
+def test_predict_episode_matches_per_query_loop(decode_cases, flags, sim):
+    """The same intents and paths, as Python ints: an np.int64 intent would
+    change the repr of every metric computed from it."""
+    config = RunConfig(similarity_kind=sim, **flags)
+    for episodes, encoder in decode_cases:
+        for episode in episodes:
+            got = predict_episode(episode, encoder, config)
+            assert repr(got) == repr(ref_predict_episode(episode, encoder, config))
+            assert {type(y) for y, _ in got} == {int}
+            assert {type(o) for _, path in got for o in path} == {int}

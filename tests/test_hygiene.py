@@ -1,6 +1,7 @@
 """Source hygiene, checked with the standard library alone: no module of the
-package or of the test suite imports a name it never uses, and every jmrm
-name the benchmark patches exists."""
+package or of the test suite imports a name it never uses, every jmrm
+name the benchmark patches exists, and a traced benchmark round records
+the lattice spans its per-layer figures are made of."""
 
 import ast
 import importlib
@@ -75,3 +76,22 @@ def test_benchmark_patches_resolve(monkeypatch):
     missing = [f"{module}.{attr}" for module, attr in targets
                if not hasattr(importlib.import_module(module), attr)]
     assert missing == []
+
+
+def test_traced_snips_ablate_round_records_viterbi_spans(monkeypatch):
+    """One traced snips-ablate round, in-process, as benchmarks/run.py runs
+    it: every Viterbi call is recorded with its lattice cells, and the
+    decodes pass the benchmark's output check."""
+    monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave benchmarks/ untouched
+    tracing, workloads = importlib.import_module("tracing"), importlib.import_module("workloads")
+    inputs = workloads.setup("snips-ablate", 0, workloads.plan_episodes("snips-ablate", 0))
+    probe = workloads.Probe(test_ids={id(ep) for ep in inputs.test})
+    probe.install()
+    try:
+        round_, spans = tracing.Tracer().run_round(lambda: workloads.run_round(inputs, probe))
+    finally:
+        probe.uninstall()
+    cells = [span[5] for span in spans if span[0] == "lattice.viterbi_decode"]
+    assert cells and min(cells) > 0
+    assert workloads.check_decodes(round_.decodes) == []

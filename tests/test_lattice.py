@@ -665,6 +665,48 @@ class TestTransitionStructure:
         assert permissive_transition_mask(79).row_rep.size == 1
 
 
+class TestBatchedInputs:
+    """A leading query axis: (Q, Y) intent and (Q, m, T) slot scores."""
+
+    def batch(self, q=3, y=2, m=4, t=3):
+        rng = np.random.default_rng(q)
+        return JointScoreInputs(rng.standard_normal((q, y)), rng.standard_normal((q, m, t)),
+                                all_ones_relation_mask(y, t), permissive_transition_mask(t))
+
+    def test_sizes_read_the_trailing_axes(self):
+        jin = self.batch()
+        assert jin.batched and not open_inputs(np.zeros(2), np.zeros((4, 3))).batched
+        assert (jin.n_intents, jin.n_positions, jin.n_slots) == (2, 4, 3)
+
+    @pytest.mark.parametrize("f_l, f_o", [
+        ((3, 2), (4, 3)),  # a batch of intent scores, one query's slot scores
+        ((2,), (3, 4, 3)),  # the other way round
+        ((3, 2), (2, 4, 3)),  # batch sizes differ
+        ((1, 3, 2), (1, 3, 4, 3)),  # two leading axes
+        ((2,), (3,)),  # no position axis
+    ])
+    def test_shape_mismatch_rejected(self, f_l, f_o):
+        with pytest.raises(ValueError, match="are not"):
+            JointScoreInputs(np.zeros(f_l), np.zeros(f_o), all_ones_relation_mask(2, 3),
+                             permissive_transition_mask(3))
+
+    def test_non_finite_score_in_any_query_rejected(self):
+        f_o = np.zeros((3, 4, 3))
+        f_o[2, 1, 0] = np.nan
+        with pytest.raises(NonFiniteScores, match="f_o"):
+            JointScoreInputs(np.zeros((3, 2)), f_o, all_ones_relation_mask(2, 3),
+                             permissive_transition_mask(3))
+
+    def test_one_query_functions_reject_a_batch(self):
+        jin = self.batch()
+        with pytest.raises(ValueError, match="log_partition takes one query"):
+            log_partition(jin)
+        with pytest.raises(ValueError, match="nll_loss takes one query"):
+            nll_loss(0, np.zeros(4, dtype=int), jin)
+        with pytest.raises(ValueError, match="joint_score takes one query"):
+            joint_score(0, np.zeros(4, dtype=int), jin)
+
+
 class TestInfeasibleLattice:
     def test_every_intent_masked(self):
         # only I-labels are related, so under BIO no sequence can start
@@ -676,3 +718,6 @@ class TestInfeasibleLattice:
             log_partition(jin)
         with pytest.raises(InfeasibleLattice):
             viterbi_decode(jin)
+        batch = JointScoreInputs(np.zeros((2, 2)), np.zeros((2, 3, SNIPS_SPACE.n_slots)), jin.rm, jin.tm)
+        with pytest.raises(InfeasibleLattice):
+            viterbi_decode(batch)

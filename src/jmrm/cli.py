@@ -360,6 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    for flag in ("count", "seeds", "trials"):  # a run over none builds or checks nothing
+        if getattr(args, flag, 1) < 1:
+            raise ValueError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
     return args.func(args)
 
 

@@ -1,11 +1,13 @@
-"""Core domain types, the JSON input boundary, labeled-file I/O, the episode
-label-space rule, and BIO spans.
+"""Core domain types, the BIO slot grammar, the JSON input boundary,
+labeled-file I/O, the episode label-space rule, and BIO spans.
 
 A labeled sample is a tokenized utterance with one intent label and one
 slot label per token (BIO scheme).  An episode bundles a small labeled
 support set with a query set and an episode-local label space.  Label ids
 are dense integers in declaration order, so masks and prototype matrices
-are index-aligned with the label space.
+are index-aligned with the label space.  A label space parses its slot
+labels once and owns the BIO rule of which may open a sequence and which
+may follow which; the transition mask, spans and gold warnings read it.
 """
 
 from __future__ import annotations
@@ -13,8 +15,10 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Sequence
+
+import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -52,10 +56,19 @@ def split_slot_label(name: str) -> tuple[str, str | None]:
 
 @dataclass(frozen=True)
 class LabelSpace:
-    """Ordered intent and slot label names; the index of a name is its id."""
+    """Ordered intent and slot label names; the index of a name is its id.
+
+    Construction parses each slot label once into read-only fields outside
+    equality, hash and repr: slot_types (X of B-X and I-X, None for O),
+    may_start (T,) (O and every B-X may open a sequence) and may_follow
+    (T, T) ([o1, o2] iff o2 may open a sequence, or is I-X after type X).
+    """
 
     intents: tuple[str, ...]
     slot_labels: tuple[str, ...]
+    slot_types: tuple[str | None, ...] = field(init=False, repr=False, compare=False)
+    may_start: np.ndarray = field(init=False, repr=False, compare=False)
+    may_follow: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "intents", tuple(self.intents))
@@ -68,8 +81,15 @@ class LabelSpace:
             raise MalformedInput("duplicate slot label names in label space")
         if O_LABEL not in self.slot_labels:
             raise MalformedInput("label space must contain the 'O' slot label")
-        for name in self.slot_labels:
-            split_slot_label(name)
+        kinds = [split_slot_label(name) for name in self.slot_labels]
+        may_start = np.array([prefix != "I" for prefix, _ in kinds])
+        # O has no type, and "" never equals a B/I type (those are non-empty)
+        types = np.array([stype or "" for _, stype in kinds], dtype=str)
+        may_follow = may_start | (types[:, None] == types)
+        for name, value in (("may_start", may_start), ("may_follow", may_follow)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "slot_types", tuple(stype for _, stype in kinds))
 
     @property
     def n_intents(self) -> int:
@@ -94,10 +114,6 @@ class LabelSpace:
             return self.slot_labels.index(name)
         except ValueError:
             raise LabelMismatch(f"unknown slot label {name!r}") from None
-
-    def slot_kind(self, slot_id: int) -> tuple[str, str | None]:
-        """(prefix, type) of the slot label with this id."""
-        return split_slot_label(self.slot_labels[slot_id])
 
 
 @dataclass(frozen=True)
@@ -152,7 +168,8 @@ def validate_sample(sample: Sample, ls: LabelSpace) -> list[str]:
 
     Returns an empty list when the sample is well formed.  BIO-validity of
     the gold slot sequence is NOT a violation (real corpora contain
-    annotation noise); anomalies are logged as warnings instead.
+    annotation noise): a label that may not open the sequence or follow its
+    predecessor is logged as a warning instead.
     """
     violations: list[str] = []
     if len(sample.tokens) < 1:
@@ -166,42 +183,30 @@ def validate_sample(sample: Sample, ls: LabelSpace) -> list[str]:
     for i, sid in enumerate(sample.slots):
         if not 0 <= sid < ls.n_slots:
             violations.append(f"unknown slot id {sid} at position {i}")
-    if not violations:
-        _warn_bio_anomalies(sample.slots, ls)
-    return violations
-
-
-def _warn_bio_anomalies(slots: Sequence[int], ls: LabelSpace) -> None:
-    prev_kind, prev_type = "O", None
+    if violations:
+        return violations
+    slots = sample.slots
     for i, sid in enumerate(slots):
-        kind, typ = ls.slot_kind(sid)
-        if kind == "I" and not (prev_kind in ("B", "I") and prev_type == typ):
-            logger.warning(
-                "gold BIO anomaly: %s at position %d has no compatible predecessor",
-                ls.slot_labels[sid], i,
-            )
-        prev_kind, prev_type = kind, typ
+        if not (ls.may_follow[slots[i - 1], sid] if i else ls.may_start[sid]):
+            logger.warning("gold BIO anomaly: %s at position %d has no compatible predecessor",
+                           ls.slot_labels[sid], i)
+    return violations
 
 
 def bio_spans(slots: Sequence[int], ls: LabelSpace) -> list[SlotSpan]:
     """Extract typed spans from a (possibly invalid) BIO slot id sequence.
 
-    Lenient conlleval semantics: B-X opens a span, I-X of the same type
-    extends it, an I-X without a compatible predecessor opens a new span of
-    type X, and O closes any open span.
+    Lenient conlleval semantics: B-X opens a span, I-X extends one it may
+    follow (of type X) and otherwise opens one, and O closes any open span.
     """
     spans: list[SlotSpan] = []
-    open_type: str | None = None
-    open_start = 0
+    open_type, open_start = None, 0
     for i, sid in enumerate(slots):
-        kind, typ = ls.slot_kind(sid)
-        if kind == "I" and typ == open_type:
+        if i and not ls.may_start[sid] and ls.may_follow[slots[i - 1], sid]:
             continue
         if open_type is not None:
             spans.append(SlotSpan(open_type, open_start, i))
-            open_type = None
-        if kind != "O":
-            open_type, open_start = typ, i
+        open_type, open_start = ls.slot_types[sid], i
     if open_type is not None:
         spans.append(SlotSpan(open_type, open_start, len(slots)))
     return spans

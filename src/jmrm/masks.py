@@ -3,9 +3,10 @@
 The relation mask records which (intent, slot) pairs co-occur in a support
 sample; applying it sends emissions of unrelated slots to -inf, so a
 decoded slot can never contradict the decoded intent.  The transition mask
-scores every BIO-legal slot adjacency 1 and every illegal one -inf; a
-virtual START row bans I-labels from opening a sequence.  The score-1
-convention means every feasible length-m sequence accrues the same
+only turns the label space's BIO rule (LabelSpace.may_follow, may_start)
+into scores: 1 for every legal slot adjacency, -inf for every illegal one,
+and a virtual START row that bans I-labels from opening a sequence.  The
+score-1 convention means every feasible length-m sequence accrues the same
 additive constant, so the joint softmax is unaffected by it.
 """
 
@@ -129,19 +130,10 @@ def all_ones_relation_mask(n_intents: int, n_slots: int) -> RelationMask:
 
 
 def build_transition_mask(ls: LabelSpace) -> TransitionMask:
-    """BIO adjacency scores derived purely from the slot label names.
-
-    o2 may follow o1 iff o2 is O, o2 is any B-label, or o2 is I-X and o1 is
-    B-X or I-X of the same type.  A sequence may start with O or any
-    B-label, never an I-label.
-    """
-    labels = [ls.slot_kind(o) for o in range(ls.n_slots)]
-    opens = np.array([kind != "I" for kind, _ in labels], dtype=bool)
-    # O has no type, and "" never equals a B/I type (those are non-empty)
-    types = np.array([stype or "" for _, stype in labels], dtype=str)
-    trans = np.where(opens[None, :] | (types[:, None] == types[None, :]), 1.0, NEG_INF)
-    start = np.where(opens, 1.0, NEG_INF)
-    return TransitionMask(trans=trans, start=start)
+    """The label space's BIO rule as scores: 1 where it lets a label follow
+    another (ls.may_follow) or open a sequence (ls.may_start), -inf elsewhere."""
+    return TransitionMask(trans=np.where(ls.may_follow, 1.0, NEG_INF),
+                          start=np.where(ls.may_start, 1.0, NEG_INF))
 
 
 def permissive_transition_mask(n_slots: int) -> TransitionMask:

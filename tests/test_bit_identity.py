@@ -1,8 +1,9 @@
 """The loop-free encoder window, prototype and separate-loss paths, the
 row-batched emissions, the backward pass from a kept forward state, the
 transition mask, the structured sum-product sweep, the training loop, the
-K-shot support selection, the labeled-file writer, the ablation grid and
-the batched decoder are bit-identical to the code they replaced.
+K-shot support selection, the labeled-file writer, the ablation grid, the
+batched decoder, and the BIO spans and gold warnings read from the label
+space's one adjacency rule are bit-identical to the code they replaced.
 
 The references below are that code: a per-position window mean, the
 (i, j) double loop that scatters the window gradient, per-token prototype
@@ -13,16 +14,18 @@ token, the (o1, o2) double loop over BIO cells, the dense per-intent
 log_partition, the training loop that selected the masks per query
 and rebuilt a context after every step, the support selection that
 recounted the whole selection after every move, the per-file record
-builders, the grid that built every cell's prototypes anew, and the
-decoder that ran one Viterbi call per query.  Every comparison is exact,
-not a tolerance: the benchmark's snips-train quality guards record how
-rounding breaks near-tied intent scores, so they depend on the exact bits.
+builders, the grid that built every cell's prototypes anew, the decoder
+that ran one Viterbi call per query, and the span and warning loops that
+parsed every token's label.  Every comparison is exact, not a tolerance:
+the benchmark's snips-train quality guards record how rounding breaks
+near-tied intent scores, so they depend on the exact bits.
 assert_same_bits compares bytes, so it also tells -0.0 from 0.0, as the
 run fingerprints (reprs) do.
 """
 
 import importlib
 import json
+import logging
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -40,7 +43,17 @@ from jmrm.encoder import (
     init_encoder,
     zero_grads,
 )
-from jmrm.core import Episode, LabelSpace, Sample, sample_to_dict, serialize_episodes
+from jmrm.core import (
+    Episode,
+    LabelSpace,
+    Sample,
+    SlotSpan,
+    bio_spans,
+    sample_to_dict,
+    serialize_episodes,
+    split_slot_label,
+    validate_sample,
+)
 from jmrm.episodes import (
     Corpus,
     InsufficientCorpus,
@@ -279,7 +292,7 @@ def ref_prototypes_at(support, ls, encoder):
 def ref_transition_mask(ls):
     """(trans, start) filled cell by cell from the BIO rule."""
     t = ls.n_slots
-    kinds = [ls.slot_kind(o) for o in range(t)]
+    kinds = [split_slot_label(name) for name in ls.slot_labels]
     trans = np.full((t, t), NEG_INF)
     start = np.full(t, NEG_INF)
     for o2, (kind2, type2) in enumerate(kinds):
@@ -422,6 +435,99 @@ def test_transition_mask_matches_cell_loop(ls):
     trans, start = ref_transition_mask(ls)
     assert_same_bits(tm.trans, trans)
     assert_same_bits(tm.start, start)
+
+
+# --- the one BIO adjacency rule: spans, the gold warning and the mask ----------
+#
+# ref_bio_spans and ref_warn_bio_anomalies are bio_spans and the warning
+# helper validate_sample called (_warn_bio_anomalies) as they were,
+# re-parsing the label of every token.  The only edits: LabelSpace.slot_kind,
+# which is gone, is spelled out as split_slot_label(ls.slot_labels[sid]), and
+# the warning goes to the reference's own logger.
+
+ref_logger = logging.getLogger("ref_bio")
+
+
+def ref_warn_bio_anomalies(slots: Sequence[int], ls: LabelSpace) -> None:
+    prev_kind, prev_type = "O", None
+    for i, sid in enumerate(slots):
+        kind, typ = split_slot_label(ls.slot_labels[sid])
+        if kind == "I" and not (prev_kind in ("B", "I") and prev_type == typ):
+            ref_logger.warning(
+                "gold BIO anomaly: %s at position %d has no compatible predecessor",
+                ls.slot_labels[sid], i,
+            )
+        prev_kind, prev_type = kind, typ
+
+
+def ref_bio_spans(slots: Sequence[int], ls: LabelSpace) -> list[SlotSpan]:
+    spans: list[SlotSpan] = []
+    open_type: str | None = None
+    open_start = 0
+    for i, sid in enumerate(slots):
+        kind, typ = split_slot_label(ls.slot_labels[sid])
+        if kind == "I" and typ == open_type:
+            continue
+        if open_type is not None:
+            spans.append(SlotSpan(open_type, open_start, i))
+            open_type = None
+        if kind != "O":
+            open_type, open_start = typ, i
+    if open_type is not None:
+        spans.append(SlotSpan(open_type, open_start, len(slots)))
+    return spans
+
+
+# multi-hyphen types, a type that prefixes another, and types spelled like
+# the prefixes themselves
+RULE_TYPES = ("a", "b", "semi-colon", "semi", "x-y-z", "I", "B", "O-x")
+
+
+def random_bio_space(rng) -> LabelSpace:
+    """O plus B-X and I-X of a few types, each kept with probability 0.8
+    (so an I-X may lack its B-X), in a random order."""
+    types = rng.choice(RULE_TYPES, size=rng.integers(0, 5), replace=False)
+    names = ["O"] + [f"{p}-{t}" for t in types for p in "BI" if rng.random() < 0.8]
+    return LabelSpace(("a",), tuple(names[k] for k in rng.permutation(len(names))))
+
+
+def random_bio_sequence(rng, trans, start, valid: bool) -> list[int]:
+    """A sequence the reference mask allows, or any sequence at all."""
+    m = int(rng.integers(1, 9))
+    if not valid:
+        return rng.integers(0, start.size, m).tolist()
+    slots = [int(rng.choice(np.flatnonzero(start == 1.0)))]
+    while len(slots) < m:
+        slots.append(int(rng.choice(np.flatnonzero(trans[slots[-1]] == 1.0))))
+    return slots
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bio_rule_matches_label_parsing(seed, caplog):
+    rng = np.random.default_rng(seed)
+    warned = 0
+    with caplog.at_level(logging.WARNING):
+        for _ in range(60):
+            ls = random_bio_space(rng)
+            trans, start = ref_transition_mask(ls)
+            tm = build_transition_mask(ls)
+            assert_same_bits(tm.trans, trans)
+            assert_same_bits(tm.start, start)
+            for valid in (True, False) * 6:
+                slots = random_bio_sequence(rng, trans, start, valid)
+                spans = bio_spans(slots, ls)
+                assert spans == ref_bio_spans(slots, ls)
+                assert repr(spans) == repr(ref_bio_spans(slots, ls))
+                caplog.clear()
+                assert validate_sample(Sample(("w",) * len(slots), 0, slots), ls) == []
+                got = [(r.levelno, r.getMessage()) for r in caplog.records]
+                caplog.clear()
+                ref_warn_bio_anomalies(slots, ls)
+                want = [(r.levelno, r.getMessage()) for r in caplog.records]
+                assert got == want
+                assert not (valid and want)
+                warned += bool(want)
+    assert warned > 0
 
 
 # --- prototypes and compute_loss on a SNIPS-shaped episode ----------------------

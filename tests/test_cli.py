@@ -319,3 +319,32 @@ class TestErrors:
         payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert payload["error"] == "MalformedInput"
         assert re.search(f"^{re.escape(str(bad))}: {match}", payload["message"])
+
+    @pytest.mark.parametrize("command, value, name", [
+        ("oracle-check", 0, "trials"), ("oracle-check", -3, "trials"),
+        ("ablate", 0, "seeds"), ("build-episodes", 0, "count"), ("build-episodes", -1, "count"),
+    ])
+    def test_count_below_one_yields_error_json(self, workspace, capsys, command, value, name):
+        """A run that would check, grid or build nothing fails on one JSON line
+        and writes no output."""
+        ws, cfg = workspace
+        out = ws / "o"
+        if command == "oracle-check":
+            argv = ["--trials", value, "--out", out]
+        elif command == "ablate":
+            build(ws, cfg)
+            argv = ["--config", cfg, "--episodes", ws / "eps_source.json",
+                    "--dev", ws / "eps_dev.json", "--test", ws / "eps_target.json",
+                    "--seeds", value, "--out", out]
+        else:
+            data = build(ws, cfg)
+            argv = ["--corpora", data / "source.json", "--shots", 5,
+                    "--count", value, "--out", out / "eps.json"]
+        capsys.readouterr()
+        assert run_cli(command, *argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.strip().splitlines()
+        assert json.loads(line) == {"error": "ValueError",
+                                    "message": f"--{name} must be >= 1, got {value}"}
+        assert not out.exists()

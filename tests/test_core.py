@@ -200,3 +200,14 @@ class TestLabelSpace:
             split_slot_label("X-artist")
         with pytest.raises(MalformedLabel):
             split_slot_label("B-")
+
+    def test_bio_rule_is_parsed_once_and_read_only(self):
+        ls = LabelSpace(("a",), ("I-semi-colon", "O", "B-semi-colon", "B-semi"))
+        assert ls.slot_types == ("semi-colon", None, "semi-colon", "semi")
+        assert ls.may_start.tolist() == [False, True, True, True]
+        # I-semi-colon may follow only its own type: not O, not B-semi
+        assert ls.may_follow[:, 0].tolist() == [True, False, True, False]
+        assert ls.may_follow[:, 1:].all()
+        for arr in (ls.may_start, ls.may_follow):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = True

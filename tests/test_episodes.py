@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from jmrm.core import LabelSpace, O_LABEL, Sample, validate_sample
+from jmrm.core import LabelSpace, O_LABEL, Sample, split_slot_label, validate_sample
 from jmrm.episodes import (
     Corpus,
     InsufficientCorpus,
@@ -150,7 +150,7 @@ class TestBuildEpisode:
 def strict_bio_valid(sample: Sample, ls: LabelSpace) -> bool:
     prev = None
     for sid in sample.slots:
-        kind, typ = ls.slot_kind(sid)
+        kind, typ = split_slot_label(ls.slot_labels[sid])
         if kind == "I" and (prev is None or prev[0] == "O" or prev[1] != typ):
             return False
         prev = (kind, typ)
@@ -212,7 +212,7 @@ class TestGenerateSynthetic:
             rel = {}
             for s in c.samples:
                 types = {
-                    c.label_space.slot_kind(sid)[1]
+                    split_slot_label(c.label_space.slot_labels[sid])[1]
                     for sid in s.slots
                     if c.label_space.slot_labels[sid] != O_LABEL
                 }

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import jmrm
-from jmrm.core import LabelSpace
+from jmrm.core import LabelSpace, split_slot_label
 from jmrm.lattice import (
     InfeasibleGold,
     InfeasibleLattice,
@@ -601,7 +601,7 @@ class TestTransitionStructure:
     def test_bio_open_columns_and_closed_successors(self):
         t_n = SNIPS_SPACE.n_slots
         tm = build_transition_mask(SNIPS_SPACE)
-        kinds = [SNIPS_SPACE.slot_kind(o) for o in range(t_n)]
+        kinds = [split_slot_label(name) for name in SNIPS_SPACE.slot_labels]
         opened = [o for o, (kind, _) in enumerate(kinds) if kind in ("O", "B")]
         assert tm.open_cols.tolist() == opened
         assert tm.closed_succ.shape == (t_n, 2)  # K = 1, then the sentinel

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from jmrm.core import LabelSpace
+from jmrm.core import LabelSpace, split_slot_label
 from jmrm.masks import (
     NEG_INF,
     TransitionMask,
@@ -78,12 +78,12 @@ class TestRelationMask:
 
 def bio_allows(ls: LabelSpace, o1: int | None, o2: int) -> bool:
     """Independent statement of the BIO adjacency rule."""
-    kind2, type2 = ls.slot_kind(o2)
+    kind2, type2 = split_slot_label(ls.slot_labels[o2])
     if kind2 in ("O", "B"):
         return True
     if o1 is None:
         return False
-    kind1, type1 = ls.slot_kind(o1)
+    kind1, type1 = split_slot_label(ls.slot_labels[o1])
     return kind1 in ("B", "I") and type1 == type2
 
 

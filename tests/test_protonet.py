@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from jmrm import experiments, protonet
-from jmrm.core import Episode, LabelSpace
+from jmrm.core import Episode, LabelSpace, parse_episodes, serialize_episodes
 from jmrm.encoder import EncoderConfig, encode_tokens, init_encoder
 from jmrm.episodes import SynthSpec, build_episode, generate_synthetic
 from jmrm.protonet import (
@@ -245,6 +245,31 @@ class TestKeptPrototypes:
         experiments.run_ablation(eps[:1], eps[1:], eps[2:], RunConfig(seed=2), enc_config, 2)
         assert builds == Counter({(ep.support, ep.label_space, replace(enc_config, seed=s))
                                   for ep in eps[1:] for s in (2, 3)})
+
+    def test_label_space_keys_by_its_names_alone(self):
+        """The parsed BIO rule a label space keeps is not part of its
+        equality, hash or repr, so the store's keys stay the names."""
+        twin = LabelSpace(tuple(self.LS.intents), tuple(self.LS.slot_labels))
+        assert twin == self.LS and hash(twin) == hash(self.LS)
+        assert twin.may_follow is not self.LS.may_follow
+        assert repr(twin) == "LabelSpace(intents=('play_music',), slot_labels=('O', 'B-artist'))"
+
+    def test_round_tripped_episodes_hit_the_store(self, enc, monkeypatch):
+        builds, build = [], protonet._build_prototypes
+
+        def counted(support, ls, encoder):
+            builds.append(ls)
+            return build(support, ls, encoder)
+
+        monkeypatch.setattr(protonet, "_build_prototypes", counted)
+        eps = synth_episodes(2)
+        parsed = parse_episodes(serialize_episodes(eps))
+        with keep_frozen_prototypes():
+            for ep, again in zip(eps, parsed):
+                assert again.label_space is not ep.label_space
+                protos = compute_prototypes(ep.support, ep.label_space, enc)
+                assert compute_prototypes(again.support, again.label_space, enc) is protos
+        assert len(builds) == len(eps)
 
     def test_kept_prototypes_are_read_only(self, enc):
         with keep_frozen_prototypes():

@@ -164,6 +164,9 @@ def cmd_train(args) -> int:
     with open(out / "training_log.jsonl", "w", encoding="utf-8") as fh:
         for entry in result.log:
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
+    _write_manifest(out, "train", {"run": asdict(cfg), "encoder": asdict(enc_cfg),
+                                   "episodes": str(args.episodes), "dev": str(args.dev)},
+                    cfg.seed)
     if diverged is not None:
         raise diverged
     best_dev = next(e["dev"] for e in result.log
@@ -173,9 +176,6 @@ def cmd_train(args) -> int:
         "best_step": result.best_step, "skipped_queries": result.skipped_queries,
         "metrics": best_dev,
     })
-    _write_manifest(out, "train", {"run": asdict(cfg), "encoder": asdict(enc_cfg),
-                                   "episodes": str(args.episodes), "dev": str(args.dev)},
-                    cfg.seed)
     print(json.dumps({"out": str(out), "best_step": result.best_step,
                       "best_dev_joint_acc": result.best_dev_joint_acc,
                       "skipped": result.skipped_queries}))

@@ -16,7 +16,8 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -60,8 +61,9 @@ class LabelSpace:
 
     Construction parses each slot label once into read-only fields outside
     equality, hash and repr: slot_types (X of B-X and I-X, None for O),
-    may_start (T,) (O and every B-X may open a sequence) and may_follow
-    (T, T) ([o1, o2] iff o2 may open a sequence, or is I-X after type X).
+    may_start (T,) (O and every B-X may open a sequence), may_follow
+    (T, T) ([o1, o2] iff o2 may open a sequence, or is I-X after type X),
+    and the name-to-id maps intent_ids and slot_ids.
     """
 
     intents: tuple[str, ...]
@@ -69,6 +71,8 @@ class LabelSpace:
     slot_types: tuple[str | None, ...] = field(init=False, repr=False, compare=False)
     may_start: np.ndarray = field(init=False, repr=False, compare=False)
     may_follow: np.ndarray = field(init=False, repr=False, compare=False)
+    intent_ids: Mapping[str, int] = field(init=False, repr=False, compare=False)
+    slot_ids: Mapping[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "intents", tuple(self.intents))
@@ -90,6 +94,11 @@ class LabelSpace:
             value.flags.writeable = False
             object.__setattr__(self, name, value)
         object.__setattr__(self, "slot_types", tuple(stype for _, stype in kinds))
+        for name, labels in (("intent_ids", self.intents), ("slot_ids", self.slot_labels)):
+            object.__setattr__(self, name, MappingProxyType({x: k for k, x in enumerate(labels)}))
+
+    def __reduce__(self):  # a mappingproxy does not pickle: rebuild from the names
+        return LabelSpace, (self.intents, self.slot_labels)
 
     @property
     def n_intents(self) -> int:
@@ -101,19 +110,17 @@ class LabelSpace:
 
     @property
     def o_id(self) -> int:
-        return self.slot_labels.index(O_LABEL)
+        return self.slot_ids[O_LABEL]
 
     def intent_id(self, name: str) -> int:
-        try:
-            return self.intents.index(name)
-        except ValueError:
-            raise LabelMismatch(f"unknown intent {name!r}") from None
+        if name not in self.intent_ids:
+            raise LabelMismatch(f"unknown intent {name!r}")
+        return self.intent_ids[name]
 
     def slot_id(self, name: str) -> int:
-        try:
-            return self.slot_labels.index(name)
-        except ValueError:
-            raise LabelMismatch(f"unknown slot label {name!r}") from None
+        if name not in self.slot_ids:
+            raise LabelMismatch(f"unknown slot label {name!r}")
+        return self.slot_ids[name]
 
 
 @dataclass(frozen=True)

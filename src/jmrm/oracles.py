@@ -120,12 +120,10 @@ def random_instance(
 
 
 def _random_bio_sequence(rng: np.random.Generator, ls: LabelSpace, m: int) -> tuple[int, ...]:
-    tm = build_transition_mask(ls)
-    seq = []
-    allowed = np.flatnonzero(np.isfinite(tm.start))
-    for i in range(m):
-        seq.append(int(rng.choice(allowed)))
-        allowed = np.flatnonzero(np.isfinite(tm.trans[seq[-1]]))
+    seq, allowed = [], ls.may_start
+    for _ in range(m):
+        seq.append(int(rng.choice(np.flatnonzero(allowed))))
+        allowed = ls.may_follow[seq[-1]]
     return tuple(seq)
 
 

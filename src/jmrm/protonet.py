@@ -166,39 +166,40 @@ def _row_similarities(rows: np.ndarray, protos: np.ndarray, kind: str) -> np.nda
 
 
 def similarity_grads(
-    e: np.ndarray, protos: np.ndarray, kind: str
+    e: np.ndarray, protos: np.ndarray, kind: str, d_s: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of similarity_to_protos for one (d,) embedding e:
-    (d s_n / d e, d s_n / d c_n).
-
-    Both returned arrays have shape (n, d): row n is the gradient of the
-    n-th similarity with respect to e and to the n-th prototype.
-    """
-    e = np.asarray(e, dtype=float)
-    protos = np.asarray(protos, dtype=float)
-    if kind == L2:
-        diff = e[None, :] - protos
-        return -2.0 * diff, 2.0 * diff
-    c_norms = _proto_norms(protos, kind)
-    unit_c = protos / c_norms[:, None]
-    if kind == VPB:
-        ds_de = unit_c
-        dots = protos @ e
-        ds_dc = (
-            e[None, :] / c_norms[:, None]
-            - dots[:, None] * protos / (c_norms**3)[:, None]
-            - unit_c / 2.0
-        )
-        return ds_de, ds_dc
-    if kind == COS:
-        e_norm = np.linalg.norm(e)
-        if e_norm == 0.0:
-            raise DegenerateVector("zero-norm embedding under cos similarity")
-        s = protos @ e / (e_norm * c_norms)
-        ds_de = protos / (e_norm * c_norms)[:, None] - s[:, None] * e[None, :] / e_norm**2
-        ds_dc = e[None, :] / (e_norm * c_norms)[:, None] - s[:, None] * protos / (c_norms**2)[:, None]
-        return ds_de, ds_dc
-    raise ValueError(f"unknown similarity kind {kind!r}")
+    """Backward of similarity_to_protos: for an (r, d) embedding matrix e,
+    (n, d) prototypes and the (r, n) upstream gradient d_s, returns d_e
+    (r, d) and d_protos (n, d).  The prototype-only terms are computed once;
+    each row's (n, d) Jacobians are contracted with its own gradient row,
+    and d_protos adds the rows in order, so the sums round as one call per
+    row did."""
+    e, protos = np.asarray(e, dtype=float), np.asarray(protos, dtype=float)
+    if kind not in SIMILARITY_KINDS:
+        raise ValueError(f"unknown similarity kind {kind!r}")
+    if kind != L2:
+        c_norms = _proto_norms(protos, kind)[:, None]
+        unit_c = protos / c_norms
+        half_unit_c, c_norms_2, c_norms_3 = unit_c / 2.0, c_norms**2, c_norms**3
+    d_e, d_c = np.empty_like(e), np.zeros_like(protos)
+    for i, (row, g) in enumerate(zip(e, d_s)):
+        if kind == L2:
+            diff = row - protos
+            ds_de, ds_dc = -2.0 * diff, 2.0 * diff
+        elif kind == VPB:
+            ds_de = unit_c
+            ds_dc = row / c_norms - (protos @ row)[:, None] * protos / c_norms_3 - half_unit_c
+        else:
+            e_norm = np.linalg.norm(row)
+            if e_norm == 0.0:
+                raise DegenerateVector(f"zero-norm embedding row {i} under cos similarity")
+            norms = e_norm * c_norms
+            s = protos @ row / norms[:, 0]
+            ds_de = protos / norms - s[:, None] * row / e_norm**2
+            ds_dc = row / norms - s[:, None] * protos / c_norms_2
+        d_e[i] = ds_de.T @ g
+        d_c += ds_dc * g[:, None]
+    return d_e, d_c
 
 
 def compute_emissions(

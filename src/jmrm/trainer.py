@@ -237,19 +237,13 @@ def compute_loss(
         return loss, None
 
     # chain rule through the similarities
-    ds_de_l, ds_dc_l = similarity_grads(q_utt, ctx.protos.intent_protos, kind)
-    d_q_utt = ds_de_l.T @ d_fl
-    d_c_intent = ds_dc_l * d_fl[:, None] / ctx.protos.intent_counts[:, None]
-    d_q_rows = np.empty_like(q_rows)
-    d_c_slot = np.zeros_like(ctx.protos.slot_protos)
-    for i in range(q_rows.shape[0]):
-        ds_de_o, ds_dc_o = similarity_grads(q_rows[i], ctx.protos.slot_protos, kind)
-        d_q_rows[i] = ds_de_o.T @ d_fo[i]
-        d_c_slot += ds_dc_o * d_fo[i][:, None]
+    d_q_utt, d_c_intent = similarity_grads(q_utt[None], ctx.protos.intent_protos, kind, d_fl[None])
+    d_q_rows, d_c_slot = similarity_grads(q_rows, ctx.protos.slot_protos, kind, d_fo)
+    d_c_intent /= ctx.protos.intent_counts[:, None]
     d_c_slot /= ctx.protos.slot_counts[:, None]
 
     grads = zero_grads(enc.params)
-    encoder_backward(enc.params, enc.config, q_state, d_rows=d_q_rows, d_utt=d_q_utt, out=grads)
+    encoder_backward(enc.params, enc.config, q_state, d_rows=d_q_rows, d_utt=d_q_utt[0], out=grads)
     # prototypes are per-class means over the support set, so each support
     # utterance and token gets its class's gradient share; the support's
     # forward state was kept when the context built the prototypes

@@ -1,22 +1,23 @@
 """The loop-free encoder window, prototype and separate-loss paths, the
-row-batched emissions, the backward pass from a kept forward state, the
-transition mask, the structured sum-product sweep, the training loop, the
-K-shot support selection, the labeled-file writer, the ablation grid, the
-batched decoder, and the BIO spans and gold warnings read from the label
-space's one adjacency rule are bit-identical to the code they replaced.
+row-batched emissions and similarity backward, the backward pass from a
+kept forward state, the transition mask, the structured sum-product
+sweep, the training loop, the K-shot support selection, the labeled-file
+writer, the ablation grid, the batched decoder, and the BIO spans and
+gold warnings read from the label space's one adjacency rule are
+bit-identical to the code they replaced.
 
 The references below are that code: a per-position window mean, the
 (i, j) double loop that scatters the window gradient, per-token prototype
 sums, the 2-D ufunc.at window, prototype sums and token-based backward
-scatter, one similarity call per embedding row, the prototype gradient
-spread through per-class member lists, one softmax cross-entropy per
-token, the (o1, o2) double loop over BIO cells, the dense per-intent
-log_partition, the training loop that selected the masks per query
-and rebuilt a context after every step, the support selection that
-recounted the whole selection after every move, the per-file record
-builders, the grid that built every cell's prototypes anew, the decoder
-that ran one Viterbi call per query, and the span and warning loops that
-parsed every token's label.  Every comparison is exact, not a tolerance:
+scatter, one similarity call and one similarity-gradient contraction per
+embedding row, the prototype gradient spread through per-class member
+lists, one softmax cross-entropy per token, the (o1, o2) double loop over
+BIO cells, the dense per-intent log_partition, the training loop that
+selected the masks per query and rebuilt a context after every step, the
+support selection that recounted the whole selection after every move,
+the per-file record builders, the grid that built every cell's prototypes
+anew, the decoder that ran one Viterbi call per query, and the span and
+warning loops that parsed every token's label.  Every comparison is exact, not a tolerance:
 the benchmark's snips-train quality guards record how rounding breaks
 near-tied intent scores, so they depend on the exact bits.
 assert_same_bits compares bytes, so it also tells -0.0 from 0.0, as the
@@ -92,6 +93,7 @@ from jmrm.protonet import (
     DegenerateVector,
     compute_emissions,
     compute_prototypes,
+    similarity_grads,
     similarity_to_protos,
 )
 from jmrm.trainer import (
@@ -592,6 +594,28 @@ def test_row_batched_similarity_matches_rows(kind, r, t_n, scale):
             want = np.stack([ref_similarity_to_protos(x, p, kind) for x in e])
             assert_same_bits(similarity_to_protos(e, p, kind), want)
             assert_same_bits(similarity_to_protos(e[-1], p, kind), want[-1])
+
+
+@pytest.mark.parametrize("t_n", [9, 79])
+@pytest.mark.parametrize("r", [1, 12, 40])
+@pytest.mark.parametrize("kind", KINDS)
+def test_similarity_backward_matches_per_row_contraction(kind, r, t_n):
+    """One similarity_grads call over an (r, d) matrix gives the bits of the
+    loop compute_loss ran: one Jacobian pair per row, contracted with its
+    gradient row, the prototype gradient summed in row order.  A masked
+    emission's upstream gradient is exactly zero, so d_s holds zeros too."""
+    rng = np.random.default_rng([r, t_n, len(kind)])
+    protos = rng.standard_normal((t_n, 32))
+    rows = rng.standard_normal((r, 32))
+    d_s = np.where(rng.random((r, t_n)) < 0.3, 0.0, rng.standard_normal((r, t_n)))
+    want_e, want_c = np.empty_like(rows), np.zeros_like(protos)
+    for i in range(r):
+        ds_de, ds_dc = ref_similarity_grads(rows[i], protos, kind)
+        want_e[i] = ds_de.T @ d_s[i]
+        want_c += ds_dc * d_s[i][:, None]
+    d_e, d_c = similarity_grads(rows, protos, kind, d_s)
+    assert_same_bits(d_e, want_e)
+    assert_same_bits(d_c, want_c)
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -143,6 +143,12 @@ class TestPipeline:
         assert log[0]["event"] == "eval"
         load_encoder(ws / "run" / "checkpoint.json")  # rejects non-finite entries
         assert not (ws / "run" / "dev_metrics.json").exists()
+        # the config and seed that reproduce the divergence
+        manifest = json.loads((ws / "run" / "manifest.json").read_text())
+        assert manifest["command"] == "train" and manifest["seed"] == 0
+        run = json.loads(cfg.read_text())["run"]
+        assert {k: manifest["config"]["run"][k] for k in run} == run
+        assert manifest["config"]["encoder"]["kind"] == "trainable"
 
     def test_training_log_is_jsonl(self, workspace):
         ws, cfg = workspace

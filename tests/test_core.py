@@ -2,6 +2,7 @@
 
 import json
 import logging
+import pickle
 
 import numpy as np
 import pytest
@@ -211,3 +212,25 @@ class TestLabelSpace:
         for arr in (ls.may_start, ls.may_follow):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = True
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_ids_are_tuple_indexes(self, seed):
+        """The name-to-id maps give every name its index, in shuffled BIO
+        spaces, and an unknown name raises LabelMismatch as before."""
+        rng = np.random.default_rng(seed)
+        types = [f"t{k}" for k in range(int(rng.integers(0, 6)))]
+        slots = ["O"] + [f"{p}-{t}" for t in types for p in "BI" if rng.random() < 0.8]
+        ls = LabelSpace(tuple(f"intent{k}" for k in rng.permutation(int(rng.integers(1, 5)))),
+                        tuple(rng.permutation(slots)))
+        assert [ls.intent_id(x) for x in ls.intents] == [ls.intents.index(x) for x in ls.intents]
+        assert [ls.slot_id(x) for x in ls.slot_labels] == [ls.slot_labels.index(x) for x in ls.slot_labels]
+        assert ls.o_id == ls.slot_labels.index("O")
+        for bad in ("B-zz", "o", ""):
+            with pytest.raises(LabelMismatch, match=f"^unknown slot label {bad!r}$"):
+                ls.slot_id(bad)
+        with pytest.raises(LabelMismatch, match="^unknown intent 'intent9'$"):
+            ls.intent_id("intent9")
+        with pytest.raises(TypeError):
+            ls.slot_ids["O"] = 1  # read-only
+        copy = pickle.loads(pickle.dumps(ls))  # rebuilds the maps
+        assert copy == ls and copy.slot_ids == ls.slot_ids and copy.intent_ids == ls.intent_ids

@@ -1,7 +1,8 @@
 """Source hygiene, checked with the standard library alone: no module of the
-package or of the test suite imports a name it never uses, every jmrm
-name the benchmark patches exists, and a traced benchmark round records
-the lattice spans its per-layer figures are made of."""
+package, the test suite, the demos or the benchmark scripts imports a name
+it never uses (the scan only reads them), every jmrm name the benchmark
+patches exists, and a traced benchmark round records the lattice spans its
+per-layer figures are made of."""
 
 import ast
 import importlib
@@ -11,7 +12,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted((ROOT / "src" / "jmrm").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+FILES = [path for folder in ("src/jmrm", "tests", "demos", "benchmarks")
+         for path in sorted((ROOT / folder).glob("*.py"))]
 
 
 def unused_imports(path: Path) -> list[str]:

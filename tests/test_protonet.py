@@ -109,24 +109,31 @@ class TestSimilarity:
                 assert int(np.argmax(s2)) == int(np.argmax(s))
 
     def test_similarity_grads_finite_difference(self):
-        rng = np.random.default_rng(4)
+        """d_e and d_protos of L = sum(d_s * S(e, protos)), S scored by the
+        scalar reference, against central differences in every entry, for
+        every kind and for one and several rows."""
         step = 1e-6
         for kind in ("cos", "l2", "vpb"):
-            e = rng.standard_normal(5)
-            protos = rng.standard_normal((3, 5))
-            ds_de, ds_dc = similarity_grads(e, protos, kind)
-            for n in range(3):
-                for j in range(5):
-                    up, down = e.copy(), e.copy()
-                    up[j] += step
-                    down[j] -= step
-                    fd = (similarity(up, protos[n], kind) - similarity(down, protos[n], kind)) / (2 * step)
-                    assert ds_de[n, j] == pytest.approx(fd, abs=1e-6)
-                    cu, cd = protos.copy(), protos.copy()
-                    cu[n, j] += step
-                    cd[n, j] -= step
-                    fd = (similarity(e, cu[n], kind) - similarity(e, cd[n], kind)) / (2 * step)
-                    assert ds_dc[n, j] == pytest.approx(fd, abs=1e-6)
+            for r in (1, 4):
+                rng = np.random.default_rng([4, r, len(kind)])
+                e = rng.standard_normal((r, 5))
+                protos = rng.standard_normal((3, 5))
+                d_s = rng.standard_normal((r, 3))
+
+                def loss(e, protos):
+                    return sum(d_s[i, n] * similarity(e[i], protos[n], kind)
+                               for i in range(r) for n in range(3))
+
+                d_e, d_protos = similarity_grads(e, protos, kind, d_s)
+                assert d_e.shape == (r, 5) and d_protos.shape == (3, 5)
+                for x, grad, moved in ((e, d_e, lambda x: loss(x, protos)),
+                                       (protos, d_protos, lambda x: loss(e, x))):
+                    for idx in np.ndindex(x.shape):
+                        up, down = x.copy(), x.copy()
+                        up[idx] += step
+                        down[idx] -= step
+                        fd = (moved(up) - moved(down)) / (2 * step)
+                        assert grad[idx] == pytest.approx(fd, abs=1e-6), (kind, r, idx)
 
 
 class TestPrototypes:
@@ -413,6 +420,14 @@ class TestDegenerateRows:
     def test_zero_embedding_row_under_cos_names_the_row(self):
         episode, enc = self.case("<unk>")
         self.assert_raises_cleanly(episode, enc, COS, "zero-norm embedding row 1 under cos")
+
+    def test_similarity_grads_names_the_zero_cos_row(self):
+        rows, protos = np.ones((4, 3)), np.eye(3)
+        rows[2] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateVector, match="zero-norm embedding row 2 under cos"):
+                similarity_grads(rows, protos, COS, np.ones((4, 3)))
 
     @pytest.mark.parametrize("kind", [VPB, COS])
     def test_zero_prototype(self, kind):

@@ -160,6 +160,24 @@ class TestComputeLoss:
             assert grads is None  # frozen encoder has no parameters
 
 
+    @pytest.mark.parametrize("kind", ["cos", "l2", "vpb"])
+    def test_similarity_backward_is_two_calls_per_query(self, monkeypatch, kind):
+        """One backward call for the utterance embedding, one for the token
+        matrix, whatever the query's length."""
+        episode = snips_shaped_episode(np.random.default_rng(0))
+        vocab = [t for s in episode.support for t in s.tokens]
+        enc = init_encoder(EncoderConfig(kind="trainable", dim=8, seed=0), vocab)
+        cfg = RunConfig(similarity_kind=kind)
+        ctx = build_context(episode, enc, cfg)
+        calls, grads = [], jmrm.trainer.similarity_grads
+        monkeypatch.setattr(jmrm.trainer, "similarity_grads",
+                            lambda e, *a: calls.append(e.shape) or grads(e, *a))
+        for query in episode.query:
+            calls.clear()
+            compute_loss(query, ctx, cfg)
+            assert calls == [(1, 8), (len(query), 8)]
+
+
 class TestLargeInstanceGradient:
     """Directional finite differences on SNIPS-shaped episodes (Y=7, T=79,
     56 support samples), beyond the reach of the tiny-episode oracles:

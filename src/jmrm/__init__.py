@@ -16,8 +16,6 @@ from .core import (
     MalformedInput,
     MalformedLabel,
     Sample,
-    SlotSpan,
-    bio_spans,
     load_episode_file,
     parse_episodes,
     save_episode_file,

@@ -1,5 +1,5 @@
 """Core domain types, the BIO slot grammar, the JSON input boundary,
-labeled-file I/O, the episode label-space rule, and BIO spans.
+labeled-file I/O, and the episode label-space rule.
 
 A labeled sample is a tokenized utterance with one intent label and one
 slot label per token (BIO scheme).  An episode bundles a small labeled
@@ -7,7 +7,8 @@ support set with a query set and an episode-local label space.  Label ids
 are dense integers in declaration order, so masks and prototype matrices
 are index-aligned with the label space.  A label space parses its slot
 labels once and owns the BIO rule of which may open a sequence and which
-may follow which; the transition mask, spans and gold warnings read it.
+may follow which; the transition mask, span scoring and gold warnings
+read it.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class LabelSpace:
     """Ordered intent and slot label names; the index of a name is its id.
 
     Construction parses each slot label once into read-only fields outside
-    equality, hash and repr: slot_types (X of B-X and I-X, None for O),
+    equality, hash and repr: slot_types (T,) (X of B-X and I-X, "" for O),
     may_start (T,) (O and every B-X may open a sequence), may_follow
     (T, T) ([o1, o2] iff o2 may open a sequence, or is I-X after type X),
     and the name-to-id maps intent_ids and slot_ids.
@@ -68,7 +69,7 @@ class LabelSpace:
 
     intents: tuple[str, ...]
     slot_labels: tuple[str, ...]
-    slot_types: tuple[str | None, ...] = field(init=False, repr=False, compare=False)
+    slot_types: np.ndarray = field(init=False, repr=False, compare=False)
     may_start: np.ndarray = field(init=False, repr=False, compare=False)
     may_follow: np.ndarray = field(init=False, repr=False, compare=False)
     intent_ids: Mapping[str, int] = field(init=False, repr=False, compare=False)
@@ -88,12 +89,12 @@ class LabelSpace:
         kinds = [split_slot_label(name) for name in self.slot_labels]
         may_start = np.array([prefix != "I" for prefix, _ in kinds])
         # O has no type, and "" never equals a B/I type (those are non-empty)
-        types = np.array([stype or "" for _, stype in kinds], dtype=str)
-        may_follow = may_start | (types[:, None] == types)
-        for name, value in (("may_start", may_start), ("may_follow", may_follow)):
+        slot_types = np.array([stype or "" for _, stype in kinds], dtype=str)
+        may_follow = may_start | (slot_types[:, None] == slot_types)
+        for name, value in (("slot_types", slot_types), ("may_start", may_start),
+                            ("may_follow", may_follow)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "slot_types", tuple(stype for _, stype in kinds))
         for name, labels in (("intent_ids", self.intents), ("slot_ids", self.slot_labels)):
             object.__setattr__(self, name, MappingProxyType({x: k for k, x in enumerate(labels)}))
 
@@ -144,19 +145,6 @@ class Sample:
 
 
 @dataclass(frozen=True)
-class SlotSpan:
-    """A typed token span [start, end) extracted from a BIO sequence."""
-
-    slot_type: str
-    start: int
-    end: int
-
-    def __post_init__(self):
-        if not 0 <= self.start < self.end:
-            raise ValueError(f"invalid span bounds [{self.start}, {self.end})")
-
-
-@dataclass(frozen=True)
 class Episode:
     """A support set, a query set, and the episode-local label space."""
 
@@ -200,25 +188,6 @@ def validate_sample(sample: Sample, ls: LabelSpace) -> list[str]:
     return violations
 
 
-def bio_spans(slots: Sequence[int], ls: LabelSpace) -> list[SlotSpan]:
-    """Extract typed spans from a (possibly invalid) BIO slot id sequence.
-
-    Lenient conlleval semantics: B-X opens a span, I-X extends one it may
-    follow (of type X) and otherwise opens one, and O closes any open span.
-    """
-    spans: list[SlotSpan] = []
-    open_type, open_start = None, 0
-    for i, sid in enumerate(slots):
-        if i and not ls.may_start[sid] and ls.may_follow[slots[i - 1], sid]:
-            continue
-        if open_type is not None:
-            spans.append(SlotSpan(open_type, open_start, i))
-        open_type, open_start = ls.slot_types[sid], i
-    if open_type is not None:
-        spans.append(SlotSpan(open_type, open_start, len(slots)))
-    return spans
-
-
 # --- JSON input boundary -------------------------------------------------
 #
 # Every JSON input is decoded by parse_json and every config dataclass is
@@ -239,6 +208,13 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{text} is not a finite number")
     return value
+
+
+def _is_finite(value: int | float) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond float range
+        return False
 
 
 def parse_json(data: bytes | str, where: str):
@@ -271,8 +247,8 @@ def config_from_dict(cls, obj, what: str):
     for key, value in obj.items():
         if type(value) not in _JSON_TYPES[types[key]]:
             raise MalformedInput(f"bad {what}: {key} must be {types[key]}")
-        if type(value) is float and not math.isfinite(value):
-            raise MalformedInput(f"bad {what}: {key} must be finite, not {value}")
+        if types[key] == "float" and not _is_finite(value):
+            raise MalformedInput(f"bad {what}: {key} must be finite and within float range")
     try:
         return cls(**obj)
     except (TypeError, ValueError) as exc:

@@ -263,6 +263,8 @@ def load_encoder(path) -> Encoder:
     vocab, d = payload.get("vocab"), config.dim
     if not (isinstance(vocab, list) and vocab and all(isinstance(t, str) for t in vocab)):
         raise MalformedInput(f"{path}: vocab must be a non-empty list of tokens")
+    if vocab[0] != UNK_TOKEN or len(set(vocab)) != len(vocab):
+        raise MalformedInput(f"{path}: vocab must be {UNK_TOKEN!r} then distinct tokens")
     matrices = {}
     for name, shape in (("token_table", (len(vocab), d)), ("projection", (d, d)), ("bias", (d,))):
         try:

@@ -9,9 +9,12 @@ the entire slot sequence are exactly right.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
-from .core import LabelSpace, LengthMismatch, Sample, bio_spans
+import numpy as np
+
+from .core import LabelMismatch, LabelSpace, LengthMismatch, Sample
 
 
 @dataclass(frozen=True)
@@ -86,32 +89,39 @@ def score(
     golds: Sequence[Sample],
     ls: LabelSpace,
 ) -> MetricsSummary:
-    """Score aligned (intent id, slot id sequence) predictions against gold samples."""
+    """Score aligned (intent id, slot id sequence) predictions against gold samples.
+
+    Spans are counted over all queries' gold and predicted slot ids at once:
+    a position is a cut iff it starts a query, its label may open a span,
+    or its label may not follow the one before it.  A span opens at each
+    cut whose label is not O, and ends at the next cut.
+    """
     if len(predictions) != len(golds):
-        raise LengthMismatch(
-            f"{len(predictions)} predictions vs {len(golds)} gold samples"
-        )
-    n_intent = n_joint = n_gold = n_pred = n_correct = 0
-    for (pred_intent, pred_slots), gold in zip(predictions, golds):
-        pred_slots = list(pred_slots)
-        if len(pred_slots) != len(gold.slots):
-            raise LengthMismatch(
-                f"{len(pred_slots)} predicted slots vs {len(gold.slots)} tokens"
-            )
-        intent_ok = pred_intent == gold.intent
-        slots_ok = tuple(pred_slots) == gold.slots
-        n_intent += intent_ok
-        n_joint += intent_ok and slots_ok
-        gold_spans = set(bio_spans(gold.slots, ls))
-        pred_spans = set(bio_spans(pred_slots, ls))
-        n_gold += len(gold_spans)
-        n_pred += len(pred_spans)
-        n_correct += len(gold_spans & pred_spans)
-    return MetricsSummary(
-        n_queries=len(golds),
-        n_intent_correct=n_intent,
-        n_joint_correct=n_joint,
-        n_gold_spans=n_gold,
-        n_pred_spans=n_pred,
-        n_correct_spans=n_correct,
-    )
+        raise LengthMismatch(f"{len(predictions)} predictions vs {len(golds)} gold samples")
+    lengths = np.array([len(gold.slots) for gold in golds], dtype=np.intp)
+    for (_, slots), m in zip(predictions, lengths.tolist()):
+        if len(slots) != m:
+            raise LengthMismatch(f"{len(slots)} predicted slots vs {m} tokens")
+    n = int(lengths.sum())
+    flat = np.stack([np.fromiter(chain.from_iterable(seqs), np.intp, n) for seqs in
+                     ((gold.slots for gold in golds), (slots for _, slots in predictions))])
+    low, high = (flat.min(), flat.max()) if n else (0, 0)
+    if not 0 <= low <= high < ls.n_slots:
+        raise LabelMismatch(f"slot ids must lie in [0, {ls.n_slots}), not {low} to {high}")
+    cut = np.ones((2, n + 1), dtype=bool)
+    cut[:, :n] = ls.may_start[flat]
+    cut[:, 1:n] |= ~ls.may_follow[flat[:, :-1], flat[:, 1:]]
+    cut[:, np.cumsum(lengths) - lengths] = True
+    opens = cut[:, :n] & (flat != ls.o_id)
+    # a span opening at i ends at the first cut after i
+    ends = np.minimum.accumulate(np.where(cut, np.arange(n + 1), n)[:, :0:-1], axis=1)[:, ::-1]
+    gold, pred = flat
+    same_type = ls.slot_types[gold] == ls.slot_types[pred]
+    correct = opens.all(axis=0) & (ends[0] == ends[1]) & same_type
+    intent_ok = np.array([y for y, _ in predictions]) == np.array([g.intent for g in golds])
+    query_of = np.repeat(np.arange(len(golds)), lengths)
+    slots_ok = np.bincount(query_of[gold != pred], minlength=len(golds)) == 0
+    n_gold, n_pred = np.count_nonzero(opens, axis=1).tolist()
+    return MetricsSummary(len(golds), int(np.count_nonzero(intent_ok)),
+                          int(np.count_nonzero(intent_ok & slots_ok)),
+                          n_gold, n_pred, int(np.count_nonzero(correct)))

@@ -31,7 +31,7 @@ def music_space() -> LabelSpace:
 #
 # A close transliteration of the classic conlleval chunk bookkeeping based
 # on start-of-chunk / end-of-chunk predicates, entirely independent of
-# jmrm.core.bio_spans.  Operates on label STRINGS.
+# jmrm.metrics.score.  Operates on label STRINGS.
 
 
 def _split(tag: str):

@@ -2,7 +2,7 @@
 row-batched emissions and similarity backward, the backward pass from a
 kept forward state, the transition mask, the structured sum-product
 sweep, the training loop, the K-shot support selection, the labeled-file
-writer, the ablation grid, the batched decoder, and the BIO spans and
+writer, the ablation grid, the batched decoder, and the span counts and
 gold warnings read from the label space's one adjacency rule are
 bit-identical to the code they replaced.
 
@@ -29,7 +29,7 @@ import json
 import logging
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -48,8 +48,6 @@ from jmrm.core import (
     Episode,
     LabelSpace,
     Sample,
-    SlotSpan,
-    bio_spans,
     sample_to_dict,
     serialize_episodes,
     split_slot_label,
@@ -439,13 +437,15 @@ def test_transition_mask_matches_cell_loop(ls):
     assert_same_bits(tm.start, start)
 
 
-# --- the one BIO adjacency rule: spans, the gold warning and the mask ----------
+# --- the one BIO adjacency rule: span counts, the gold warning and the mask ----
 #
 # ref_bio_spans and ref_warn_bio_anomalies are bio_spans and the warning
 # helper validate_sample called (_warn_bio_anomalies) as they were,
-# re-parsing the label of every token.  The only edits: LabelSpace.slot_kind,
-# which is gone, is spelled out as split_slot_label(ls.slot_labels[sid]), and
-# the warning goes to the reference's own logger.
+# re-parsing the label of every token, and SlotSpan is the span type
+# bio_spans returned.  The only edits: LabelSpace.slot_kind, which is gone,
+# is spelled out as split_slot_label(ls.slot_labels[sid]), and the warning
+# goes to the reference's own logger.  metrics.score must count what it
+# counted before, from one set of ref_bio_spans per gold and predicted query.
 
 ref_logger = logging.getLogger("ref_bio")
 
@@ -460,6 +460,19 @@ def ref_warn_bio_anomalies(slots: Sequence[int], ls: LabelSpace) -> None:
                 ls.slot_labels[sid], i,
             )
         prev_kind, prev_type = kind, typ
+
+
+@dataclass(frozen=True)
+class SlotSpan:
+    """A typed token span [start, end) extracted from a BIO sequence."""
+
+    slot_type: str
+    start: int
+    end: int
+
+    def __post_init__(self):
+        if not 0 <= self.start < self.end:
+            raise ValueError(f"invalid span bounds [{self.start}, {self.end})")
 
 
 def ref_bio_spans(slots: Sequence[int], ls: LabelSpace) -> list[SlotSpan]:
@@ -504,10 +517,21 @@ def random_bio_sequence(rng, trans, start, valid: bool) -> list[int]:
     return slots
 
 
+def ref_span_counts(predictions, golds: Sequence[Sample], ls: LabelSpace) -> tuple[int, int, int]:
+    """(gold, predicted, correct) spans, counted from per-query span sets."""
+    counts = [0, 0, 0]
+    for (_, pred_slots), gold in zip(predictions, golds):
+        gold_spans = set(ref_bio_spans(gold.slots, ls))
+        pred_spans = set(ref_bio_spans(pred_slots, ls))
+        for k, spans in enumerate((gold_spans, pred_spans, gold_spans & pred_spans)):
+            counts[k] += len(spans)
+    return tuple(counts)
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_bio_rule_matches_label_parsing(seed, caplog):
     rng = np.random.default_rng(seed)
-    warned = 0
+    warned = matched = 0
     with caplog.at_level(logging.WARNING):
         for _ in range(60):
             ls = random_bio_space(rng)
@@ -515,13 +539,16 @@ def test_bio_rule_matches_label_parsing(seed, caplog):
             tm = build_transition_mask(ls)
             assert_same_bits(tm.trans, trans)
             assert_same_bits(tm.start, start)
+            golds, predictions = [], []
             for valid in (True, False) * 6:
                 slots = random_bio_sequence(rng, trans, start, valid)
-                spans = bio_spans(slots, ls)
-                assert spans == ref_bio_spans(slots, ls)
-                assert repr(spans) == repr(ref_bio_spans(slots, ls))
+                # a prediction that keeps a random share of the gold labels
+                kept = rng.random(len(slots)) < rng.random()
+                pred = np.where(kept, slots, rng.integers(0, ls.n_slots, len(slots)))
+                golds.append(Sample(("w",) * len(slots), 0, slots))
+                predictions.append((0, pred.tolist()))
                 caplog.clear()
-                assert validate_sample(Sample(("w",) * len(slots), 0, slots), ls) == []
+                assert validate_sample(golds[-1], ls) == []
                 got = [(r.levelno, r.getMessage()) for r in caplog.records]
                 caplog.clear()
                 ref_warn_bio_anomalies(slots, ls)
@@ -529,7 +556,11 @@ def test_bio_rule_matches_label_parsing(seed, caplog):
                 assert got == want
                 assert not (valid and want)
                 warned += bool(want)
-    assert warned > 0
+            m = score(predictions, golds, ls)
+            counts = (m.n_gold_spans, m.n_pred_spans, m.n_correct_spans)
+            assert counts == ref_span_counts(predictions, golds, ls)
+            matched += m.n_correct_spans
+    assert warned > 0 and matched > 0
 
 
 # --- prototypes and compute_loss on a SNIPS-shaped episode ----------------------

@@ -284,6 +284,7 @@ class TestErrors:
         ("report", b"[1, 2]"),
         ("train", b'{"run": {"learning_rate": NaN}}'),
         ("train", b'{"run": {"lam": 1e400}}'),
+        ("train", b'{"run": {"lam": 1' + b"0" * 400 + b'}}'),
         ("eval", b'{"magic": "JMRM-ENC-v1", "config": {"kind": "hashed-frozen", "dim": 2, '
                  b'"context_window": 0, "init_scale": NaN, "seed": 0}}'),
         ("report", b'{"records": [{"similarity": "cos", "metrics": '

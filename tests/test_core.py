@@ -1,4 +1,4 @@
-"""Core types, episode parsing, validation, and BIO span extraction."""
+"""Core types, episode parsing, validation, and the BIO span rule."""
 
 import json
 import logging
@@ -14,14 +14,13 @@ from jmrm.core import (
     MalformedInput,
     MalformedLabel,
     Sample,
-    SlotSpan,
-    bio_spans,
     parse_episodes,
     serialize_episodes,
     split_slot_label,
     validate_sample,
 )
 from jmrm.episodes import SynthSpec, build_episode, generate_synthetic
+from jmrm.metrics import score
 
 from conftest import conlleval_counts, make_sample, random_bio_strings
 
@@ -144,32 +143,51 @@ class TestValidateSample:
 
 
 class TestBioSpans:
+    """The label space's lenient BIO span rule, as metrics.score counts it:
+    (correct, gold, predicted) spans of one query."""
+
+    @staticmethod
+    def counts(ls, gold, pred) -> tuple[int, int, int]:
+        m = score([(0, pred)], [Sample(("w",) * len(gold), 0, tuple(gold))], ls)
+        return m.n_correct_spans, m.n_gold_spans, m.n_pred_spans
+
+    @staticmethod
+    def ids(ls, labels: str) -> list[int]:
+        return [ls.slot_id(x) for x in labels.split()]
+
     def test_basic_span(self, music_space):
-        slots = [music_space.slot_id(x) for x in ("B-city", "I-city", "O")]
-        assert bio_spans(slots, music_space) == [SlotSpan("city", 0, 2)]
+        gold = self.ids(music_space, "B-city I-city O")
+        assert self.counts(music_space, gold, gold) == (1, 1, 1)
+        # the one span is city [0, 2): another end or type does not match it
+        for pred in ("B-city O O", "B-city I-city I-city", "B-artist I-artist O"):
+            assert self.counts(music_space, gold, self.ids(music_space, pred)) == (0, 1, 1)
 
     def test_all_o(self, music_space):
-        assert bio_spans([music_space.o_id] * 3, music_space) == []
+        o = [music_space.o_id] * 3
+        assert self.counts(music_space, o, o) == (0, 0, 0)
 
     def test_conlleval_repair(self, music_space):
-        slots = [music_space.slot_id(x) for x in ("I-artist", "I-artist", "B-artist")]
-        assert bio_spans(slots, music_space) == [
-            SlotSpan("artist", 0, 2),
-            SlotSpan("artist", 2, 3),
-        ]
+        # an I-artist that opens the sequence opens a span: artist [0, 2), artist [2, 3)
+        gold = self.ids(music_space, "I-artist I-artist B-artist")
+        for pred, want in (("B-artist I-artist B-artist", (2, 2, 2)),
+                           ("I-artist B-artist B-artist", (1, 2, 3)),
+                           ("B-artist I-artist I-artist", (0, 2, 1))):
+            assert self.counts(music_space, gold, self.ids(music_space, pred)) == want
 
     def test_spans_sorted_nonoverlapping_and_trailing_o_invariant(self, music_space):
         rng = np.random.default_rng(7)
+        o = [music_space.o_id]
         for _ in range(200):
             m = int(rng.integers(1, 9))
-            slots = [int(i) for i in rng.integers(0, music_space.n_slots, size=m)]
-            spans = bio_spans(slots, music_space)
-            for a, b in zip(spans, spans[1:]):
-                assert a.end <= b.start
-            assert spans == bio_spans(slots + [music_space.o_id], music_space)
+            gold, pred = (rng.integers(0, music_space.n_slots, size=(2, m))).tolist()
+            # a sequence matches each of its spans once, and opens at most one per token
+            n_self, n_gold, n_pred = self.counts(music_space, gold, gold)
+            assert n_self == n_gold == n_pred <= m
+            counts = self.counts(music_space, gold, pred)
+            assert counts == self.counts(music_space, gold + o, pred + o)
 
     def test_matches_reference_conlleval_extraction(self, music_space):
-        # bio_spans applied to (gold, pred) pairs reproduces the reference
+        # the span counts of (gold, pred) pairs reproduce the reference
         # chunk counts, including the lenient I-repair
         rng = np.random.default_rng(3)
         for _ in range(100):
@@ -178,10 +196,7 @@ class TestBioSpans:
             pred = random_bio_strings(rng, ["artist", "city"], m)
             gold_ids = [music_space.slot_id(x) for x in gold]
             pred_ids = [music_space.slot_id(x) for x in pred]
-            gs = set(bio_spans(gold_ids, music_space))
-            ps = set(bio_spans(pred_ids, music_space))
-            correct, n_gold, n_pred = conlleval_counts([gold], [pred])
-            assert (len(gs & ps), len(gs), len(ps)) == (correct, n_gold, n_pred)
+            assert self.counts(music_space, gold_ids, pred_ids) == conlleval_counts([gold], [pred])
 
 
 class TestLabelSpace:
@@ -204,12 +219,12 @@ class TestLabelSpace:
 
     def test_bio_rule_is_parsed_once_and_read_only(self):
         ls = LabelSpace(("a",), ("I-semi-colon", "O", "B-semi-colon", "B-semi"))
-        assert ls.slot_types == ("semi-colon", None, "semi-colon", "semi")
+        assert ls.slot_types.tolist() == ["semi-colon", "", "semi-colon", "semi"]
         assert ls.may_start.tolist() == [False, True, True, True]
         # I-semi-colon may follow only its own type: not O, not B-semi
         assert ls.may_follow[:, 0].tolist() == [True, False, True, False]
         assert ls.may_follow[:, 1:].all()
-        for arr in (ls.may_start, ls.may_follow):
+        for arr in (ls.slot_types, ls.may_start, ls.may_follow):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = True
 

@@ -297,6 +297,14 @@ class TestCheckpointValidation:
         payload["projection"][0] = [1.0]
         self.rejects(path, payload, "projection is missing or not a numeric array")
 
+    @pytest.mark.parametrize("vocab", [["<unk>", "alpha", "alpha"], ["<unk>", "alpha", "<unk>"],
+                                       ["alpha", "<unk>", "beta"], ["alpha", "beta", "gamma"]])
+    def test_vocab_duplicate_or_without_unk_first(self, saved, vocab):
+        # each row must be reachable, and row 0 is the one unknown tokens read
+        path, payload = saved
+        payload["vocab"] = vocab
+        self.rejects(path, payload, "vocab must be '<unk>' then distinct tokens")
+
     def test_vocab_not_a_token_list(self, saved):
         path, payload = saved
         payload["vocab"] = []

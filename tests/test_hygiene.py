@@ -1,7 +1,8 @@
 """Source hygiene, checked with the standard library alone: no module of the
 package, the test suite, the demos or the benchmark scripts imports a name
-it never uses (the scan only reads them), every jmrm name the benchmark
-patches exists, and a traced benchmark round records the lattice spans its
+it never uses (the scan only reads them), the package defines no public
+name that only the tests read, every jmrm name the benchmark patches
+exists, and a traced benchmark round records the lattice spans its
 per-layer figures are made of."""
 
 import ast
@@ -52,6 +53,62 @@ def test_scan_sees_an_unused_import(tmp_path):
     module.write_text("import os\nimport numpy as np\nfrom a.b import c, d\n"
                       "__all__ = ['d']\nprint(np.pi)\n")
     assert unused_imports(module) == ["c (line 3)", "os (line 1)"]
+
+
+def _defined_names(stmt: ast.stmt) -> list[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return [stmt.target.id]
+    return []
+
+
+def _read_names(stmt: ast.stmt) -> set[str]:
+    """Names a statement reads: loaded names, attributes and from-imports
+    (docstrings and comments hold no such nodes)."""
+    names = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names |= {alias.name for alias in node.names}
+    return names
+
+
+def unread_public_names(modules: list[Path], readers: list[Path]) -> list[str]:
+    """Public module-level names of modules that no statement reads other
+    than the one defining them, in modules or readers."""
+    bodies = {path: ast.parse(path.read_text(encoding="utf-8")).body
+              for path in dict.fromkeys([*modules, *readers])}
+    reads = [(path, stmt, _read_names(stmt)) for path, body in bodies.items() for stmt in body]
+    return [f"{path.name}: {name}" for path in modules for stmt in bodies[path]
+            for name in _defined_names(stmt) if not name.startswith("_")
+            and not any(name in names for where, other, names in reads
+                        if not (where == path and other is stmt))]
+
+
+def test_src_defines_no_test_only_names():
+    """No test-only code in src/: the package, the demos or the benchmark
+    read every public name a package module defines (a re-export in the
+    package __init__ is not a read)."""
+    modules = [path for path in FILES if path.parent.name == "jmrm" and path.name != "__init__.py"]
+    readers = [path for path in FILES if path.parent.name in ("demos", "benchmarks")]
+    assert unread_public_names(modules, modules + readers) == []
+
+
+def test_scan_sees_an_unread_name(tmp_path):
+    module, reader = tmp_path / "module.py", tmp_path / "reader.py"
+    module.write_text('"""unused, CONST and rec are named here only in text."""\n'
+                      "CONST = 1\nTABLE: dict = {}\n_private = 2\n"
+                      "def rec(n):\n    return rec(n - 1) if n else TABLE\n"
+                      "def unused():\n    pass\nclass Used:\n    pass\n")
+    reader.write_text("import module\nfrom module import Used\nprint(module.CONST)\n")
+    unread = unread_public_names([module], [module, reader])
+    assert unread == ["module.py: rec", "module.py: unused"]
 
 
 class RecordingPatcher:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from jmrm.core import LengthMismatch
+from jmrm.core import LabelMismatch, LengthMismatch, Sample
 from jmrm.metrics import EMPTY_METRICS, score
 
 from conftest import conlleval_counts, conlleval_f1, make_sample, random_bio_strings
@@ -95,6 +95,38 @@ class TestScore:
         assert m == EMPTY_METRICS
         assert m.intent_acc is None and m.slot_f1 is None and m.joint_acc is None
         assert m.n_queries == 0
+
+    def test_zero_token_sample_counts_as_exact(self, music_space):
+        golds = [Sample((), 0, ()),
+                 make_sample(music_space, "play queen", "play_music", "O B-artist"),
+                 Sample((), 1, ())]
+        preds = [(0, []), (0, ids(music_space, "O B-artist")), (0, [])]
+        m = score(preds, golds, music_space)
+        assert (m.n_queries, m.n_intent_correct, m.n_joint_correct) == (3, 2, 2)
+        assert (m.n_gold_spans, m.n_pred_spans, m.n_correct_spans) == (1, 1, 1)
+
+    def test_numpy_predictions_score_as_lists(self, music_space):
+        golds = [
+            make_sample(music_space, "play the queen", "play_music", "O B-artist I-artist"),
+            make_sample(music_space, "book paris", "book_restaurant", "O B-city"),
+        ]
+        preds = [(0, ids(music_space, "O B-artist I-artist")), (1, ids(music_space, "B-city O"))]
+        as_arrays = [(np.int64(y), np.array(path)) for y, path in preds]
+        m = score(as_arrays, golds, music_space)
+        assert m == score(preds, golds, music_space)
+        assert all(type(v) is int for v in m.to_dict()["counts"].values())
+        assert (m.n_joint_correct, m.n_correct_spans) == (1, 1)
+
+    @pytest.mark.parametrize("bad", [-1, 5])
+    @pytest.mark.parametrize("side", ["gold", "pred"])
+    def test_slot_id_outside_label_space(self, music_space, bad, side):
+        gold = make_sample(music_space, "play queen", "play_music", "O B-artist")
+        slots = [music_space.o_id, bad]
+        if side == "gold":
+            gold = Sample(gold.tokens, gold.intent, slots)
+            slots = list(gold.slots)
+        with pytest.raises(LabelMismatch, match=r"slot ids must lie in \[0, 5\)"):
+            score([(gold.intent, slots)], [gold], music_space)
 
     def test_f1_zero_when_no_spans(self, music_space):
         gold = make_sample(music_space, "a b", "play_music", "O O")

@@ -446,3 +446,10 @@ class TestRunConfig:
         for value in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(MalformedInput, match="learning_rate must be finite"):
                 run_config_from_dict({"learning_rate": value})
+
+    def test_int_beyond_float_range_rejected(self):
+        for value in (10 ** 400, -(10 ** 400)):
+            with pytest.raises(MalformedInput, match="lam must be finite and within float range"):
+                run_config_from_dict({"lam": value})
+        # an int within range is kept as it is, not converted
+        assert type(run_config_from_dict({"lam": 2 ** 80}).lam) is int

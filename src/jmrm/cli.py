@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import MalformedInput, config_from_dict, load_episode_file, read_json, save_episode_file
+from .core import (MalformedInput, config_from_dict, load_episode_file, read_json,
+                   save_episode_file, write_json)
 from .encoder import EncoderConfig, HASHED_FROZEN, load_encoder, save_encoder
 from .episodes import (
     SynthSpec,
@@ -47,15 +48,8 @@ from .trainer import LOSS_MODES, RunConfig, TrainingDiverged, evaluate, run_conf
 logger = logging.getLogger(__name__)
 
 
-def _dump_json(path: Path, obj) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _write_manifest(out_dir: Path, command: str, config: dict, seed: int) -> None:
-    _dump_json(
+    write_json(
         out_dir / "manifest.json",
         {
             "command": command,
@@ -171,7 +165,7 @@ def cmd_train(args) -> int:
         raise diverged
     best_dev = next(e["dev"] for e in result.log
                     if e["event"] == "eval" and e["step"] == result.best_step)
-    _dump_json(out / "dev_metrics.json", {
+    write_json(out / "dev_metrics.json", {
         "name": "dev", "similarity": cfg.similarity_kind, "seed": cfg.seed,
         "best_step": result.best_step, "skipped_queries": result.skipped_queries,
         "metrics": best_dev,
@@ -190,7 +184,7 @@ def cmd_eval(args) -> int:
     metrics = evaluate(episodes, encoder, cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _dump_json(out / "metrics.json", {
+    write_json(out / "metrics.json", {
         "name": args.name, "similarity": cfg.similarity_kind, "seed": cfg.seed,
         "metrics": metrics.to_dict(),
     })
@@ -211,7 +205,7 @@ def cmd_ablate(args) -> int:
     rows = aggregate_records(records)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _dump_json(out / "ablate_results.json", {"records": records})
+    write_json(out / "ablate_results.json", {"records": records})
     (out / "report.csv").write_text(format_report_csv(rows), encoding="utf-8")
     (out / "report.txt").write_text(format_report_text(rows), encoding="utf-8")
     _write_manifest(out, "ablate", {"run": asdict(cfg), "encoder": asdict(enc_cfg),
@@ -242,7 +236,7 @@ def cmd_oracle_check(args) -> int:
     if args.out is not None:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        _dump_json(out / "oracle_report.json", report)
+        write_json(out / "oracle_report.json", report)
         _write_manifest(out, "oracle-check", {"trials": args.trials}, args.seed)
     print(json.dumps(report, indent=2, sort_keys=True, default=float))
     return 0 if report["pass"] else 1

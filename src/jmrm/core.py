@@ -1,5 +1,5 @@
 """Core domain types, the BIO slot grammar, the JSON input boundary,
-labeled-file I/O, and the episode label-space rule.
+labeled-file I/O, the run-file JSON writer, and the episode label-space rule.
 
 A labeled sample is a tokenized utterance with one intent label and one
 slot label per token (BIO scheme).  An episode bundles a small labeled
@@ -394,6 +394,12 @@ def serialize_episodes(episodes: Iterable[Episode]) -> str:
         labeled_record(ep.domain_name, ep.label_space, support=ep.support, query=ep.query)
         for ep in episodes
     ))
+
+
+def write_json(path, obj) -> None:
+    """Write a run file: 2-space indent, sorted keys, ASCII escapes, trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def load_episode_file(path) -> list[Episode]:

@@ -18,14 +18,13 @@ Two kinds:
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .core import MalformedInput, config_from_dict, read_json
+from .core import MalformedInput, config_from_dict, read_json, write_json
 
 HASHED_FROZEN = "hashed-frozen"
 TRAINABLE = "trainable"
@@ -244,9 +243,7 @@ def save_encoder(path, encoder: Encoder) -> None:
         payload["token_table"] = encoder.params.token_table.tolist()
         payload["projection"] = encoder.params.projection.tolist()
         payload["bias"] = encoder.params.bias.tolist()
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def load_encoder(path) -> Encoder:

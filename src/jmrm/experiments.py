@@ -35,7 +35,8 @@ ABLATION_GRID: dict[str, dict[str, bool]] = {
     "JM+RM": dict(i2s_train=False, msd_train=False, i2s_eval=True, msd_eval=True),
 }
 
-REPORT_METRICS = ("intent_acc", "slot_f1", "joint_acc")
+# the rates a report shows, in column order, with their report.txt titles
+REPORT_METRICS = {"intent_acc": "Intent Acc", "slot_f1": "Slot F1", "joint_acc": "Joint Acc"}
 
 
 def episode_vocabulary(episodes: Sequence[Episode]) -> list[str]:
@@ -84,12 +85,8 @@ def aggregate_records(records: Sequence[dict]) -> list[dict]:
         row = {"name": name, "similarity": sim, "n_seeds": len(recs)}
         for metric in REPORT_METRICS:
             vals = [r["metrics"][metric] for r in recs if r["metrics"][metric] is not None]
-            if vals:
-                row[f"{metric}_mean"] = float(100.0 * np.mean(vals))
-                row[f"{metric}_std"] = float(100.0 * np.std(vals))
-            else:
-                row[f"{metric}_mean"] = None
-                row[f"{metric}_std"] = None
+            row[f"{metric}_mean"] = float(100.0 * np.mean(vals)) if vals else None
+            row[f"{metric}_std"] = float(100.0 * np.std(vals)) if vals else None
         rows.append(row)
     return rows
 
@@ -106,30 +103,22 @@ def _fmt(mean, std) -> str:
 
 
 def format_report_text(rows: Sequence[dict]) -> str:
-    header = f"{'model':10s} {'sim':4s} {'seeds':>5s} {'Intent Acc':>12s} {'Slot F1':>12s} {'Joint Acc':>12s}"
+    header = f"{'model':10s} {'sim':4s} {'seeds':>5s}"
+    header += "".join(f" {title:>12s}" for title in REPORT_METRICS.values())
     lines = [header, "-" * len(header)]
     for r in rows:
-        lines.append(
-            f"{r['name']:10s} {r['similarity']:4s} {r['n_seeds']:5d} "
-            f"{_fmt(r['intent_acc_mean'], r['intent_acc_std']):>12s} "
-            f"{_fmt(r['slot_f1_mean'], r['slot_f1_std']):>12s} "
-            f"{_fmt(r['joint_acc_mean'], r['joint_acc_std']):>12s}"
-        )
+        lines.append(f"{r['name']:10s} {r['similarity']:4s} {r['n_seeds']:5d}" + "".join(
+            f" {_fmt(r[f'{m}_mean'], r[f'{m}_std']):>12s}" for m in REPORT_METRICS))
     return "\n".join(lines) + "\n"
 
 
 def format_report_csv(rows: Sequence[dict]) -> str:
-    columns = [
-        "name", "similarity", "n_seeds",
-        "intent_acc_mean", "intent_acc_std",
-        "slot_f1_mean", "slot_f1_std",
-        "joint_acc_mean", "joint_acc_std",
-    ]
+    columns = ["name", "similarity", "n_seeds",
+               *(f"{m}_{stat}" for m in REPORT_METRICS for stat in ("mean", "std"))]
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
     writer.writeheader()
-    for r in rows:
-        writer.writerow({c: r[c] for c in columns})
+    writer.writerows(rows)
     return buf.getvalue()
 
 

@@ -86,10 +86,11 @@ class JointScoreInputs:
         self.f_l = np.asarray(self.f_l, dtype=float)
         self.f_o = np.asarray(self.f_o, dtype=float)
         batch = self.f_l.shape[:-1]  # () or (Q,)
-        if self.f_l.ndim not in (1, 2) or self.f_o.shape[:-2] != batch or self.f_o.ndim < 2:
+        if (self.f_l.ndim not in (1, 2) or self.f_o.shape[:-2] != batch or self.f_o.ndim < 2
+                or 0 in (self.f_l.shape[-1], *self.f_o.shape[-2:])):
             raise ValueError(
                 f"f_l {self.f_l.shape} and f_o {self.f_o.shape} are not (Y,) and (m, T), "
-                "nor (Q, Y) and (Q, m, T)")
+                "nor (Q, Y) and (Q, m, T), with Y, m and T >= 1")
         y, t = self.n_intents, self.n_slots
         if self.rm.rm.shape != (y, t):
             raise ValueError(f"relation mask shape {self.rm.rm.shape} != ({y}, {t})")

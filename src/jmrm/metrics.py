@@ -8,7 +8,7 @@ the entire slot sequence are exactly right.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 from typing import Sequence
 
@@ -54,14 +54,7 @@ class MetricsSummary:
         return 2 * p * r / (p + r) if p + r else 0.0
 
     def merged(self, other: "MetricsSummary") -> "MetricsSummary":
-        return MetricsSummary(
-            n_queries=self.n_queries + other.n_queries,
-            n_intent_correct=self.n_intent_correct + other.n_intent_correct,
-            n_joint_correct=self.n_joint_correct + other.n_joint_correct,
-            n_gold_spans=self.n_gold_spans + other.n_gold_spans,
-            n_pred_spans=self.n_pred_spans + other.n_pred_spans,
-            n_correct_spans=self.n_correct_spans + other.n_correct_spans,
-        )
+        return MetricsSummary(*[getattr(self, n) + getattr(other, n) for n in _COUNT_NAMES])
 
     def to_dict(self) -> dict:
         return {
@@ -70,17 +63,11 @@ class MetricsSummary:
             "slot_precision": self.slot_precision,
             "slot_recall": self.slot_recall,
             "joint_acc": self.joint_acc,
-            "counts": {
-                "n_queries": self.n_queries,
-                "n_intent_correct": self.n_intent_correct,
-                "n_joint_correct": self.n_joint_correct,
-                "n_gold_spans": self.n_gold_spans,
-                "n_pred_spans": self.n_pred_spans,
-                "n_correct_spans": self.n_correct_spans,
-            },
+            "counts": {n: getattr(self, n) for n in _COUNT_NAMES},
         }
 
 
+_COUNT_NAMES = tuple(f.name for f in fields(MetricsSummary))
 EMPTY_METRICS = MetricsSummary(0, 0, 0, 0, 0, 0)
 
 
@@ -94,7 +81,8 @@ def score(
     Spans are counted over all queries' gold and predicted slot ids at once:
     a position is a cut iff it starts a query, its label may open a span,
     or its label may not follow the one before it.  A span opens at each
-    cut whose label is not O, and ends at the next cut.
+    cut whose label is not O, and ends at the next cut.  An intent or slot
+    id outside ls raises LabelMismatch.
     """
     if len(predictions) != len(golds):
         raise LengthMismatch(f"{len(predictions)} predictions vs {len(golds)} gold samples")
@@ -105,9 +93,11 @@ def score(
     n = int(lengths.sum())
     flat = np.stack([np.fromiter(chain.from_iterable(seqs), np.intp, n) for seqs in
                      ((gold.slots for gold in golds), (slots for _, slots in predictions))])
-    low, high = (flat.min(), flat.max()) if n else (0, 0)
-    if not 0 <= low <= high < ls.n_slots:
-        raise LabelMismatch(f"slot ids must lie in [0, {ls.n_slots}), not {low} to {high}")
+    intents = np.array([[g.intent for g in golds], [y for y, _ in predictions]], dtype=np.intp)
+    for what, ids, n_ids in (("slot", flat, ls.n_slots), ("intent", intents, ls.n_intents)):
+        low, high = (ids.min(), ids.max()) if ids.size else (0, 0)
+        if not 0 <= low <= high < n_ids:
+            raise LabelMismatch(f"{what} ids must lie in [0, {n_ids}), not {low} to {high}")
     cut = np.ones((2, n + 1), dtype=bool)
     cut[:, :n] = ls.may_start[flat]
     cut[:, 1:n] |= ~ls.may_follow[flat[:, :-1], flat[:, 1:]]
@@ -118,7 +108,7 @@ def score(
     gold, pred = flat
     same_type = ls.slot_types[gold] == ls.slot_types[pred]
     correct = opens.all(axis=0) & (ends[0] == ends[1]) & same_type
-    intent_ok = np.array([y for y, _ in predictions]) == np.array([g.intent for g in golds])
+    intent_ok = intents[0] == intents[1]
     query_of = np.repeat(np.arange(len(golds)), lengths)
     slots_ok = np.bincount(query_of[gold != pred], minlength=len(golds)) == 0
     n_gold, n_pred = np.count_nonzero(opens, axis=1).tolist()

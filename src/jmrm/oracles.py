@@ -159,8 +159,29 @@ def random_episode(rng: np.random.Generator) -> Episode:
 # --- suites -------------------------------------------------------------------
 
 
-def _rel_err(a: float, b: float, floor: float = 1e-3) -> float:
-    return abs(a - b) / max(abs(a), abs(b), floor)
+STEP = 1e-5  # the gradient suites' central-difference step
+SHIFT = 3.7  # what shift_invariance_suite adds to the scores
+
+
+def _rel_err(a: float, b: float) -> float:
+    return abs(a - b) / max(abs(a), abs(b), 1e-3)
+
+
+def _max_fd_rel_err(arrays: dict[str, np.ndarray], grads: dict, loss_and_extra) -> float:
+    """Worst relative error of grads[name] against central differences of
+    loss_and_extra()[0] over each entry of arrays[name], perturbed in place."""
+    worst = 0.0
+    for name, arr in arrays.items():
+        flat = arr.reshape(-1)
+        for idx in range(flat.shape[0]):
+            orig = flat[idx]
+            flat[idx] = orig + STEP
+            up = loss_and_extra()[0]
+            flat[idx] = orig - STEP
+            down = loss_and_extra()[0]
+            flat[idx] = orig
+            worst = max(worst, _rel_err(float(grads[name].flat[idx]), (up - down) / (2 * STEP)))
+    return worst
 
 
 def partition_suite(trials: int, seed: int) -> dict:
@@ -245,37 +266,27 @@ def _feasible_gold(rng: np.random.Generator, jin: JointScoreInputs) -> tuple[int
     return feasible[int(rng.integers(len(feasible)))]
 
 
-def emission_gradient_suite(trials: int, seed: int, step: float = 1e-5) -> dict:
+def emission_gradient_suite(trials: int, seed: int) -> dict:
     """Analytic dL/df_l and dL/df_o vs central finite differences."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(4,)))
     worst = 0.0
     for _ in range(trials):
         jin = random_instance(rng)
         gold_y, gold_t = _feasible_gold(rng, jin)
-        loss, post = nll_loss(gold_y, np.asarray(gold_t), jin)
-        d_fl, d_fo = loss_gradients(gold_y, np.asarray(gold_t), post, jin)
+        gold_t = np.asarray(gold_t)
+        _, post = nll_loss(gold_y, gold_t, jin)
+        d_fl, d_fo = loss_gradients(gold_y, gold_t, post, jin)
+        scores = {"f_l": jin.f_l.copy(), "f_o": jin.f_o.copy()}
 
-        def loss_at(f_l, f_o):
-            j = JointScoreInputs(f_l, f_o, jin.rm, jin.tm, jin.lam)
-            return nll_loss(gold_y, np.asarray(gold_t), j)[0]
+        def loss_now():
+            j = JointScoreInputs(scores["f_l"], scores["f_o"], jin.rm, jin.tm, jin.lam)
+            return nll_loss(gold_y, gold_t, j)
 
-        for y in range(jin.n_intents):
-            up, down = jin.f_l.copy(), jin.f_l.copy()
-            up[y] += step
-            down[y] -= step
-            fd = (loss_at(up, jin.f_o) - loss_at(down, jin.f_o)) / (2 * step)
-            worst = max(worst, _rel_err(d_fl[y], fd))
-        for i in range(jin.n_positions):
-            for o in range(jin.n_slots):
-                up, down = jin.f_o.copy(), jin.f_o.copy()
-                up[i, o] += step
-                down[i, o] -= step
-                fd = (loss_at(jin.f_l, up) - loss_at(jin.f_l, down)) / (2 * step)
-                worst = max(worst, _rel_err(d_fo[i, o], fd))
+        worst = max(worst, _max_fd_rel_err(scores, {"f_l": d_fl, "f_o": d_fo}, loss_now))
     return {"trials": trials, "max_rel_err": worst, "pass": bool(worst <= 1e-4)}
 
 
-def encoder_gradient_suite(trials: int, seed: int, step: float = 1e-5) -> dict:
+def encoder_gradient_suite(trials: int, seed: int) -> dict:
     """End-to-end parameter gradients of compute_loss vs finite differences."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(5,)))
     worst = 0.0
@@ -303,22 +314,11 @@ def encoder_gradient_suite(trials: int, seed: int, step: float = 1e-5) -> dict:
             return compute_loss(query, build_context(episode, encoder, cfg), cfg)
 
         _, grads = loss_now()
-
-        for name, arr in encoder.params.as_dict().items():
-            flat = arr.reshape(-1)
-            for idx in range(flat.shape[0]):
-                orig = flat[idx]
-                flat[idx] = orig + step
-                up = loss_now()[0]
-                flat[idx] = orig - step
-                down = loss_now()[0]
-                flat[idx] = orig
-                fd = (up - down) / (2 * step)
-                worst = max(worst, _rel_err(float(grads[name].reshape(-1)[idx]), fd))
+        worst = max(worst, _max_fd_rel_err(encoder.params.as_dict(), grads, loss_now))
     return {"trials": trials, "max_rel_err": worst, "pass": bool(worst <= 1e-4)}
 
 
-def shift_invariance_suite(trials: int, seed: int, shift: float = 3.7) -> dict:
+def shift_invariance_suite(trials: int, seed: int) -> dict:
     """Constant shifts of f_l (or one f_o row) leave all posteriors unchanged."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(6,)))
     worst = 0.0
@@ -329,12 +329,12 @@ def shift_invariance_suite(trials: int, seed: int, shift: float = 3.7) -> dict:
         decoded = viterbi_decode(jin)
         row = int(rng.integers(jin.n_positions))
 
-        shifted_l = JointScoreInputs(jin.f_l + shift, jin.f_o, jin.rm, jin.tm, jin.lam)
+        shifted_l = JointScoreInputs(jin.f_l + SHIFT, jin.f_o, jin.rm, jin.tm, jin.lam)
         f_o2 = jin.f_o.copy()
-        f_o2[row] += shift
+        f_o2[row] += SHIFT
         shifted_o = JointScoreInputs(jin.f_l, f_o2, jin.rm, jin.tm, jin.lam)
 
-        for shifted, dz in ((shifted_l, jin.lam * shift), (shifted_o, shift)):
+        for shifted, dz in ((shifted_l, jin.lam * SHIFT), (shifted_o, SHIFT)):
             post2 = log_partition(shifted)
             worst = max(
                 worst,

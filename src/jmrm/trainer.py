@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Episode, Sample, config_from_dict
+from .core import Episode, MalformedInput, Sample, config_from_dict
 from .encoder import Encoder, encoder_backward, zero_grads
 from .lattice import (
     InfeasibleGold,
@@ -97,8 +97,10 @@ class RunConfig:
 
 
 def run_config_from_dict(obj: dict) -> RunConfig:
-    """Build a RunConfig from a JSON object; 'lambda' is accepted for lam."""
+    """Build a RunConfig from a JSON object; 'lambda' is accepted for lam, not beside it."""
     if isinstance(obj, dict) and "lambda" in obj:
+        if "lam" in obj:
+            raise MalformedInput("run config gives both 'lam' and 'lambda'; keep one")
         obj = dict(obj)
         obj["lam"] = obj.pop("lambda")
     return config_from_dict(RunConfig, obj, "run config")

@@ -310,6 +310,18 @@ class TestErrors:
         assert payload["error"] == "MalformedInput"
         assert not (tmp_path / "o").exists()
 
+    def test_lam_and_lambda_together_yield_malformed_input(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"run": {"lam": 2.0, "lambda": 1.0}}))
+        eps, out = tmp_path / "eps.json", tmp_path / "o"
+        assert run_cli("train", "--config", cfg, "--episodes", eps, "--dev", eps, "--out", out) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.strip().splitlines()
+        assert json.loads(line) == {"error": "MalformedInput",
+                                    "message": "run config gives both 'lam' and 'lambda'; keep one"}
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, text, match", [
         ("train", '{"episodes": [{"domain": "x"}]}', r"\$\.episodes\[0\]: missing key 'intents'"),
         ("train", '{"episodes": 5', "not valid JSON"),

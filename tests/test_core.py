@@ -3,6 +3,7 @@
 import json
 import logging
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -75,6 +76,16 @@ class TestParse:
         bad = json.loads(json.dumps(MINIMAL_FILE))
         bad["episodes"][0]["slot_labels"] = ["O", "B-track", "B-artist"]
         with pytest.raises(MalformedInput, match=r"\$\.episodes\[0\]: .*\['B-artist'\]"):
+            parse_episodes(json.dumps(bad))
+
+    @pytest.mark.parametrize("key, labels, message", [
+        ("intents", [], "label space needs at least one intent"),
+        ("slot_labels", ["O", "B-track", "B-track"], "duplicate slot label names in label space"),
+    ])
+    def test_bad_label_space_reports_path(self, key, labels, message):
+        bad = json.loads(json.dumps(MINIMAL_FILE))
+        bad["episodes"][0][key] = labels
+        with pytest.raises(MalformedInput, match=re.escape(f"<input>: $.episodes[0]: {message}")):
             parse_episodes(json.dumps(bad))
 
     def test_schema_violation_reports_path(self):

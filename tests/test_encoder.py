@@ -319,3 +319,12 @@ class TestConfig:
     def test_invalid_dim(self):
         with pytest.raises(ValueError):
             EncoderConfig(kind="trainable", dim=0)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("context_window", -1, "context_window must be >= 0"),
+        ("init_scale", 0.0, "init_scale must be > 0"),
+        ("init_scale", -0.1, "init_scale must be > 0"),
+    ])
+    def test_out_of_range_fields(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            EncoderConfig(kind="trainable", dim=4, **{field: value})

@@ -1,12 +1,14 @@
 """Support-set construction, episode assembly, and the synthetic generator."""
 
 import itertools
+import json
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from jmrm.core import LabelSpace, O_LABEL, Sample, split_slot_label, validate_sample
+from jmrm.core import LabelSpace, MalformedInput, O_LABEL, Sample, split_slot_label, validate_sample
 from jmrm.episodes import (
     Corpus,
     InsufficientCorpus,
@@ -30,6 +32,24 @@ def tiny_corpus():
         make_sample(ls, "u3 x y", "intent0", "B-a B-b O"),
     )
     return Corpus("tiny", samples, ls)
+
+
+class TestCorpus:
+    def test_invalid_sample_rejected(self):
+        ls = LabelSpace(("intent0",), ("O", "B-a"))
+        samples = (make_sample(ls, "u1 x", "intent0", "B-a O"), Sample(("u2",), 3, (0,)))
+        with pytest.raises(MalformedInput, match="corpus 'tiny' sample 1: unknown intent id 3"):
+            Corpus("tiny", samples, ls)
+
+    @pytest.mark.parametrize("key, labels, message", [
+        ("intents", [], "label space needs at least one intent"),
+        ("slot_labels", ["O", "B-a", "O"], "duplicate slot label names in label space"),
+    ])
+    def test_bad_label_space_in_a_file_reports_path(self, key, labels, message):
+        record = {"domain": "tiny", "intents": ["intent0"], "slot_labels": ["O", "B-a"],
+                  "samples": [], key: labels}
+        with pytest.raises(MalformedInput, match=re.escape(f"<input>: $.corpora[0]: {message}")):
+            parse_corpora(json.dumps({"corpora": [record]}))
 
 
 def coverage_holds(samples, corpus, k):

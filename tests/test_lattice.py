@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -449,6 +450,33 @@ class TestNonFiniteScores:
         assert np.isfinite(log_partition(jin).log_z)
         y, path, score = viterbi_decode(jin)
         assert score == joint_score(y, path, jin) and np.isfinite(score)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("f_l_shape, f_o_shape", [
+        ((0,), (3, 2)), ((2,), (0, 3)), ((2,), (3, 0)), ((1, 2), (1, 0, 3)),
+    ])
+    def test_zero_size_rejected(self, f_l_shape, f_o_shape):
+        rm, tm = all_ones_relation_mask(2, 3), permissive_transition_mask(3)
+        with pytest.raises(ValueError, match=re.escape(
+                f"f_l {f_l_shape} and f_o {f_o_shape} are not (Y,) and (m, T), nor (Q, Y) "
+                "and (Q, m, T), with Y, m and T >= 1")):
+            JointScoreInputs(np.zeros(f_l_shape), np.zeros(f_o_shape), rm, tm)
+
+    def test_relation_mask_shape_checked(self):
+        with pytest.raises(ValueError, match=re.escape("relation mask shape (3, 2) != (2, 2)")):
+            JointScoreInputs(np.zeros(2), np.zeros((3, 2)), all_ones_relation_mask(3, 2),
+                             permissive_transition_mask(2))
+
+    def test_transition_mask_shape_checked(self):
+        with pytest.raises(ValueError, match="transition mask shape mismatch"):
+            JointScoreInputs(np.zeros(2), np.zeros((3, 2)), all_ones_relation_mask(2, 2),
+                             permissive_transition_mask(3))
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
+    def test_non_finite_lam_rejected(self, lam):
+        with pytest.raises(ValueError, match="lam must be finite"):
+            open_inputs(np.zeros(2), np.zeros((3, 2)), lam=lam)
 
 
 # --- dense per-intent reference recursions -----------------------------------

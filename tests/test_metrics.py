@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from jmrm.core import LabelMismatch, LengthMismatch, Sample
-from jmrm.metrics import EMPTY_METRICS, score
+from jmrm.metrics import EMPTY_METRICS, MetricsSummary, score
 
 from conftest import conlleval_counts, conlleval_f1, make_sample, random_bio_strings
 
@@ -128,6 +128,16 @@ class TestScore:
         with pytest.raises(LabelMismatch, match=r"slot ids must lie in \[0, 5\)"):
             score([(gold.intent, slots)], [gold], music_space)
 
+    @pytest.mark.parametrize("bad", [-1, 2])
+    @pytest.mark.parametrize("side", ["gold", "pred"])
+    def test_intent_id_outside_label_space(self, music_space, bad, side):
+        gold = make_sample(music_space, "play queen", "play_music", "O B-artist")
+        pred_intent = bad
+        if side == "gold":
+            gold, pred_intent = Sample(gold.tokens, bad, gold.slots), gold.intent
+        with pytest.raises(LabelMismatch, match=r"intent ids must lie in \[0, 2\), not "):
+            score([(pred_intent, list(gold.slots))], [gold], music_space)
+
     def test_f1_zero_when_no_spans(self, music_space):
         gold = make_sample(music_space, "a b", "play_music", "O O")
         m = score([(0, ids(music_space, "O O"))], [gold], music_space)
@@ -140,6 +150,13 @@ class TestScore:
         merged = m1.merged(m1).merged(EMPTY_METRICS)
         assert merged.n_queries == 2
         assert merged.joint_acc == 1.0
+
+    def test_merged_and_counts_cover_every_field_in_order(self):
+        a, b = MetricsSummary(1, 2, 3, 4, 5, 6), MetricsSummary(10, 20, 30, 40, 50, 60)
+        assert a.merged(b) == MetricsSummary(11, 22, 33, 44, 55, 66)
+        assert list(a.to_dict()["counts"].items()) == [
+            ("n_queries", 1), ("n_intent_correct", 2), ("n_joint_correct", 3),
+            ("n_gold_spans", 4), ("n_pred_spans", 5), ("n_correct_spans", 6)]
 
 
 class TestAgainstReferenceConlleval:

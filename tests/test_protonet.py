@@ -57,6 +57,13 @@ def enc():
 
 
 class TestSimilarity:
+    def test_unknown_kind_rejected(self):
+        e, protos = np.ones((2, 3)), np.ones((4, 3))
+        with pytest.raises(ValueError, match="unknown similarity kind 'dot'"):
+            similarity_to_protos(e, protos, "dot")
+        with pytest.raises(ValueError, match="unknown similarity kind 'dot'"):
+            similarity_grads(e, protos, "dot", np.ones((2, 4)))
+
     def test_cos_identity(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
@@ -137,6 +144,12 @@ class TestSimilarity:
 
 
 class TestPrototypes:
+    def test_slot_label_without_support_occurrence_rejected(self, enc):
+        ls = LabelSpace(("play_music",), ("O", "B-artist", "B-city"))
+        support = [make_sample(ls, "play madonna", "play_music", "O B-artist")]
+        with pytest.raises(ValueError, match="slot label 'B-city' has no support occurrences"):
+            compute_prototypes(support, ls, enc)
+
     def test_frozen_encoder_keeps_no_support_state(self, enc):
         ls = LabelSpace(("play_music",), ("O", "B-artist"))
         support = [make_sample(ls, "play madonna", "play_music", "O B-artist")]

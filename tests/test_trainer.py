@@ -230,6 +230,13 @@ class TestTrain:
         enc = init_encoder(EncoderConfig(kind="trainable", dim=8, seed=2), vocab)
         return train_eps, dev_eps, enc
 
+    @pytest.mark.parametrize("empty", ["source", "dev"])
+    def test_empty_episode_list_rejected(self, small_episode, empty):
+        source = [] if empty == "source" else [small_episode]
+        dev = [] if empty == "dev" else [small_episode]
+        with pytest.raises(ValueError, match="source and dev episode lists must be non-empty"):
+            train(source, dev, frozen_encoder(), RunConfig())
+
     def test_max_steps_zero_returns_initial_params(self):
         train_eps, dev_eps, vocab = self.make_task()
         enc = init_encoder(EncoderConfig(kind="trainable", dim=8, seed=1), vocab)
@@ -418,6 +425,22 @@ class TestRunConfig:
     def test_lambda_alias(self):
         cfg = run_config_from_dict({"lambda": 2.0, "batch_size": 8})
         assert cfg.lam == 2.0 and cfg.batch_size == 8
+
+    def test_lam_and_lambda_together_rejected(self):
+        with pytest.raises(MalformedInput, match="run config gives both 'lam' and 'lambda'"):
+            run_config_from_dict({"lam": 2.0, "lambda": 1.0})
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("adam_eps", 0.0, "adam_eps must be > 0"),
+        ("adam_eps", -1e-8, "adam_eps must be > 0"),
+        ("batch_size", 0, "batch_size and eval_every must be >= 1"),
+        ("eval_every", 0, "batch_size and eval_every must be >= 1"),
+        ("max_steps", -1, "max_steps must be >= 0"),
+        ("lam", -0.5, "lam must be >= 0"),
+    ])
+    def test_out_of_range_fields(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            RunConfig(**{field: value})
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown run config"):

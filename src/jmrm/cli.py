@@ -228,9 +228,10 @@ def cmd_oracle_check(args) -> int:
                 "domain": ep.domain_name,
                 "intents": list(ep.label_space.intents),
                 "slot_labels": list(ep.label_space.slot_labels),
+                # 1 where allowed, 0 where masked: -inf is not standard JSON
                 "relation_mask": rm.rm.astype(int).tolist(),
-                "transition_mask": tm.trans.tolist(),
-                "start_mask": tm.start.tolist(),
+                "transition_mask": np.isfinite(tm.trans).astype(int).tolist(),
+                "start_mask": np.isfinite(tm.start).astype(int).tolist(),
             })
         report["masks"] = dumps
     if args.out is not None:

@@ -397,9 +397,10 @@ def serialize_episodes(episodes: Iterable[Episode]) -> str:
 
 
 def write_json(path, obj) -> None:
-    """Write a run file: 2-space indent, sorted keys, ASCII escapes, trailing newline."""
+    """Write a run file: standard JSON (a NaN or infinity raises ValueError),
+    2-space indent, sorted keys, ASCII escapes, trailing newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        fh.write(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def load_episode_file(path) -> list[Episode]:

@@ -53,8 +53,8 @@ class EncoderConfig:
             raise ValueError("dim must be >= 1")
         if self.context_window < 0:
             raise ValueError("context_window must be >= 0")
-        if self.init_scale <= 0:
-            raise ValueError("init_scale must be > 0")
+        if not 0 < self.init_scale < np.inf:  # a NaN fails this bound
+            raise ValueError("init_scale must be > 0 and finite")
 
 
 @dataclass

@@ -268,7 +268,8 @@ def log_partition(jin: JointScoreInputs) -> JointPosterior:
 def nll_loss(
     gold_y: int, gold_t: np.ndarray, jin: JointScoreInputs
 ) -> tuple[float, JointPosterior]:
-    """Cross-entropy of the gold pair: log Z - R(gold); always >= 0."""
+    """Cross-entropy of the gold pair: log Z - R(gold), clamped to 0.0 from
+    below (rounding can leave it just under 0); a NaN passes through."""
     _one_query(jin, "nll_loss")
     r = joint_score(gold_y, gold_t, jin)
     if r == NEG_INF:
@@ -276,7 +277,8 @@ def nll_loss(
             f"gold pair (intent {gold_y}, slots {list(np.asarray(gold_t))}) is masked"
         )
     post = log_partition(jin)
-    return max(0.0, post.log_z - r), post
+    loss = post.log_z - r
+    return (0.0 if loss <= 0 else loss), post
 
 
 def loss_gradients(

@@ -167,10 +167,22 @@ def _rel_err(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-3)
 
 
+def _worst(values) -> float:
+    """The largest value, 0.0 for none, and NaN if any is (max(worst, nan) keeps worst)."""
+    return float(np.max(values, initial=0.0))
+
+
+def _report(trials: int, **checks: tuple[float, float]) -> dict:
+    """A suite's report from each check's (value, bound): it passes only if every
+    value is within its bound, which a NaN never is, and a NaN shows as null."""
+    values = {name: None if v != v else v for name, (v, _) in checks.items()}
+    return {"trials": trials, **values, "pass": all(v <= b for v, b in checks.values())}
+
+
 def _max_fd_rel_err(arrays: dict[str, np.ndarray], grads: dict, loss_and_extra) -> float:
     """Worst relative error of grads[name] against central differences of
     loss_and_extra()[0] over each entry of arrays[name], perturbed in place."""
-    worst = 0.0
+    errs = []
     for name, arr in arrays.items():
         flat = arr.reshape(-1)
         for idx in range(flat.shape[0]):
@@ -180,35 +192,28 @@ def _max_fd_rel_err(arrays: dict[str, np.ndarray], grads: dict, loss_and_extra) 
             flat[idx] = orig - STEP
             down = loss_and_extra()[0]
             flat[idx] = orig
-            worst = max(worst, _rel_err(float(grads[name].flat[idx]), (up - down) / (2 * STEP)))
-    return worst
+            errs.append(_rel_err(float(grads[name].flat[idx]), (up - down) / (2 * STEP)))
+    return _worst(errs)
 
 
 def partition_suite(trials: int, seed: int) -> dict:
     """Lattice log Z and marginals vs exhaustive enumeration."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1,)))
-    max_logz_err = 0.0
-    max_marg_err = 0.0
+    logz_errs, marg_errs = [], []
     for _ in range(trials):
         jin = random_instance(rng)
         post = log_partition(jin)
         ref = enumerate_joint(jin)
-        max_logz_err = max(max_logz_err, abs(post.log_z - ref.log_z) / max(1.0, abs(ref.log_z)))
-        max_marg_err = max(
-            max_marg_err,
-            float(np.max(np.abs(post.intent_marginals - ref.intent_marginals))),
-            float(np.max(np.abs(post.slot_unary_marginals - ref.unary_marginals))),
-        )
-    return {
-        "trials": trials,
-        "max_log_z_rel_err": max_logz_err,
-        "max_marginal_abs_err": max_marg_err,
-        "pass": bool(max_logz_err <= 1e-9 and max_marg_err <= 1e-9),
-    }
+        logz_errs.append(abs(post.log_z - ref.log_z) / max(1.0, abs(ref.log_z)))
+        marg_errs += [np.max(np.abs(post.intent_marginals - ref.intent_marginals)),
+                      np.max(np.abs(post.slot_unary_marginals - ref.unary_marginals))]
+    return _report(trials, max_log_z_rel_err=(_worst(logz_errs), 1e-9),
+                   max_marginal_abs_err=(_worst(marg_errs), 1e-9))
 
 
 def decode_suite(trials: int, seed: int) -> dict:
-    """Viterbi vs enumeration argmax, plus BIO validity and mask consistency."""
+    """Viterbi vs enumeration argmax and score; a decode that naive_pair_score
+    finds masked (BIO or relation) is a constraint violation."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2,)))
     mismatches = 0
     violations = 0
@@ -216,48 +221,35 @@ def decode_suite(trials: int, seed: int) -> dict:
         jin = random_instance(rng)
         y, path, dec_score = viterbi_decode(jin)
         ref = enumerate_joint(jin)
-        if (y, tuple(int(o) for o in path)) != ref.argmax_pair:
-            mismatches += 1
-        if not np.isfinite(jin.tm.start[path[0]]):
-            violations += 1
-        for i in range(1, len(path)):
-            if not np.isfinite(jin.tm.trans[path[i - 1], path[i]]):
-                violations += 1
-        if not all(jin.rm.rm[y, o] for o in path):
-            violations += 1
-        if dec_score != ref.argmax_score and _rel_err(dec_score, ref.argmax_score) > 1e-12:
-            mismatches += 1
-    return {
-        "trials": trials,
-        "argmax_mismatches": mismatches,
-        "constraint_violations": violations,
-        "pass": bool(mismatches == 0 and violations == 0),
-    }
+        pair = (y, tuple(int(o) for o in path))
+        violations += naive_pair_score(*pair, jin) == NEG_INF
+        mismatches += pair != ref.argmax_pair
+        # a NaN score fails both comparisons
+        mismatches += not (dec_score == ref.argmax_score
+                           or _rel_err(dec_score, ref.argmax_score) <= 1e-12)
+    return _report(trials, argmax_mismatches=(mismatches, 0), constraint_violations=(violations, 0))
 
 
 def normalization_suite(trials: int, seed: int) -> dict:
-    """Probabilities over all feasible pairs sum to 1; masked pairs are exactly 0."""
+    """Probabilities over all feasible pairs sum to 1 under the lattice's log Z,
+    and the lattice's marginals give relation-masked (intent, slot) pairs
+    exactly zero mass."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3,)))
-    worst_total = 0.0
+    total_errs = []
     masked_nonzero = 0
     for _ in range(trials):
         jin = random_instance(rng)
         post = log_partition(jin)
         ref = enumerate_joint(jin)
         total = 0.0
-        for (y, t), r in ref.pair_scores.items():
-            if r == NEG_INF:
-                if math.exp(r - post.log_z) != 0.0:
-                    masked_nonzero += 1
-                continue
-            total += math.exp(r - post.log_z)
-        worst_total = max(worst_total, abs(total - 1.0))
-    return {
-        "trials": trials,
-        "max_total_prob_err": worst_total,
-        "masked_pairs_with_nonzero_prob": masked_nonzero,
-        "pass": bool(worst_total <= 1e-6 and masked_nonzero == 0),
-    }
+        for r in ref.pair_scores.values():
+            if r != NEG_INF:
+                total += math.exp(r - post.log_z)
+        total_errs.append(abs(total - 1.0))
+        with_mass = (post.slot_unary_marginals != 0.0).any(axis=1)  # (Y, T); NaN counts
+        masked_nonzero += int(np.count_nonzero(with_mass & ~jin.rm.rm))
+    return _report(trials, max_total_prob_err=(_worst(total_errs), 1e-6),
+                   masked_pairs_with_nonzero_prob=(masked_nonzero, 0))
 
 
 def _feasible_gold(rng: np.random.Generator, jin: JointScoreInputs) -> tuple[int, tuple[int, ...]]:
@@ -269,7 +261,7 @@ def _feasible_gold(rng: np.random.Generator, jin: JointScoreInputs) -> tuple[int
 def emission_gradient_suite(trials: int, seed: int) -> dict:
     """Analytic dL/df_l and dL/df_o vs central finite differences."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(4,)))
-    worst = 0.0
+    errs = []
     for _ in range(trials):
         jin = random_instance(rng)
         gold_y, gold_t = _feasible_gold(rng, jin)
@@ -282,14 +274,14 @@ def emission_gradient_suite(trials: int, seed: int) -> dict:
             j = JointScoreInputs(scores["f_l"], scores["f_o"], jin.rm, jin.tm, jin.lam)
             return nll_loss(gold_y, gold_t, j)
 
-        worst = max(worst, _max_fd_rel_err(scores, {"f_l": d_fl, "f_o": d_fo}, loss_now))
-    return {"trials": trials, "max_rel_err": worst, "pass": bool(worst <= 1e-4)}
+        errs.append(_max_fd_rel_err(scores, {"f_l": d_fl, "f_o": d_fo}, loss_now))
+    return _report(trials, max_rel_err=(_worst(errs), 1e-4))
 
 
 def encoder_gradient_suite(trials: int, seed: int) -> dict:
     """End-to-end parameter gradients of compute_loss vs finite differences."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(5,)))
-    worst = 0.0
+    errs = []
     n_kinds = len(SIMILARITY_KINDS)
     for trial in range(trials):
         episode = random_episode(rng)
@@ -314,14 +306,14 @@ def encoder_gradient_suite(trials: int, seed: int) -> dict:
             return compute_loss(query, build_context(episode, encoder, cfg), cfg)
 
         _, grads = loss_now()
-        worst = max(worst, _max_fd_rel_err(encoder.params.as_dict(), grads, loss_now))
-    return {"trials": trials, "max_rel_err": worst, "pass": bool(worst <= 1e-4)}
+        errs.append(_max_fd_rel_err(encoder.params.as_dict(), grads, loss_now))
+    return _report(trials, max_rel_err=(_worst(errs), 1e-4))
 
 
 def shift_invariance_suite(trials: int, seed: int) -> dict:
     """Constant shifts of f_l (or one f_o row) leave all posteriors unchanged."""
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(6,)))
-    worst = 0.0
+    errs = []
     decode_changes = 0
     for _ in range(trials):
         jin = random_instance(rng)
@@ -336,21 +328,14 @@ def shift_invariance_suite(trials: int, seed: int) -> dict:
 
         for shifted, dz in ((shifted_l, jin.lam * SHIFT), (shifted_o, SHIFT)):
             post2 = log_partition(shifted)
-            worst = max(
-                worst,
-                abs(post2.log_z - post.log_z - dz),
-                float(np.max(np.abs(post2.intent_marginals - post.intent_marginals))),
-                float(np.max(np.abs(post2.slot_unary_marginals - post.slot_unary_marginals))),
-            )
+            errs += [abs(post2.log_z - post.log_z - dz),
+                     np.max(np.abs(post2.intent_marginals - post.intent_marginals)),
+                     np.max(np.abs(post2.slot_unary_marginals - post.slot_unary_marginals))]
             dec2 = viterbi_decode(shifted)
             if (decoded[0], list(decoded[1])) != (dec2[0], list(dec2[1])):
                 decode_changes += 1
-    return {
-        "trials": trials,
-        "max_posterior_err": worst,
-        "decode_changes": decode_changes,
-        "pass": bool(worst <= 1e-9 and decode_changes == 0),
-    }
+    return _report(trials, max_posterior_err=(_worst(errs), 1e-9),
+                   decode_changes=(decode_changes, 0))
 
 
 def run_all_suites(trials: int, seed: int) -> dict:

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Episode, MalformedInput, Sample, config_from_dict
+from .core import Episode, LabelMismatch, MalformedInput, Sample, config_from_dict
 from .encoder import Encoder, encoder_backward, zero_grads
 from .lattice import (
     InfeasibleGold,
@@ -80,16 +80,17 @@ class RunConfig:
     def __post_init__(self):
         if not 0 < self.adam_beta1 < 1 or not 0 < self.adam_beta2 < 1:
             raise ValueError("adam betas must lie in (0, 1)")
-        if self.adam_eps <= 0:
-            raise ValueError("adam_eps must be > 0")
+        # each bound is written so that a NaN fails it
+        if not 0 < self.adam_eps < np.inf:
+            raise ValueError("adam_eps must be > 0 and finite")
         if self.batch_size < 1 or self.eval_every < 1:
             raise ValueError("batch_size and eval_every must be >= 1")
         if self.max_steps < 0:
             raise ValueError("max_steps must be >= 0")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be > 0 and finite")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError("lam must be >= 0 and finite")
         if self.loss_mode not in LOSS_MODES:
             raise ValueError(f"unknown loss_mode {self.loss_mode!r}")
         if self.similarity_kind not in SIMILARITY_KINDS:
@@ -191,7 +192,13 @@ def _softmax_ce(scores: np.ndarray, gold: Sequence[int]) -> tuple[np.ndarray, np
 def _loss_and_emission_grads(
     query: Sample, f_l: np.ndarray, f_o: np.ndarray, ctx: EpisodeContext, config: RunConfig
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Configured loss plus dL/df_l and dL/df_o."""
+    """Configured loss plus dL/df_l and dL/df_o.  Gold ids outside the
+    episode's label space raise LabelMismatch: indexing would read -1 as
+    the last label."""
+    ls = ctx.episode.label_space
+    if not (0 <= query.intent < ls.n_intents and all(0 <= o < ls.n_slots for o in query.slots)):
+        raise LabelMismatch(f"gold intent {query.intent} or slots {list(query.slots)} fall outside "
+                            f"the episode's {ls.n_intents} intents and {ls.n_slots} slot labels")
     gold_y, gold_t = query.intent, np.asarray(query.slots, dtype=int)
     if config.loss_mode == "joint":
         jin = JointScoreInputs(f_l, f_o, ctx.rm, ctx.tm, config.lam)

@@ -35,11 +35,16 @@ def report(criterion: int, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {criterion:2d} {'PASS' if ok else 'FAIL'} - {detail}")
 
 
+def sci(value) -> str:
+    """A suite's worst value for a PASS/FAIL line; the suites report a NaN as None."""
+    return "null" if value is None else f"{value:.2e}"
+
+
 def test_criterion_1_partition_oracle():
     stats = partition_suite(trials=200, seed=20)
     report(1, stats["pass"],
            f"log Z vs enumeration over {stats['trials']} instances, "
-           f"max rel err {stats['max_log_z_rel_err']:.2e} (tol 1e-9)")
+           f"max rel err {sci(stats['max_log_z_rel_err'])} (tol 1e-9)")
     assert stats["pass"]
 
 
@@ -55,7 +60,7 @@ def test_criterion_2_decoding_oracle():
 def test_criterion_3_normalization():
     stats = normalization_suite(trials=200, seed=22)
     report(3, stats["pass"],
-           f"sum of probabilities within {stats['max_total_prob_err']:.2e} of 1 "
+           f"sum of probabilities within {sci(stats['max_total_prob_err'])} of 1 "
            f"(tol 1e-6), masked pairs with nonzero mass: "
            f"{stats['masked_pairs_with_nonzero_prob']}")
     assert stats["pass"]
@@ -67,8 +72,8 @@ def test_criterion_4_gradient_correctness():
     ok = emission["pass"] and end_to_end["pass"]
     report(4, ok,
            f"finite differences: emission grads max rel err "
-           f"{emission['max_rel_err']:.2e} over {emission['trials']} instances, "
-           f"encoder grads {end_to_end['max_rel_err']:.2e} over "
+           f"{sci(emission['max_rel_err'])} over {emission['trials']} instances, "
+           f"encoder grads {sci(end_to_end['max_rel_err'])} over "
            f"{end_to_end['trials']} episodes (tol 1e-4)")
     assert ok
 
@@ -76,7 +81,7 @@ def test_criterion_4_gradient_correctness():
 def test_criterion_5_shift_invariance():
     stats = shift_invariance_suite(trials=200, seed=24)
     report(5, stats["pass"],
-           f"c=3.7 shifts: max posterior drift {stats['max_posterior_err']:.2e} "
+           f"c=3.7 shifts: max posterior drift {sci(stats['max_posterior_err'])} "
            f"(tol 1e-9), decode changes {stats['decode_changes']}")
     assert stats["pass"]
 

@@ -5,12 +5,13 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import jmrm.cli
 import jmrm.trainer
 from jmrm.cli import main
-from jmrm.core import load_episode_file
+from jmrm.core import load_episode_file, read_json
 from jmrm.encoder import load_encoder
 from jmrm.episodes import load_corpus_file
 
@@ -215,6 +216,31 @@ class TestOracleCheckAndReport:
         first = report["masks"][0]
         assert len(first["relation_mask"]) == len(first["intents"])
         assert len(first["transition_mask"]) == len(first["slot_labels"])
+        for name in ("relation_mask", "transition_mask", "start_mask"):
+            assert set(np.ravel(first[name]).tolist()) <= {0, 1}
+
+    def test_walkthrough_writes_only_standard_json(self, workspace):
+        ws, cfg = workspace
+        build(ws, cfg)
+        cfg = trainable_config(ws, learning_rate=0.01, max_steps=2, eval_every=1)
+        eps = {split: ws / f"eps_{split}.json" for split in ("source", "dev", "target")}
+        commands = [
+            ("train", "--config", cfg, "--episodes", eps["source"], "--dev", eps["dev"],
+             "--out", ws / "run"),
+            ("eval", "--config", cfg, "--checkpoint", ws / "run" / "checkpoint.json",
+             "--episodes", eps["target"], "--out", ws / "evalout"),
+            ("ablate", "--config", ws / "cfg.json", "--episodes", eps["source"],
+             "--dev", eps["dev"], "--test", eps["target"], "--seeds", 1, "--out", ws / "ab"),
+            ("report", "--inputs", ws / "ab" / "ablate_results.json",
+             ws / "evalout" / "metrics.json", "--out", ws / "rep"),
+            ("oracle-check", "--trials", 3, "--dump-masks", eps["target"], "--out", ws / "oc"),
+        ]
+        for argv in commands:
+            assert run_cli(*argv) == 0, argv[0]
+        written = sorted(ws.rglob("*.json"))
+        assert ws / "oc" / "oracle_report.json" in written
+        for path in written:
+            read_json(path)  # rejects NaN and +-Infinity
 
     def test_report_aggregates_records(self, workspace):
         ws, cfg = workspace

@@ -229,6 +229,17 @@ class TestNllLoss:
         loss, _ = nll_loss(0, np.array([0, 0, 0]), jin)
         assert loss == 0.0
 
+    def test_nan_loss_is_not_clamped(self):
+        # scores this large overflow log Z and R(gold) under the errstate
+        # `jmrm train` runs in; the loss must say so, so train() stops on it
+        ls = LabelSpace(("only",), ("O", "B-x", "I-x"))
+        jin = JointScoreInputs(np.zeros(1), np.full((3, 3), 1e308),
+                               all_ones_relation_mask(1, 3), build_transition_mask(ls), 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss, post = nll_loss(0, np.array([0, 0, 0]), jin)
+        assert not math.isfinite(post.log_z)
+        assert math.isnan(loss)
+
     def test_matches_brute_force_probability(self):
         rng = np.random.default_rng(6)
         for _ in range(30):

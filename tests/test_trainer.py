@@ -5,7 +5,7 @@ import pytest
 
 import jmrm.encoder
 import jmrm.trainer
-from jmrm.core import Episode, LabelSpace, MalformedInput
+from jmrm.core import Episode, LabelMismatch, LabelSpace, MalformedInput, Sample
 from jmrm.encoder import EncoderConfig, init_encoder
 from jmrm.episodes import SynthSpec, build_episode, generate_synthetic
 from jmrm.lattice import InfeasibleGold, JointScoreInputs, NonFiniteScores, nll_loss
@@ -149,6 +149,17 @@ class TestComputeLoss:
         )
         result = train([ep], [ep], trainable, RunConfig(max_steps=2, eval_every=1, batch_size=1))
         assert result.skipped_queries >= 1
+
+    @pytest.mark.parametrize("loss_mode", ["joint", "sum_sep", "seq_ce"])
+    @pytest.mark.parametrize("intent, bad_slot", [(0, -1), (0, 3), (-1, 2), (1, 2)])
+    def test_gold_ids_outside_the_label_space_raise(self, loss_mode, intent, bad_slot):
+        # indexing would read -1 as I-x, the last label, and 3 as an IndexError
+        ls = LabelSpace(("a",), ("O", "B-x", "I-x"))
+        ep = Episode((make_sample(ls, "play big band", "a", "O B-x I-x"),), (), ls, "ids")
+        query = Sample(("big", "band"), intent, (1, bad_slot))
+        cfg = RunConfig(loss_mode=loss_mode)
+        with pytest.raises(LabelMismatch, match="outside the episode's 1 intents and 3 slot"):
+            compute_loss(query, build_context(ep, frozen_encoder(), cfg), cfg)
 
     def test_seq_ce_and_sum_sep_modes_run(self, small_episode):
         enc = frozen_encoder()
@@ -437,6 +448,12 @@ class TestRunConfig:
         ("eval_every", 0, "batch_size and eval_every must be >= 1"),
         ("max_steps", -1, "max_steps must be >= 0"),
         ("lam", -0.5, "lam must be >= 0"),
+        ("lam", float("nan"), "lam must be >= 0 and finite"),
+        ("lam", float("inf"), "lam must be >= 0 and finite"),
+        ("adam_eps", float("nan"), "adam_eps must be > 0 and finite"),
+        ("adam_eps", float("inf"), "adam_eps must be > 0 and finite"),
+        ("learning_rate", float("nan"), "learning_rate must be > 0 and finite"),
+        ("learning_rate", float("inf"), "learning_rate must be > 0 and finite"),
     ])
     def test_out_of_range_fields(self, field, value, message):
         with pytest.raises(ValueError, match=message):

@@ -48,9 +48,9 @@ from .trainer import LOSS_MODES, RunConfig, TrainingDiverged, evaluate, run_conf
 logger = logging.getLogger(__name__)
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, seed: int) -> None:
+def _write_manifest(path: Path, command: str, config: dict, seed: int) -> None:
     write_json(
-        out_dir / "manifest.json",
+        path,
         {
             "command": command,
             "config": config,
@@ -111,7 +111,7 @@ def cmd_gen_synth(args) -> int:
     save_corpus_file(out / "source.json", source)
     save_corpus_file(out / "dev.json", dev)
     save_corpus_file(out / "target.json", target)
-    _write_manifest(out, "gen-synth", asdict(spec), spec.seed)
+    _write_manifest(out / "manifest.json", "gen-synth", asdict(spec), spec.seed)
     print(json.dumps({"out": str(out), "domains": {
         "source": len(source), "dev": len(dev), "target": len(target)}}))
     return 0
@@ -127,12 +127,11 @@ def cmd_build_episodes(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_episode_file(out, episodes)
-    _write_manifest(
-        out.parent, "build-episodes",
-        {"corpora": str(args.corpora), "shots": args.shots,
-         "query_size": args.query_size, "count": args.count, "out": out.name},
-        args.seed,
-    )
+    # one manifest per episode file, beside it: splits built into one directory keep theirs
+    _write_manifest(out.with_suffix(".manifest.json"), "build-episodes",
+                    {"corpora": str(args.corpora), "shots": args.shots,
+                     "query_size": args.query_size, "count": args.count, "out": out.name},
+                    args.seed)
     print(json.dumps({"out": str(out), "episodes": len(episodes)}))
     return 0
 
@@ -158,9 +157,9 @@ def cmd_train(args) -> int:
     with open(out / "training_log.jsonl", "w", encoding="utf-8") as fh:
         for entry in result.log:
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
-    _write_manifest(out, "train", {"run": asdict(cfg), "encoder": asdict(enc_cfg),
-                                   "episodes": str(args.episodes), "dev": str(args.dev)},
-                    cfg.seed)
+    _write_manifest(out / "manifest.json", "train",
+                    {"run": asdict(cfg), "encoder": asdict(enc_cfg),
+                     "episodes": str(args.episodes), "dev": str(args.dev)}, cfg.seed)
     if diverged is not None:
         raise diverged
     best_dev = next(e["dev"] for e in result.log
@@ -188,8 +187,8 @@ def cmd_eval(args) -> int:
         "name": args.name, "similarity": cfg.similarity_kind, "seed": cfg.seed,
         "metrics": metrics.to_dict(),
     })
-    _write_manifest(out, "eval", {"run": asdict(cfg), "checkpoint": str(args.checkpoint),
-                                  "episodes": str(args.episodes)}, cfg.seed)
+    _write_manifest(out / "manifest.json", "eval", {"run": asdict(cfg),
+                    "checkpoint": str(args.checkpoint), "episodes": str(args.episodes)}, cfg.seed)
     print(json.dumps({"out": str(out), "metrics": metrics.to_dict()}))
     return 0
 
@@ -208,10 +207,9 @@ def cmd_ablate(args) -> int:
     write_json(out / "ablate_results.json", {"records": records})
     (out / "report.csv").write_text(format_report_csv(rows), encoding="utf-8")
     (out / "report.txt").write_text(format_report_text(rows), encoding="utf-8")
-    _write_manifest(out, "ablate", {"run": asdict(cfg), "encoder": asdict(enc_cfg),
-                                    "episodes": str(args.episodes), "dev": str(args.dev),
-                                    "test": str(args.test), "seeds": args.seeds},
-                    cfg.seed)
+    _write_manifest(out / "manifest.json", "ablate",
+                    {"run": asdict(cfg), "encoder": asdict(enc_cfg), "episodes": str(args.episodes),
+                     "dev": str(args.dev), "test": str(args.test), "seeds": args.seeds}, cfg.seed)
     print(format_report_text(rows), end="")
     return 0
 
@@ -238,7 +236,7 @@ def cmd_oracle_check(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         write_json(out / "oracle_report.json", report)
-        _write_manifest(out, "oracle-check", {"trials": args.trials}, args.seed)
+        _write_manifest(out / "manifest.json", "oracle-check", {"trials": args.trials}, args.seed)
     print(json.dumps(report, indent=2, sort_keys=True, default=float))
     return 0 if report["pass"] else 1
 
@@ -271,7 +269,7 @@ def cmd_report(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
         (out / "report.csv").write_text(format_report_csv(rows), encoding="utf-8")
         (out / "report.txt").write_text(text, encoding="utf-8")
-        _write_manifest(out, "report", {"inputs": [str(p) for p in args.inputs]}, 0)
+        _write_manifest(out / "manifest.json", "report", {"inputs": list(map(str, args.inputs))}, 0)
     print(text, end="")
     return 0
 
@@ -355,9 +353,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    for flag in ("count", "seeds", "trials"):  # a run over none builds or checks nothing
-        if getattr(args, flag, 1) < 1:
-            raise ValueError(f"--{flag} must be >= 1, got {getattr(args, flag)}")
+    # a run over none builds or checks nothing; a seed is a non-negative integer
+    for flag, low in (("count", 1), ("seeds", 1), ("trials", 1), ("seed", 0)):
+        if (value := getattr(args, flag, None)) is not None and value < low:
+            raise ValueError(f"--{flag} must be >= {low}, got {value}")
     return args.func(args)
 
 

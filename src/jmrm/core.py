@@ -17,6 +17,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field, fields
+from itertools import chain
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -146,7 +147,10 @@ class Sample:
 
 @dataclass(frozen=True)
 class Episode:
-    """A support set, a query set, and the episode-local label space."""
+    """A support set, a query set, and the episode-local label space.
+
+    Construction checks each sample's lengths (LengthMismatch) and label ids
+    (LabelMismatch) as a Corpus does, without logging its BIO anomalies again."""
 
     support: tuple[Sample, ...]
     query: tuple[Sample, ...]
@@ -156,6 +160,20 @@ class Episode:
     def __post_init__(self):
         object.__setattr__(self, "support", tuple(self.support))
         object.__setattr__(self, "query", tuple(self.query))
+        ls, samples = self.label_space, self.support + self.query
+        n_slots = np.array([len(s.slots) for s in samples], dtype=np.intp)
+        slots = np.fromiter(chain.from_iterable(s.slots for s in samples), np.intp, n_slots.sum())
+        bad_length = np.array([not 0 < len(s.tokens) == len(s.slots) for s in samples], dtype=bool)
+        bad = bad_length | np.array([not 0 <= s.intent < ls.n_intents for s in samples], dtype=bool)
+        bad[np.repeat(np.arange(len(samples)), n_slots)[(slots < 0) | (slots >= ls.n_slots)]] = True
+        for n in np.flatnonzero(bad)[:1].tolist():
+            s = samples[n]
+            part, k = ("support", n) if n < len(self.support) else ("query", n - len(self.support))
+            where = f"episode {self.domain_name!r} {part} sample {k}"
+            if bad_length[n]:
+                raise LengthMismatch(f"{where}: {len(s.tokens)} tokens vs {len(s.slots)} slots")
+            raise LabelMismatch(f"{where}: intent {s.intent} or slots {s.slots} outside "
+                                f"{ls.n_intents} intents and {ls.n_slots} slot labels")
 
 
 def validate_sample(sample: Sample, ls: LabelSpace) -> list[str]:

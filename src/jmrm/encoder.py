@@ -17,6 +17,7 @@ Two kinds:
 
 from __future__ import annotations
 
+import copy
 import hashlib
 from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
@@ -51,8 +52,8 @@ class EncoderConfig:
             raise ValueError(f"unknown encoder kind {self.kind!r}")
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if self.context_window < 0:
-            raise ValueError("context_window must be >= 0")
+        if self.context_window < 0 or self.seed < 0:
+            raise ValueError("seed and context_window must be >= 0")
         if not 0 < self.init_scale < np.inf:  # a NaN fails this bound
             raise ValueError("init_scale must be > 0 and finite")
 
@@ -72,14 +73,6 @@ class EncoderParams:
             "projection": self.projection,
             "bias": self.bias,
         }
-
-    def copy(self) -> "EncoderParams":
-        return EncoderParams(
-            vocab=dict(self.vocab),
-            token_table=self.token_table.copy(),
-            projection=self.projection.copy(),
-            bias=self.bias.copy(),
-        )
 
 
 @dataclass(frozen=True)
@@ -105,7 +98,7 @@ class Encoder:
         return encode_tokens(self.params, self.config, tokens, return_state)
 
     def copy(self) -> "Encoder":
-        return Encoder(self.config, self.params.copy() if self.params else None)
+        return copy.deepcopy(self)
 
 
 def init_encoder(config: EncoderConfig, vocab: Sequence[str] = ()) -> Encoder:
@@ -165,17 +158,13 @@ def _window_means(table_rows: np.ndarray, w: int) -> np.ndarray:
     if w == 0:
         return table_rows
     m = table_rows.shape[0]
+    sizes = _window_pairs(m, w)[2]  # encoder_backward's table, under the same key
     w = min(w, m - 1)
     # offset o adds row i + o into every row i it reaches; ascending o adds
     # each window's rows in ascending order, as a loop over them would
     sums = np.zeros_like(table_rows)
     for o in range(-w, w + 1):
         sums[max(0, -o) : m - max(0, o)] += table_rows[max(0, o) : m + min(0, o)]
-    # window i spans min(i, w) rows before it and min(m - 1 - i, w) after it:
-    # 2w + 1 rows, except in the first and last w windows, which mirror
-    sizes = np.full(m, 2 * w + 1)
-    for k in range(w):
-        sizes[k] = sizes[m - 1 - k] = k + min(m - 1 - k, w) + 1
     return sums / sizes[:, None]
 
 

@@ -75,8 +75,8 @@ class SynthSpec:
             self.intents_per_domain, self.slots_per_intent,
             self.template_count, self.samples_per_domain,
         )
-        if any(c < 1 for c in counts):
-            raise ValueError("all SynthSpec counts must be >= 1")
+        if any(c < 1 for c in counts) or self.seed < 0:
+            raise ValueError("all SynthSpec counts must be >= 1, and seed >= 0")
         if not 0.0 <= self.vocab_overlap <= 1.0:
             raise ValueError("vocab_overlap must lie in [0, 1]")
 

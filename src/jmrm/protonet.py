@@ -111,13 +111,12 @@ def _build_prototypes(
         raise ValueError(f"slot label {ls.slot_labels[o]!r} has no support occurrences")
     intent_sum = np.zeros((y, encoder.config.dim))
     slot_sum = np.zeros((t, encoder.config.dim))
-    means, states, start = [], [], 0
+    means, states = [], []
     # ufunc.at adds in index order: support order, then token position; one
     # sample's rows at a time, so the support's token matrix is never whole
     for sample in support:
         rows, state = encoder.encode_tokens(sample.tokens, True)
-        add_rows_at(slot_sum, slots[start : start + len(rows)], rows)
-        start += len(rows)
+        add_rows_at(slot_sum, np.asarray(sample.slots), rows)
         means.append(rows.mean(axis=0))
         states.append(state)
     add_rows_at(intent_sum, intents, np.stack(means))
@@ -139,26 +138,20 @@ def _proto_norms(protos: np.ndarray, kind: str) -> np.ndarray:
 
 
 def similarity_to_protos(e: np.ndarray, protos: np.ndarray, kind: str) -> np.ndarray:
-    """Similarities of an (r, d) embedding matrix against (n, d) prototypes,
-    (r, n); a single (d,) embedding gives (n,)."""
-    e = np.asarray(e, dtype=float)
-    s = _row_similarities(np.atleast_2d(e), np.asarray(protos, dtype=float), kind)
-    return s[0] if e.ndim == 1 else s
-
-
-def _row_similarities(rows: np.ndarray, protos: np.ndarray, kind: str) -> np.ndarray:
+    """Similarities of an (r, d) embedding matrix against (n, d) prototypes, (r, n)."""
+    e, protos = np.asarray(e, dtype=float), np.asarray(protos, dtype=float)
     if kind == L2:
-        diff = protos - rows[:, None, :]
+        diff = protos - e[:, None, :]
         return -(diff * diff).sum(axis=2)
     if kind not in (VPB, COS):
         raise ValueError(f"unknown similarity kind {kind!r}")
     c_norms = _proto_norms(protos, kind)
-    # one gemv per row: a single gemm rows @ protos.T rounds differently
-    dots = np.matmul(protos, rows[:, :, None])[:, :, 0]
+    # one gemv per row: a single gemm e @ protos.T rounds differently
+    dots = np.matmul(protos, e[:, :, None])[:, :, 0]
     if kind == VPB:
         return dots / c_norms - c_norms / 2.0
     # (r, 1): sqrt(e . e) row by row, as np.linalg.norm computes it
-    e_norms = np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None]))[:, 0]
+    e_norms = np.sqrt(np.matmul(e[:, None, :], e[:, :, None]))[:, 0]
     if np.any(e_norms == 0.0):
         i = int(np.argmin(e_norms[:, 0]))
         raise DegenerateVector(f"zero-norm embedding row {i} under cos similarity")
@@ -207,5 +200,5 @@ def compute_emissions(
 ) -> Emissions:
     """Intent emission vector (Y,) and slot emission matrix (m, T) for a query."""
     rows = encoder.encode_tokens(query.tokens)
-    intent = similarity_to_protos(rows.mean(axis=0), protos.intent_protos, kind)
+    intent = similarity_to_protos(rows.mean(axis=0, keepdims=True), protos.intent_protos, kind)[0]
     return Emissions(intent=intent, slot=similarity_to_protos(rows, protos.slot_protos, kind))

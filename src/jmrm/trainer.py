@@ -85,8 +85,8 @@ class RunConfig:
             raise ValueError("adam_eps must be > 0 and finite")
         if self.batch_size < 1 or self.eval_every < 1:
             raise ValueError("batch_size and eval_every must be >= 1")
-        if self.max_steps < 0:
-            raise ValueError("max_steps must be >= 0")
+        if self.max_steps < 0 or self.seed < 0:
+            raise ValueError("seed and max_steps must be >= 0")
         if not 0 < self.learning_rate < np.inf:
             raise ValueError("learning_rate must be > 0 and finite")
         if not 0 <= self.lam < np.inf:
@@ -237,8 +237,8 @@ def compute_loss(
     enc = ctx.encoder
     kind = config.similarity_kind
     q_rows, q_state = enc.encode_tokens(query.tokens, True)
-    q_utt = q_rows.mean(axis=0)
-    f_l = similarity_to_protos(q_utt, ctx.protos.intent_protos, kind)
+    q_utt = q_rows.mean(axis=0, keepdims=True)
+    f_l = similarity_to_protos(q_utt, ctx.protos.intent_protos, kind)[0]
     f_o = similarity_to_protos(q_rows, ctx.protos.slot_protos, kind)
 
     loss, d_fl, d_fo = _loss_and_emission_grads(query, f_l, f_o, ctx, config)
@@ -246,7 +246,7 @@ def compute_loss(
         return loss, None
 
     # chain rule through the similarities
-    d_q_utt, d_c_intent = similarity_grads(q_utt[None], ctx.protos.intent_protos, kind, d_fl[None])
+    d_q_utt, d_c_intent = similarity_grads(q_utt, ctx.protos.intent_protos, kind, d_fl[None])
     d_q_rows, d_c_slot = similarity_grads(q_rows, ctx.protos.slot_protos, kind, d_fo)
     d_c_intent /= ctx.protos.intent_counts[:, None]
     d_c_slot /= ctx.protos.slot_counts[:, None]
@@ -372,7 +372,7 @@ def train(
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0,)))
     params = encoder.params.as_dict()
     state = init_adam_state(params)
-    grads_acc = {k: np.zeros_like(v) for k, v in params.items()}
+    grads_acc = zero_grads(encoder.params)
     batch_losses: list[float] = []
     ctx = None
     step = 0

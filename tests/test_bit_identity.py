@@ -614,8 +614,9 @@ def test_prototypes_and_kept_state_backward_match_add_at(w):
 @pytest.mark.parametrize("r", [1, 2, 12, 40])
 @pytest.mark.parametrize("kind", KINDS)
 def test_row_batched_similarity_matches_rows(kind, r, t_n, scale):
-    """An (r, d) embedding matrix scores like its rows one at a time, and a
-    single (d,) embedding like itself; integer rounding makes exact ties."""
+    """An (r, d) embedding matrix scores like its rows one at a time, and its
+    last row alone, a (1, d) matrix, like itself; integer rounding makes
+    exact ties."""
     rng = np.random.default_rng([r, t_n, int(1e3 * scale)])
     for d in (16, 32):
         protos = scale * rng.standard_normal((t_n, d))
@@ -624,7 +625,7 @@ def test_row_batched_similarity_matches_rows(kind, r, t_n, scale):
         for p, e in ((protos, rows), tied):
             want = np.stack([ref_similarity_to_protos(x, p, kind) for x in e])
             assert_same_bits(similarity_to_protos(e, p, kind), want)
-            assert_same_bits(similarity_to_protos(e[-1], p, kind), want[-1])
+            assert_same_bits(similarity_to_protos(e[-1:], p, kind), want[-1:])
 
 
 @pytest.mark.parametrize("t_n", [9, 79])

@@ -78,6 +78,26 @@ class TestPipeline:
         assert len(eps) == 6  # 2 domains x 3 episodes
         assert all(len(ep.query) == 5 for ep in eps)
 
+    def test_splits_in_one_directory_keep_their_manifests(self, workspace):
+        """Each episode file gets a manifest beside it, named after it; the
+        corpus directory keeps gen-synth's manifest."""
+        ws, cfg = workspace
+        data = build(ws, cfg)
+        splits = {"train": ("source", 1), "dev": ("dev", 2), "test": ("target", 3)}
+        for name, (split, seed) in splits.items():
+            assert run_cli("build-episodes", "--corpora", data / f"{split}.json", "--shots", 5,
+                           "--query-size", 5, "--count", 2, "--seed", seed,
+                           "--out", ws / "episodes" / f"{name}.json") == 0
+        assert sorted(p.name for p in (ws / "episodes").iterdir()) == [
+            "dev.json", "dev.manifest.json", "test.json", "test.manifest.json",
+            "train.json", "train.manifest.json"]
+        for name, (split, seed) in splits.items():
+            manifest = read_json(ws / "episodes" / f"{name}.manifest.json")
+            assert manifest["command"] == "build-episodes" and manifest["seed"] == seed
+            assert manifest["config"] == {"corpora": str(data / f"{split}.json"), "shots": 5,
+                                          "query_size": 5, "count": 2, "out": f"{name}.json"}
+        assert read_json(data / "manifest.json")["command"] == "gen-synth"
+
     def test_train_then_eval_reproduces_dev_metrics(self, workspace):
         ws, cfg = workspace
         build(ws, cfg)
@@ -392,4 +412,57 @@ class TestErrors:
         [line] = captured.err.strip().splitlines()
         assert json.loads(line) == {"error": "ValueError",
                                     "message": f"--{name} must be >= 1, got {value}"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, seed", [
+        ("gen-synth", -1), ("build-episodes", -1), ("oracle-check", -1), ("train", -1),
+        ("eval", -1), ("ablate", -1), ("ablate", -3),
+    ])
+    def test_negative_seed_yields_error_json(self, workspace, capsys, command, seed):
+        """A negative --seed fails on one JSON line naming the flag and
+        writes no output, whichever encoder the run would use."""
+        ws, cfg = workspace
+        data, out = build(ws, cfg), ws / "o"
+        eps = {split: ws / f"eps_{split}.json" for split in ("source", "dev", "target")}
+        argv = {
+            "gen-synth": ["--config", cfg, "--out", out],
+            "build-episodes": ["--corpora", data / "source.json", "--shots", 5,
+                               "--out", out / "eps.json"],
+            "oracle-check": ["--trials", 1, "--out", out],
+            "train": ["--config", trainable_config(ws), "--episodes", eps["source"],
+                      "--dev", eps["dev"], "--out", out],
+            "eval": ["--checkpoint", ws / "none.json", "--episodes", eps["target"], "--out", out],
+            "ablate": ["--config", cfg, "--episodes", eps["source"], "--dev", eps["dev"],
+                       "--test", eps["target"], "--seeds", 1, "--out", out],
+        }[command]
+        capsys.readouterr()
+        assert run_cli(command, *argv, "--seed", seed) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.strip().splitlines()
+        assert json.loads(line) == {"error": "ValueError",
+                                    "message": f"--seed must be >= 0, got {seed}"}
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, command, message", [
+        ("run", "ablate", "bad run config: seed and max_steps must be >= 0"),
+        ("encoder", "ablate", "bad encoder config: seed and context_window must be >= 0"),
+        ("synth", "gen-synth", "bad synth config: all SynthSpec counts must be >= 1, and seed >= 0"),
+    ])
+    def test_negative_config_seed_yields_malformed_input(self, workspace, capsys, section,
+                                                         command, message):
+        ws, cfg = workspace
+        build(ws, cfg)
+        bad = json.loads(cfg.read_text())
+        bad[section]["seed"] = -1
+        bad_cfg, out = ws / "bad_cfg.json", ws / "o"
+        bad_cfg.write_text(json.dumps(bad))
+        argv = ["--config", bad_cfg, "--out", out]
+        if command == "ablate":
+            argv += ["--episodes", ws / "eps_source.json", "--dev", ws / "eps_dev.json",
+                     "--test", ws / "eps_target.json", "--seeds", 1]
+        capsys.readouterr()
+        assert run_cli(command, *argv) == 1
+        [line] = capsys.readouterr().err.strip().splitlines()
+        assert json.loads(line) == {"error": "MalformedInput", "message": message}
         assert not out.exists()

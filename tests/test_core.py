@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from jmrm.core import (
+    Episode,
     LabelMismatch,
     LabelSpace,
     LengthMismatch,
@@ -151,6 +152,47 @@ class TestValidateSample:
     def test_empty_tokens_reported(self, music_space):
         s = Sample(tokens=(), intent=0, slots=())
         assert any("empty" in v for v in validate_sample(s, music_space))
+
+
+class TestEpisodeChecks:
+    """An Episode built in the library checks its samples as a Corpus does,
+    so a bad id ends in a typed error naming the episode and the sample,
+    not in an IndexError, a bincount error or a shifted prototype."""
+
+    @staticmethod
+    def episode(music_space, support=(), query=()):
+        good = (make_sample(music_space, "play madonna", "play_music", "O B-artist"),)
+        return Episode(good + tuple(support), tuple(query), music_space, "music")
+
+    @pytest.mark.parametrize("part", ["support", "query"])
+    @pytest.mark.parametrize("intent, slots", [
+        (0, (0, 5)), (0, (-1, 0)), (2, (0, 0)), (-1, (0, 0)),
+    ])
+    def test_ids_outside_the_label_space(self, music_space, part, intent, slots):
+        bad = Sample(("play", "madonna"), intent, slots)
+        where = "support sample 1" if part == "support" else "query sample 0"
+        with pytest.raises(LabelMismatch, match=f"^episode 'music' {where}: intent {intent} "
+                           rf"or slots \({slots[0]}, {slots[1]}\) outside 2 intents and 5 slot"):
+            self.episode(music_space, **{part: [bad]})
+
+    @pytest.mark.parametrize("part", ["support", "query"])
+    @pytest.mark.parametrize("tokens, slots", [(("play",), (0, 1)), (("a", "b"), (0,)), ((), ())])
+    def test_length_mismatch(self, music_space, part, tokens, slots):
+        where = "support sample 1" if part == "support" else "query sample 0"
+        with pytest.raises(LengthMismatch, match=f"^episode 'music' {where}: {len(tokens)} "
+                           f"tokens vs {len(slots)} slots$"):
+            self.episode(music_space, **{part: [Sample(tokens, 0, slots)]})
+
+    def test_first_bad_sample_is_named(self, music_space):
+        bad = [Sample(("a",), 0, (0,)), Sample(("a",), 0, (7,)), Sample(("a",), 0, ())]
+        with pytest.raises(LabelMismatch, match="^episode 'music' support sample 2: "):
+            self.episode(music_space, support=bad)
+
+    def test_bio_anomalies_are_not_logged_again(self, music_space, caplog):
+        odd = Sample(("paris",), 0, (music_space.slot_id("I-city"),))
+        with caplog.at_level(logging.WARNING, logger="jmrm.core"):
+            ep = self.episode(music_space, support=[odd], query=[odd])
+        assert ep.support[1] == odd and caplog.records == []
 
 
 class TestBioSpans:

@@ -323,6 +323,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("field, value, message", [
         ("context_window", -1, "context_window must be >= 0"),
+        ("seed", -1, "seed and context_window must be >= 0"),
         ("init_scale", 0.0, "init_scale must be > 0"),
         ("init_scale", -0.1, "init_scale must be > 0"),
         ("init_scale", float("nan"), "init_scale must be > 0 and finite"),

@@ -184,6 +184,11 @@ class TestGenerateSynthetic:
         b = generate_synthetic(spec)
         assert serialize_corpora(a[0] + a[1] + a[2]) == serialize_corpora(b[0] + b[1] + b[2])
 
+    def test_negative_seed_rejected(self):
+        # numpy's own error for a negative seed names no field
+        with pytest.raises(ValueError, match="seed >= 0"):
+            SynthSpec(seed=-1)
+
     def test_split_sizes(self):
         spec = SynthSpec(n_source_domains=4, n_dev_domains=2, n_target_domains=3, seed=0)
         source, dev, target = generate_synthetic(spec)

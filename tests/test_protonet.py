@@ -100,7 +100,7 @@ class TestSimilarity:
         e = rng.standard_normal(6)
         protos = rng.standard_normal((5, 6))
         for kind in ("cos", "l2", "vpb"):
-            vec = similarity_to_protos(e, protos, kind)
+            vec = similarity_to_protos(e[None], protos, kind)[0]
             ref = [similarity(e, c, kind) for c in protos]
             np.testing.assert_allclose(vec, ref, atol=1e-12)
 
@@ -109,10 +109,10 @@ class TestSimilarity:
         for _ in range(50):
             e = rng.standard_normal(4)
             protos = rng.standard_normal((6, 4))
-            s = similarity_to_protos(e, protos, "cos")
+            s = similarity_to_protos(e[None], protos, "cos")[0]
             assert np.all(s <= 1.0 + 1e-12) and np.all(s >= -1.0 - 1e-12)
             for c in (0.5, 3.0, 1e4):
-                s2 = similarity_to_protos(c * e, protos, "cos")
+                s2 = similarity_to_protos(c * e[None], protos, "cos")[0]
                 assert int(np.argmax(s2)) == int(np.argmax(s))
 
     def test_similarity_grads_finite_difference(self):

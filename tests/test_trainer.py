@@ -447,6 +447,7 @@ class TestRunConfig:
         ("batch_size", 0, "batch_size and eval_every must be >= 1"),
         ("eval_every", 0, "batch_size and eval_every must be >= 1"),
         ("max_steps", -1, "max_steps must be >= 0"),
+        ("seed", -1, "seed and max_steps must be >= 0"),
         ("lam", -0.5, "lam must be >= 0"),
         ("lam", float("nan"), "lam must be >= 0 and finite"),
         ("lam", float("inf"), "lam must be >= 0 and finite"),

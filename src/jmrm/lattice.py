@@ -26,12 +26,16 @@ and the marginals:
 The max-plus sweep, _suffix_max, gives the best completions that Viterbi
 reads greedily: one max over the open columns and one over the closed
 successors per position, O(Y T (K+1)) instead of O(Y T^2).  Viterbi
-decodes a batch of Q equal-length queries at once (JointScoreInputs with a
-leading query axis): the sweep runs on the (Q·Y, m, T) stack and the greedy
-pass takes one argmax per position for all Q.  Both are elementwise sums
-and maxima along the label axes, so a query's every value is rounded as in
-a call on that query alone, and the batch changes no bit; one query is the
-Q = 1 case.  The sum-product sweeps take one query at a time.  Masked
+decodes a batch of Q queries of any lengths at once (JointScoreInputs with
+a leading query axis and, for a ragged batch, their lengths).  The batch is
+packed, as a PackedSequence is: the queries are ordered longest first, so
+the queries that run through a position are a prefix of that order, and
+the sweep and the greedy pass work on that prefix only.  Packed rows hold
+one (query, position) pair each, position-major, and no padded cell is
+read, computed or stored.  Both passes are elementwise sums and maxima
+along the label axes, so a query's every value is rounded as in a call on
+that query alone, and the batch changes no bit; one query is the Q = 1
+case.  The sum-product sweeps take one query at a time.  Masked
 configurations carry IEEE -inf, whose exp is exactly 0, so they contribute
 exactly zero probability mass and never produce NaN: each logsumexp
 subtracts its max only when the max is finite.  Scores must be finite, so
@@ -73,14 +77,19 @@ def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
 
 @dataclass
 class JointScoreInputs:
-    """One query's scores, or a batch of Q equal-length queries' scores
-    stacked on a leading axis; every query shares the masks and lam."""
+    """One query's scores, or a batch of Q queries' scores stacked on a
+    leading axis; every query shares the masks and lam.
+
+    A batch's f_o is (Q, M, T), and lengths, if given, holds each query's
+    length, 1 to M: cells past it are never read, so they may hold
+    anything.  Without lengths every query runs all M positions."""
 
     f_l: np.ndarray  # (Y,) or (Q, Y)
-    f_o: np.ndarray  # (m, T) or (Q, m, T)
+    f_o: np.ndarray  # (m, T) or (Q, M, T)
     rm: RelationMask
     tm: TransitionMask
     lam: float = 1.0
+    lengths: np.ndarray | None = None  # (Q,) ints in 1..M
 
     def __post_init__(self):
         self.f_l = np.asarray(self.f_l, dtype=float)
@@ -98,7 +107,17 @@ class JointScoreInputs:
             raise ValueError("transition mask shape mismatch")
         if not np.isfinite(self.lam):
             raise ValueError("lam must be finite")
-        for name, scores in (("f_l", self.f_l), ("f_o", self.f_o)):
+        real = self.f_o
+        if self.lengths is not None:
+            lengths = self.lengths = np.asarray(self.lengths)
+            if not self.batched:
+                raise ValueError("lengths needs a batch: (Q, Y) and (Q, M, T) scores")
+            if lengths.shape != batch or not np.issubdtype(lengths.dtype, np.integer):
+                raise ValueError(f"lengths {lengths.shape} {lengths.dtype} are not {batch} integers")
+            if np.any((lengths < 1) | (lengths > self.n_positions)):
+                raise ValueError(f"lengths must lie in 1..{self.n_positions}")
+            real = self.f_o[np.arange(self.n_positions) < lengths[:, None]]
+        for name, scores in (("f_l", self.f_l), ("f_o", real)):
             if not np.all(np.isfinite(scores)):
                 raise NonFiniteScores(f"{name} holds NaN or infinite scores")
 
@@ -218,28 +237,35 @@ def _backward(fe: np.ndarray, tm: TransitionMask) -> np.ndarray:
     return beta
 
 
-def _suffix_max(fe: np.ndarray, tm: TransitionMask) -> np.ndarray:
-    """Best completion after t_i = o, right to left over a (Y, m, T) stack.
+def _suffix_max(fe: np.ndarray, tm: TransitionMask, live: list[int]) -> np.ndarray:
+    """Best completion after t_i = o, right to left over a packed (T, N, Y)
+    stack: position i's rows are the live[i] columns from sum(live[:i]),
+    and the rows still running at i + 1 are the first live[i + 1] of them.
 
-    h[:, m-1, :] = 0 and h[:, i, o] = 1 + max of fe[:, i+1, p] + h[:, i+1, p]
-    over the p that may follow o.  Per position that is one max over
-    tm.open_cols, stored in the sentinel row T, and one max over the gather
-    of tm.closed_succ, whose rows all end with T: O(Y T (K+1)) instead of
-    O(Y T^2).  Every allowed transition scores exactly 1 and rounding is
-    monotone, so adding it after the max equals the dense
-    max_p(trans[o, p] + ...) bit for bit.  The work runs label-major,
-    (m, T, Y), so both gathers take whole rows.
+    h = 0 at a query's last position, and before it h[o] = 1 + max of
+    fe[p] + h[p] one position on, over the p that may follow o.  Per
+    position that is one max over tm.open_cols, stored in the sentinel row
+    T, and one max over the gather of tm.closed_succ, whose rows all end
+    with T: O(Y T (K+1)) instead of O(Y T^2).  Every allowed transition
+    scores exactly 1 and rounding is monotone, so adding it after the max
+    equals the dense max_p(trans[o, p] + ...) bit for bit.  The work runs
+    label-major, (T, k·Y), so both gathers take whole rows.  h comes back
+    flat, one C-ordered (T, live[i]·Y) block per position, so each step
+    reads and writes whole blocks.
     """
-    y, m, t = fe.shape
+    t, n, y = fe.shape
     open_cols, closed_succ = tm.open_cols, tm.closed_succ
-    fe = fe.transpose(1, 2, 0)
-    h = np.zeros((m, t, y))
-    ahead = np.empty((t + 1, y))
-    for i in range(m - 2, -1, -1):
-        np.add(fe[i + 1], h[i + 1], ahead[:t])
+    ends = np.cumsum(live).tolist()  # position i's rows end where i + 1's start
+    h = np.zeros(t * n * y)
+    block = [h[t * y * (end - k) : t * y * end].reshape(t, k * y) for k, end in zip(live, ends)]
+    buf = np.empty((t + 1) * live[0] * y)
+    for i in range(len(live) - 2, -1, -1):
+        k, nxt = live[i + 1], ends[i]
+        ahead = buf[: (t + 1) * k * y].reshape(t + 1, k * y)
+        np.add(fe[:, nxt : nxt + k], block[i + 1].reshape(t, k, y), ahead[:t].reshape(t, k, y))
         ahead[t] = _max(ahead.take(open_cols, 0), 0, initial=NEG_INF)
-        np.add(_max(ahead.take(closed_succ, 0), 1), 1.0, h[i])
-    return h.transpose(2, 0, 1)
+        np.add(_max(ahead.take(closed_succ, 0), 1), 1.0, block[i][:, : k * y])
+    return h
 
 
 def log_partition(jin: JointScoreInputs) -> JointPosterior:
@@ -305,38 +331,53 @@ def viterbi_decode(
     """Highest-scoring feasible (intent, slot sequence) pair of each query.
 
     One query gives (y, path (m,), score); a batch of Q gives the (Q,)
-    intents, the (Q, m) paths and the (Q,) scores, each query's exactly as
-    a call on that query alone would give them: the batch is one more
-    leading axis of elementwise sums and axis maxima, so no value is
-    rounded differently.  Ties break to the lowest intent id, then the
-    lexicographically smallest slot-id sequence; the greedy forward pass
-    below picks, at each position, the smallest slot id that still admits
-    an optimal completion (np.argmax returns the first maximizer).  The
-    returned score is the path's running sum, added up in joint_score's
-    order, so it matches joint_score bit for bit.
+    intents, the (Q, M) paths, -1 past each query's length, and the (Q,)
+    scores, in query order and each exactly as a call on that query alone
+    would give them.  The batch is packed (see the module docstring): the
+    queries are sorted longest first, stably, and each position works on
+    the prefix of them that runs through it.  Ties break to the lowest
+    intent id, then the lexicographically smallest slot-id sequence; the
+    greedy forward pass below picks, at each position, the smallest slot
+    id that still admits an optimal completion (np.argmax returns the first
+    maximizer).  The returned score is the path's running sum, added up in
+    joint_score's order, so it matches joint_score bit for bit.
     """
     f_l = jin.f_l.reshape(-1, jin.n_intents)
     q, y, m, t = f_l.shape[0], jin.n_intents, jin.n_positions, jin.n_slots
-    # (Q·Y, m, T): query-major, so query n's intents are rows n·Y .. n·Y+Y-1
-    fe = apply_relation_mask(jin.f_o[..., None, :, :], jin.rm, slice(None)).reshape(q * y, m, t)
-    sm = _suffix_max(fe, jin.tm)
-    first = (jin.tm.start + fe[:, 0] + sm[:, 0]).reshape(q, y, t)
+    lengths = np.full(q, m) if jin.lengths is None else jin.lengths
+    order = np.argsort(-lengths, kind="stable")
+    f_l, lengths = f_l[order], lengths[order]
+    # packed row r is query order[rank[r]] at position pos[r], position-major;
+    # the live[i] queries order[:live[i]] run through position i
+    pos, rank = np.nonzero(np.arange(lengths[0])[:, None] < lengths)
+    live = np.bincount(pos)
+    rows = jin.f_o.reshape(-1, m, t)[order[rank], pos]
+    fe = apply_relation_mask(rows[:, None, None], jin.rm, slice(None))[:, :, 0]  # (N, Y, T)
+    sm = _suffix_max(fe.transpose(2, 0, 1), jin.tm, live.tolist())
+    # position 0 holds every query: its block is sm's first (T, Q·Y)
+    first = jin.tm.start + fe[:q] + sm[: t * q * y].reshape(t, q, y).transpose(1, 2, 0)
     totals = jin.lam * f_l + _max(first, 2)
     if np.any(_max(totals, 1) == NEG_INF):
         raise InfeasibleLattice("every (intent, slot sequence) pair is masked")
     best_y = np.argmax(totals, axis=1)
-    rows = np.arange(q)
-    best = rows * y + best_y
-    fe, sm = fe.take(best, 0), sm.take(best, 0)  # (Q, m, T)
-    path = np.empty((q, m), dtype=int)
-    acc, into = np.zeros((q, 1)), jin.tm.start
-    for i in range(m):
-        # each query's running sum through t_i = o, then its best completion
-        reach = acc + into + fe[:, i]
-        o = path[:, i] = np.argmax(reach + sm[:, i], axis=1)
-        acc = reach[rows, o][:, None]
-        into = jin.tm.trans.take(o, 0)
-    score = jin.lam * f_l[rows, best_y] + acc[:, 0]
+    # each row's emissions and best completions under its query's intent, (N, T);
+    # in position pos[r]'s (T, live·Y) block, row r's completion for label o
+    # sits at o·live·Y + rank[r]·Y + its intent
+    chosen = best_y[rank]
+    at = (t * (np.cumsum(live) - live)[pos] + rank) * y + chosen
+    fe = fe[np.arange(rank.size), chosen]
+    sm = sm.take(at[:, None] + np.arange(t) * (y * live[pos])[:, None])
+    path = np.empty(rank.size, dtype=int)
+    acc, into, a, queries = np.zeros((q, 1)), jin.tm.start[None], 0, np.arange(q)
+    for k in live.tolist():
+        # each live query's running sum through t_i = o, then its best completion
+        reach = acc[:k] + into[:k] + fe[a : a + k]
+        o = path[a : a + k] = np.argmax(reach + sm[a : a + k], axis=1)
+        acc[:k, 0] = reach[queries[:k], o]
+        into, a = jin.tm.trans.take(o, 0), a + k
+    score = jin.lam * f_l[queries, best_y] + acc[:, 0]
+    ys, scores, paths = np.empty_like(best_y), np.empty_like(score), np.full((q, m), -1)
+    ys[order], scores[order], paths[order[rank], pos] = best_y, score, path
     if jin.batched:
-        return best_y, path, score
-    return int(best_y[0]), path[0], float(score[0])
+        return ys, paths, scores
+    return int(ys[0]), paths[0], float(scores[0])

@@ -275,28 +275,32 @@ def predict_episode(
     With msd_eval on, decoding is a joint Viterbi over the (relation-)
     masked lattice.  With msd_eval off, the intent is the emission argmax
     and slots are per-token argmaxes over the intent-conditioned emissions
-    (the classic prototype-pipeline decoder).  Queries of equal length are
-    decoded as one batch, in one call; each query's result is the one it
-    would get alone.
+    (the classic prototype-pipeline decoder).  Either way the episode is
+    decoded in one call: one packed Viterbi call over every query, whatever
+    its length, or one masked argmax over every query's slot rows.  Each
+    query's result is the one it would get alone.
     """
     ctx = build_context(episode, encoder, config, training=False)
     emissions = [compute_emissions(q, ctx.protos, encoder, config.similarity_kind)
                  for q in episode.query]
-    by_length: dict[int, list[int]] = {}
-    for n, em in enumerate(emissions):
-        by_length.setdefault(em.slot.shape[0], []).append(n)
-    predictions: list = [None] * len(emissions)
-    for batch in by_length.values():
-        f_l = np.stack([emissions[n].intent for n in batch])
-        f_o = np.stack([emissions[n].slot for n in batch])
-        if config.msd_eval:
-            ys, paths, _ = viterbi_decode(JointScoreInputs(f_l, f_o, ctx.rm, ctx.tm, config.lam))
-        else:
-            ys = np.argmax(f_l, axis=1)
-            paths = np.argmax(apply_relation_mask(f_o, ctx.rm, ys), axis=2)
-        for n, y, path in zip(batch, ys.tolist(), paths.tolist()):
-            predictions[n] = (y, path)
-    return predictions
+    if not emissions:
+        return []
+    lengths = np.array([em.slot.shape[0] for em in emissions])
+    f_l = np.stack([em.intent for em in emissions])
+    rows = np.concatenate([em.slot for em in emissions])  # query by query
+    real = np.arange(lengths.max()) < lengths[:, None]  # (Q, M): the cells rows fill
+    if config.msd_eval:
+        f_o = np.zeros((*real.shape, rows.shape[1]))
+        f_o[real] = rows
+        ys, paths, _ = viterbi_decode(JointScoreInputs(f_l, f_o, ctx.rm, ctx.tm, config.lam, lengths))
+        flat = paths[real].tolist()
+    else:
+        ys = np.argmax(f_l, axis=1)
+        fe = apply_relation_mask(rows[:, None], ctx.rm, np.repeat(ys, lengths))[:, 0]
+        flat = np.argmax(fe, axis=1).tolist()
+    ends = np.cumsum(lengths).tolist()
+    paths = [flat[a:b] for a, b in zip([0, *ends], ends)]
+    return list(zip(ys.tolist(), paths))
 
 
 def evaluate(

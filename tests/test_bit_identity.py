@@ -2,7 +2,7 @@
 row-batched emissions and similarity backward, the backward pass from a
 kept forward state, the transition mask, the structured sum-product
 sweep, the training loop, the K-shot support selection, the labeled-file
-writer, the ablation grid, the batched decoder, and the span counts and
+writer, the ablation grid, the packed decoder, and the span counts and
 gold warnings read from the label space's one adjacency rule are
 bit-identical to the code they replaced.
 
@@ -1181,8 +1181,9 @@ def test_trainable_grid_matches_per_cell_prototypes():
 
 # --- batched decoding -------------------------------------------------------------
 #
-# viterbi_decode takes a batch of equal-length queries, and predict_episode
-# decodes an episode per length group; the reference is the per-query loop.
+# viterbi_decode takes a packed batch of queries of any lengths, and
+# predict_episode decodes an episode in one call; the reference is the
+# per-query loop.
 
 
 @pytest.mark.parametrize("bio", [True, False], ids=["bio", "permissive"])
@@ -1209,6 +1210,65 @@ def test_batched_viterbi_matches_per_query_calls(y_n, t_n, m, bio):
                 assert_same_bits(ys, [y for y, _, _ in alone[:q]])
                 assert_same_bits(paths, np.stack([path for _, path, _ in alone[:q]]))
                 assert_same_bits(scores, [s for _, _, s in alone[:q]])
+
+
+# unsorted, with repeats and 1-token queries; each runs in a stack two
+# positions longer than its longest query
+RAGGED_LENGTHS = [(1,), (5,), (1, 6), (6, 1), (3, 1, 9, 4, 9, 1, 12, 5)]
+
+
+def ragged_case(y_n, t_n, bio, scale, seed):
+    """Masks and scores of 8 queries over 14 positions."""
+    ls = bio_space(y_n, t_n)
+    tm = build_transition_mask(ls) if bio else permissive_transition_mask(t_n)
+    rng = np.random.default_rng([y_n, t_n, bio, int(scale), seed])
+    related = rng.random((y_n, t_n)) < 0.3
+    related[:, 0] = True
+    rm = RelationMask(related, True)
+    return rm, tm, scale * rng.standard_normal((8, y_n)), scale * rng.standard_normal((8, 14, t_n))
+
+
+def assert_decodes_alone(f_l, f_o, lengths, rm, tm):
+    """Each query of the packed batch decodes as a call on its own rows."""
+    ys, paths, scores = viterbi_decode(JointScoreInputs(f_l, f_o, rm, tm, 1.0, lengths))
+    assert paths.shape == f_o.shape[:2]
+    for n, m in enumerate(lengths):
+        y, path, s = viterbi_decode(JointScoreInputs(f_l[n], f_o[n, :m], rm, tm, 1.0))
+        assert_same_bits(ys[n], np.int64(y))
+        assert_same_bits(paths[n, :m], path)
+        assert_same_bits(scores[n], np.float64(s))
+        assert (paths[n, m:] == -1).all()
+
+
+@pytest.mark.parametrize("bio", [True, False], ids=["bio", "permissive"])
+@pytest.mark.parametrize("t_n", [3, 9, 79])
+@pytest.mark.parametrize("y_n", [1, 2, 7])
+def test_ragged_viterbi_matches_per_query_calls(y_n, t_n, bio):
+    """Batches of 1, 2 and 8 queries of mixed lengths, in any order, at two
+    scales, each also integer-rounded to make exact ties within and across
+    queries."""
+    for scale in (1.0, 30.0):
+        rm, tm, f_l, f_o = ragged_case(y_n, t_n, bio, scale, 0)
+        for fl, fo in ((f_l, f_o), (np.round(f_l), np.round(f_o))):
+            for lengths in RAGGED_LENGTHS:
+                q, width = len(lengths), max(lengths) + 2
+                assert_decodes_alone(fl[:q], fo[:q, :width], np.array(lengths), rm, tm)
+
+
+@pytest.mark.parametrize("bio", [True, False], ids=["bio", "permissive"])
+def test_padded_cells_change_no_bit(bio):
+    """Cells past a query's length are never read: filling them with
+    +-1e300 or NaN leaves every intent, path and score as it is."""
+    rm, tm, f_l, f_o = ragged_case(7, 79, bio, 1.0, 1)
+    f_l, f_o = np.round(f_l), np.round(f_o)
+    lengths = np.array(RAGGED_LENGTHS[-1])
+    past = np.arange(f_o.shape[1]) >= lengths[:, None]
+    want = viterbi_decode(JointScoreInputs(f_l, np.where(past[..., None], 0.0, f_o), rm, tm, 1.0, lengths))
+    for poison in (1e300, -1e300, np.nan):
+        got = viterbi_decode(JointScoreInputs(f_l, np.where(past[..., None], poison, f_o), rm, tm, 1.0, lengths))
+        for g, w in zip(got, want):
+            assert_same_bits(g, w)
+    assert_decodes_alone(f_l, np.where(past[..., None], 1e300, f_o), lengths, rm, tm)
 
 
 def ref_predict_episode(episode, encoder, config):

@@ -5,7 +5,9 @@ Valid episode, corpus, checkpoint, config and report files are mutated
 as a matrix row, turn a number into NaN, truncate the bytes, insert a
 non-UTF-8 byte) and each mutant is run through ``jmrm.cli.main``.  A mutant
 may still be valid; any failure must be a typed error defined in jmrm,
-reported through the one-line JSON exit.
+reported through the one-line JSON exit.  The per-query lengths of a
+packed lattice batch, which no file carries, are checked the same way: each
+bad one ends in a ValueError where JointScoreInputs is built.
 """
 
 import importlib
@@ -13,11 +15,14 @@ import json
 import pkgutil
 import random
 
+import numpy as np
 import pytest
 
 import jmrm
 from jmrm.cli import main
 from jmrm.encoder import EncoderConfig, init_encoder, save_encoder
+from jmrm.lattice import JointScoreInputs, joint_score, log_partition, nll_loss
+from jmrm.masks import all_ones_relation_mask, permissive_transition_mask
 
 MUTANTS_PER_KIND = 120
 UNTYPED = {"KeyError", "TypeError", "IndexError", "AttributeError",
@@ -194,3 +199,41 @@ def test_mutants_fail_typed(files, capsys, seed, kind):
                 untyped.append((op, argv[0], error))
     assert not untyped, untyped[:5]
     assert failures >= MUTANTS_PER_KIND // 3
+
+
+# --- packed lattice batches ---------------------------------------------------
+
+
+def lattice_inputs(f_l_shape, f_o_shape, lengths):
+    return JointScoreInputs(np.zeros(f_l_shape), np.zeros(f_o_shape), all_ones_relation_mask(2, 3),
+                            permissive_transition_mask(3), 1.0, lengths)
+
+
+@pytest.mark.parametrize("lengths, match", [
+    ([4, 2, 1], r"lengths \(3,\) int\d+ are not \(2,\) integers"),  # one per query
+    ([[4, 2]], r"lengths \(1, 2\) int\d+ are not \(2,\) integers"),
+    (4, r"lengths \(\) int\d+ are not \(2,\) integers"),
+    ([4.0, 2.0], r"lengths \(2,\) float64 are not \(2,\) integers"),
+    ([True, True], r"lengths \(2,\) bool are not \(2,\) integers"),
+    ([0, 2], r"lengths must lie in 1\.\.4"),
+    ([4, -1], r"lengths must lie in 1\.\.4"),
+    ([5, 2], r"lengths must lie in 1\.\.4"),
+])
+def test_bad_lengths_rejected(lengths, match):
+    with pytest.raises(ValueError, match=match):
+        lattice_inputs((2, 2), (2, 4, 3), np.array(lengths))
+
+
+def test_lengths_need_a_batch():
+    with pytest.raises(ValueError, match="lengths needs a batch"):
+        lattice_inputs((2,), (4, 3), np.array([4]))
+
+
+def test_one_query_functions_reject_a_packed_batch():
+    jin = lattice_inputs((2, 2), (2, 4, 3), np.array([4, 2]))
+    gold = np.zeros(4, dtype=int)
+    for call, name in ((lambda: log_partition(jin), "log_partition"),
+                       (lambda: nll_loss(0, gold, jin), "nll_loss"),
+                       (lambda: joint_score(0, gold, jin), "joint_score")):
+        with pytest.raises(ValueError, match=f"{name} takes one query"):
+            call()

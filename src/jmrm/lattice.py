@@ -5,11 +5,18 @@ The joint score of a pair is
     R(y, t) = lam * f_l[y] + sum_i ( f_e(t_i | y) + f_t(t_i | t_{i-1}) )
 
 with f_e the relation-masked slot emissions and f_t the transition mask
-(START row for t_0).  Each dynamic program is one sweep over positions for
-every intent at once, and each runs on the mask's open/closed form
-(TransitionMask), not on the dense (T, T) transitions, with outputs
-bit-identical to the dense recursions.  The sum-product sweeps give log Z
-and the marginals:
+(START row for t_0).  Every function takes one query or a batch of Q
+queries of any lengths (JointScoreInputs with a leading query axis and,
+for a ragged batch, their lengths); one query is the Q = 1 case.  The
+batch is packed, as a PackedSequence is: the queries are ordered longest
+first, stably, so the queries that run through a position are a prefix of
+that order, and each dynamic program works on that prefix only.  Packed
+rows hold one (query, position) pair each, position-major, and no padded
+cell is read, computed or exponentiated.  Each program is one sweep over
+positions for every intent and every live query at once, and each runs on
+the mask's open/closed form (TransitionMask), not on the dense (T, T)
+transitions, with outputs bit-identical to the dense recursions.  The
+sum-product sweeps give log Z and the marginals:
 
   - _forward sums each column's predecessors in index order, as numpy does
     the dense forward's strided sums.  One logsumexp over all T
@@ -25,21 +32,18 @@ and the marginals:
 
 The max-plus sweep, _suffix_max, gives the best completions that Viterbi
 reads greedily: one max over the open columns and one over the closed
-successors per position, O(Y T (K+1)) instead of O(Y T^2).  Viterbi
-decodes a batch of Q queries of any lengths at once (JointScoreInputs with
-a leading query axis and, for a ragged batch, their lengths).  The batch is
-packed, as a PackedSequence is: the queries are ordered longest first, so
-the queries that run through a position are a prefix of that order, and
-the sweep and the greedy pass work on that prefix only.  Packed rows hold
-one (query, position) pair each, position-major, and no padded cell is
-read, computed or stored.  Both passes are elementwise sums and maxima
-along the label axes, so a query's every value is rounded as in a call on
-that query alone, and the batch changes no bit; one query is the Q = 1
-case.  The sum-product sweeps take one query at a time.  Masked
-configurations carry IEEE -inf, whose exp is exactly 0, so they contribute
-exactly zero probability mass and never produce NaN: each logsumexp
-subtracts its max only when the max is finite.  Scores must be finite, so
-NaN and +inf are rejected where the inputs are built.
+successors per position, O(Y T (K+1)) instead of O(Y T^2).
+
+A batch changes no bit.  Every step is elementwise along the query and
+label axes, or a reduction whose grouping does not depend on them: the
+forward's in-order accumulate along its predecessor axis, the backward's
+pairwise sum along each contiguous row, the per-row sums of logsumexp,
+and maxima, which do not round.  So each query's every value is rounded
+as in a call on that query alone.  Masked configurations carry IEEE -inf,
+whose exp is exactly 0, so they contribute exactly zero probability mass
+and never produce NaN: each logsumexp subtracts its max only when the max
+is finite.  Scores must be finite, so NaN and +inf are rejected where the
+inputs are built.
 """
 from __future__ import annotations
 
@@ -47,6 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import LabelMismatch, LengthMismatch
 from .masks import NEG_INF, RelationMask, TransitionMask, apply_relation_mask
 
 
@@ -138,32 +143,100 @@ class JointScoreInputs:
         return self.f_o.shape[-1]
 
 
-def _one_query(jin: JointScoreInputs, what: str) -> None:
-    if jin.batched:
-        raise ValueError(f"{what} takes one query's scores, not a batch")
-
-
 @dataclass
 class JointPosterior:
-    log_z: float
-    intent_marginals: np.ndarray  # (Y,) q(y)
-    slot_unary_marginals: np.ndarray  # (Y, m, T) joint P(intent=y, t_i=o)
+    """log Z, q(y) and the joint unary marginals of one query, or of each
+    query of a batch on a leading axis."""
+
+    log_z: float | np.ndarray  # a float, or (Q,)
+    intent_marginals: np.ndarray  # (Y,) or (Q, Y): q(y)
+    # (Y, m, T) or (Q, Y, M, T): joint P(intent=y, t_i=o), 0 past a query's length
+    slot_unary_marginals: np.ndarray
 
 
-def joint_score(y: int, t: np.ndarray, jin: JointScoreInputs) -> float:
-    """R(y, t); -inf iff any emission or transition factor is masked."""
-    _one_query(jin, "joint_score")
-    t = np.asarray(t, dtype=int)
-    if t.shape[0] != jin.n_positions:
-        raise ValueError(f"slot sequence length {t.shape[0]} != {jin.n_positions}")
-    fe = apply_relation_mask(jin.f_o, jin.rm, y)
-    # association mirrors the forward recursion so degenerate one-path
-    # lattices give bit-identical scores
-    s = jin.tm.start[t[0]] + fe[0, t[0]]
-    for i in range(1, t.shape[0]):
-        s = s + jin.tm.trans[t[i - 1], t[i]]
-        s = s + fe[i, t[i]]
-    return float(jin.lam * jin.f_l[y] + s)
+@dataclass(frozen=True)
+class _Packed:
+    """A batch packed longest query first (see the module docstring).
+
+    Sorted query s is query order[s], of length lengths[s].  Packed row r
+    is sorted query rank[r] at position pos[r], position-major: position
+    i's rows are the live[i] from starts[i], and they hold the sorted
+    queries 0 .. live[i] - 1.  fe holds each row's relation-masked
+    emissions, (N, Y, T).
+    """
+
+    order: np.ndarray
+    lengths: np.ndarray
+    rank: np.ndarray
+    pos: np.ndarray
+    live: list[int]
+    starts: list[int]
+    fe: np.ndarray
+
+
+def _pack(jin: JointScoreInputs) -> _Packed:
+    q, m, t = jin.f_l.size // jin.n_intents, jin.n_positions, jin.n_slots
+    lengths = np.full(q, m) if jin.lengths is None else jin.lengths
+    order = np.argsort(-lengths, kind="stable")
+    lengths = lengths[order]
+    pos, rank = np.nonzero(np.arange(lengths[0])[:, None] < lengths)
+    live = np.bincount(pos)
+    rows = jin.f_o.reshape(-1, m, t)[order[rank], pos]
+    fe = apply_relation_mask(rows[:, None, None], jin.rm, slice(None))[:, :, 0]
+    return _Packed(order, lengths, rank, pos, live.tolist(), (np.cumsum(live) - live).tolist(), fe)
+
+
+def _gold(
+    gold_y: int | np.ndarray, gold_t: np.ndarray, jin: JointScoreInputs
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The gold intents (Q,) and slot ids (Q, M) of a batch, or of one
+    query as Q = 1, and the (Q, M) mask of the cells within each query's
+    length.  A batch's slot ids are -1 past each query's length, as
+    viterbi_decode pads its paths.  An id outside the label space raises
+    LabelMismatch, and a sequence of another length LengthMismatch."""
+    ys, ts = np.asarray(gold_y), np.asarray(gold_t)
+    batch, m = jin.f_l.shape[:-1], jin.n_positions
+    if ys.shape != batch or ts.shape != (*batch, m):
+        raise LengthMismatch(f"gold intents {ys.shape} and slots {ts.shape} are not "
+                             f"{batch} and {(*batch, m)}, one per query and position")
+    if not (np.issubdtype(ys.dtype, np.integer) and np.issubdtype(ts.dtype, np.integer)):
+        raise LabelMismatch(f"gold ids must be integers, not {ys.dtype} and {ts.dtype}")
+    ys, ts = ys.reshape(-1), ts.reshape(-1, m)
+    lengths = np.full(ys.size, m) if jin.lengths is None else jin.lengths
+    real = np.arange(m) < lengths[:, None]
+    if np.any(ts[~real] != -1):
+        raise LengthMismatch("gold slots past a query's length must be -1")
+    bad_y = ys[(ys < 0) | (ys >= jin.n_intents)]
+    if bad_y.size:
+        raise LabelMismatch(f"gold intent {bad_y[0]} lies outside the {jin.n_intents} intents")
+    inside = ts[real]
+    bad_t = inside[(inside < 0) | (inside >= jin.n_slots)]
+    if bad_t.size:
+        raise LabelMismatch(f"gold slot id {bad_t[0]} lies outside the {jin.n_slots} slot labels")
+    return ys, ts, real
+
+
+def joint_score(
+    y: int | np.ndarray, t: np.ndarray, jin: JointScoreInputs
+) -> float | np.ndarray:
+    """R(y, t) of one query, a float, or of each query of a batch, (Q,),
+    from (Q,) intents and (Q, M) slot ids, -1 past each query's length;
+    -inf iff any emission or transition factor is masked."""
+    ys, ts, real = _gold(y, t, jin)
+    q, m = real.shape
+    q_i, p_i = np.nonzero(real)
+    o, prev = ts[real], ts[q_i, np.maximum(p_i - 1, 0)]
+    emit = jin.f_o.reshape(q, m, -1)[q_i, p_i, o]
+    # START, an emission, then a transition and an emission per position,
+    # added in that order by add.accumulate: the recursions' association,
+    # so degenerate one-path lattices give bit-identical scores
+    factors = np.zeros((q, m, 2))
+    factors[q_i, p_i, 0] = np.where(p_i > 0, jin.tm.trans[prev, o], jin.tm.start[o])
+    factors[q_i, p_i, 1] = np.where(jin.rm.rm[ys[q_i], o], emit, NEG_INF)
+    path_sums = np.add.accumulate(factors.reshape(q, 2 * m), axis=1)
+    queries = np.arange(q)
+    r = jin.lam * jin.f_l.reshape(q, -1)[queries, ys] + path_sums[queries, 2 * real.sum(1) - 1]
+    return r if jin.batched else float(r[0])
 
 
 def _lse_in_order(a: np.ndarray) -> np.ndarray:
@@ -177,63 +250,81 @@ def _lse_in_order(a: np.ndarray) -> np.ndarray:
     return np.log(np.add.accumulate(np.exp(a - safe), 0)[-1]) + safe
 
 
-def _forward(fe: np.ndarray, tm: TransitionMask) -> np.ndarray:
-    """Forward scores, left to right over a (Y, m, T) stack.
+def _forward(fe: np.ndarray, tm: TransitionMask, live: list[int], starts: list[int]) -> np.ndarray:
+    """Forward scores, left to right over a packed (N, Y, T) stack (see
+    _Packed for live and starts).
 
-    alpha[:, 0, o] = start[o] + fe[:, 0, o] and
-    alpha[:, j, o] = logsumexp_p(trans[p, o] + alpha[:, j-1, p]) + fe[:, j, o],
+    At a query's first position alpha[o] = start[o] + fe[o], and one
+    position on alpha[o] = logsumexp_p(trans[p, o] + alpha[p]) + fe[o],
     summed over the allowed p in index order (see the module docstring).
-    The padding of tm.closed_pred reads the sentinel row T, held at -inf.
-    The work runs label-major, (m, T, Y), so both gathers take whole rows.
-    Call under np.errstate(divide="ignore").
+    The queries running at a position are the first of those running one
+    position back.  The padding of tm.closed_pred reads the sentinel row
+    T, held at -inf.  The work runs label-major, (T, N, Y), so both gathers
+    take whole rows, and alpha comes back in that layout.  Call under
+    np.errstate(divide="ignore").
     """
-    y, m, t = fe.shape
+    n, y, t = fe.shape
     open_cols, closed_cols = tm.open_cols, tm.closed_cols
     pred = tm.closed_pred.T  # (J, C): axis 0 walks each column's predecessors
-    fe = fe.transpose(1, 2, 0)
-    alpha = np.empty((m, t, y))
-    np.add(tm.start[:, None], fe[0], alpha[0])
-    ahead = np.full((t + 1, y), NEG_INF)
-    for j in range(1, m):
-        np.add(alpha[j - 1], 1.0, ahead[:t])  # every allowed transition scores 1
-        alpha[j, open_cols] = _lse_in_order(ahead[:t])
+    fe = fe.transpose(2, 0, 1)
+    alpha = np.empty((t, n, y))
+    np.add(tm.start[:, None, None], fe[:, : live[0]], alpha[:, : live[0]])
+    ahead = np.empty((0, 0, 0))
+    for a, back, k in zip(starts[1:], starts, live[1:]):
+        if ahead.shape[1] != k:  # a buffer per width; its sentinel row T stays -inf
+            ahead = np.full((t + 1, k, y), NEG_INF)
+        np.add(alpha[:, back : back + k], 1.0, ahead[:t])  # every allowed transition scores 1
+        now = alpha[:, a : a + k]
+        now[open_cols] = _lse_in_order(ahead[:t])
         if closed_cols.size:
-            alpha[j, closed_cols] = _lse_in_order(ahead.take(pred, 0))
-        alpha[j] += fe[j]
-    # C order, as the dense code left it: later row sums depend on the layout
-    return np.ascontiguousarray(alpha.transpose(2, 0, 1))
+            now[closed_cols] = _lse_in_order(ahead.take(pred, 0))
+        now += fe[:, a : a + k]
+    return alpha
 
 
-def _backward(fe: np.ndarray, tm: TransitionMask) -> np.ndarray:
-    """Backward scores, right to left over a (Y, m, T) stack.
+def _backward(
+    fe: np.ndarray, tm: TransitionMask, rm: np.ndarray, live: list[int], starts: list[int]
+) -> np.ndarray:
+    """Backward scores, right to left over a packed (N, Y, T) stack, in
+    that layout (see _Packed for live and starts).
 
-    beta[:, m-1, :] = 0 and
-    beta[:, i, o] = logsumexp_p(trans[o, p] + fe[:, i+1, p] + beta[:, i+1, p]).
-    Each class's row sum runs whole over a C-contiguous (Y, R, T) array, so
-    numpy groups it as it grouped the dense row.  terms holds the exp of the
-    cells both masks allow and 0 elsewhere; tm.row_class copies each class's
-    result to its rows.  The row max is _suffix_max's structured one: every
-    allowed transition scores 1 and rounding is monotone, so 1 + max equals
-    the dense max bit for bit.  Call under np.errstate(divide="ignore").
+    beta = 0 at a query's last position, and before it
+    beta[o] = logsumexp_p(trans[o, p] + fe[p] + beta[p]) one position on.
+    Each class's row sum runs whole over a C-contiguous (k, Y, R, T) array,
+    so numpy groups it as it grouped the dense row.  terms holds the exp of
+    the cells both masks allow and 0 elsewhere; tm.row_class copies each
+    class's result to its rows.  The row max is _suffix_max's structured
+    one: every allowed transition scores 1 and rounding is monotone, so
+    1 + max equals the dense max bit for bit.  Call under
+    np.errstate(divide="ignore").
     """
-    y, m, t = fe.shape
-    r = tm.row_rep.size
+    n, y, t = fe.shape
+    beta = np.zeros((n, y, t))
+    if len(live) == 1:
+        return beta
+    r, k_max = tm.row_rep.size, live[1]
     succ = tm.closed_succ[tm.row_rep]
-    # the cells both masks allow, as flat indices into the (Y, R, T) terms;
-    # yr indexes the (Y, R) row maxima and cell the (Y, T+1) ahead buffer
-    into = np.flatnonzero((fe > NEG_INF).any(axis=1)[:, None, :] & (tm.trans[tm.row_rep] == 1.0))
-    yr, p = np.divmod(into, t)
-    cell = yr // r * (t + 1) + p
-    beta = np.zeros((y, m, t))
-    terms = np.zeros((y, r, t))
-    ahead = np.empty((y, t + 1))
-    for i in range(m - 2, -1, -1):
-        np.add(fe[:, i + 1], beta[:, i + 1], ahead[:, :t])
-        ahead[:, t] = _max(ahead.take(tm.open_cols, 1), 1, initial=NEG_INF)
-        mx = _max(ahead.take(succ, 1), 2) + 1.0
+    # the cells both masks allow, as flat indices into the (k, Y, R, T)
+    # terms; yr indexes the (k, Y, R) row maxima and cell the (k, Y, T+1)
+    # ahead buffer, query by query
+    one = np.flatnonzero(rm[:, None, :] & (tm.trans[tm.row_rep] == 1.0))
+    yr, p = np.divmod(one, t)
+    query = np.arange(k_max)[:, None]
+    into = (query * (y * r * t) + one).ravel()
+    cell = (query * (y * (t + 1)) + yr // r * (t + 1) + p).ravel()
+    yr = (query * (y * r) + yr).ravel()
+    terms = np.zeros((k_max, y, r, t))
+    buf = np.empty((k_max, y, t + 1))
+    for i in range(len(live) - 2, -1, -1):
+        k, nxt, c = live[i + 1], starts[i + 1], live[i + 1] * one.size
+        ahead = buf[:k]
+        np.add(fe[nxt : nxt + k], beta[nxt : nxt + k], ahead[..., :t])
+        ahead[..., t] = _max(ahead.take(tm.open_cols, 2), 2, initial=NEG_INF)
+        mx = _max(ahead.take(succ, 2), 3) + 1.0
         safe = np.where(np.isfinite(mx), mx, 0.0)
-        np.put(terms, into, np.exp(ahead.take(cell) + 1.0 - safe.take(yr)))
-        beta[:, i] = (np.log(np.add.reduce(terms, -1)) + safe)[:, tm.row_class]
+        np.put(terms, into[:c], np.exp(ahead.take(cell[:c]) + 1.0 - safe.take(yr[:c])))
+        now = (np.log(np.add.reduce(terms[:k], -1)) + safe)[..., tm.row_class]
+        beta[starts[i] : starts[i] + k] = now
     return beta
 
 
@@ -269,60 +360,94 @@ def _suffix_max(fe: np.ndarray, tm: TransitionMask, live: list[int]) -> np.ndarr
 
 
 def log_partition(jin: JointScoreInputs) -> JointPosterior:
-    """Exact log Z plus intent marginals q(y) and joint unary marginals.
+    """Exact log Z plus intent marginals q(y) and joint unary marginals, of
+    one query or of each query of a batch, each exactly as a call on that
+    query alone gives them.
 
-    slot_unary_marginals[y, i, o] is the joint probability of {intent = y
-    and t_i = o}; each (y, i) slice sums to q(y), and cells masked by the
-    relation mask are exactly zero.
+    slot_unary_marginals[..., y, i, o] is the joint probability of {intent
+    = y and t_i = o}; each (y, i) slice sums to q(y), and cells masked by
+    the relation mask are exactly zero.  One query's marginals are
+    C-ordered (Y, m, T); a batch's are (Q, Y, M, T), zero past each query's
+    length.
     """
-    _one_query(jin, "log_partition")
-    fe = apply_relation_mask(jin.f_o, jin.rm, slice(None))  # (Y, m, T)
+    pk = _pack(jin)
+    q, y, t = pk.lengths.size, jin.n_intents, jin.n_slots
     with np.errstate(divide="ignore"):
-        alpha, beta = _forward(fe, jin.tm), _backward(fe, jin.tm)
-    intent_score = jin.lam * jin.f_l
-    log_joint = intent_score + logsumexp(alpha[:, -1], axis=-1)
-    log_z = float(logsumexp(log_joint, axis=0))
-    if log_z == NEG_INF:
+        alpha = _forward(pk.fe, jin.tm, pk.live, pk.starts)
+        beta = _backward(pk.fe, jin.tm, jin.rm.rm, pk.live, pk.starts)
+    intent_score = jin.lam * jin.f_l.reshape(q, y)[pk.order]
+    # each query's last row, C-ordered (Q, Y, T) as the dense code's rows
+    # were: logsumexp sums each contiguous row pairwise
+    last_rows = np.array(pk.starts)[pk.lengths - 1] + np.arange(q)
+    last = np.ascontiguousarray(alpha.transpose(1, 2, 0)[last_rows])
+    log_joint = intent_score + logsumexp(last, axis=-1)
+    log_z = logsumexp(log_joint, axis=-1)
+    if np.any(log_z == NEG_INF):
         raise InfeasibleLattice("every (intent, slot sequence) pair is masked")
-    # an infeasible intent has alpha + beta = -inf everywhere: exactly zero mass
-    unary = np.exp(intent_score[:, None, None] + alpha + beta - log_z)
-    return JointPosterior(
-        log_z=log_z, intent_marginals=np.exp(log_joint - log_z), slot_unary_marginals=unary
-    )
+    # an infeasible intent has alpha + beta = -inf everywhere: exactly zero
+    # mass.  unary is (Y, N, T), for one query the C-ordered (Y, m, T) that
+    # loss_gradients sums over intents as the dense code's marginals were
+    unary = np.empty((y, pk.rank.size, t))
+    np.add(intent_score[pk.rank].T[:, :, None], alpha.transpose(2, 1, 0), unary)
+    unary += beta.transpose(1, 0, 2)
+    unary -= log_z[pk.rank][:, None]
+    np.exp(unary, unary)
+    intent_marginals = np.exp(log_joint - log_z[:, None])
+    if not jin.batched:
+        return JointPosterior(float(log_z[0]), intent_marginals[0], unary)
+    marginals = np.zeros((q, y, jin.n_positions, t))
+    marginals[pk.order[pk.rank], :, pk.pos] = unary.transpose(1, 0, 2)
+    in_order = JointPosterior(np.empty_like(log_z), np.empty_like(intent_marginals), marginals)
+    in_order.log_z[pk.order], in_order.intent_marginals[pk.order] = log_z, intent_marginals
+    return in_order
 
 
 def nll_loss(
-    gold_y: int, gold_t: np.ndarray, jin: JointScoreInputs
-) -> tuple[float, JointPosterior]:
-    """Cross-entropy of the gold pair: log Z - R(gold), clamped to 0.0 from
-    below (rounding can leave it just under 0); a NaN passes through."""
-    _one_query(jin, "nll_loss")
+    gold_y: int | np.ndarray, gold_t: np.ndarray, jin: JointScoreInputs
+) -> tuple[float | np.ndarray, JointPosterior]:
+    """Cross-entropy of each query's gold pair: log Z - R(gold), clamped to
+    0.0 from below (rounding can leave it just under 0); a NaN passes
+    through.  One query gives a float, a batch (Q,) losses; gold pairs are
+    given as joint_score takes them.  A masked gold pair raises
+    InfeasibleGold."""
     r = joint_score(gold_y, gold_t, jin)
-    if r == NEG_INF:
-        raise InfeasibleGold(
-            f"gold pair (intent {gold_y}, slots {list(np.asarray(gold_t))}) is masked"
-        )
+    masked = np.flatnonzero(np.reshape(r, -1) == NEG_INF)
+    if masked.size:
+        n = masked[0]
+        y, t = np.reshape(gold_y, -1)[n], np.reshape(gold_t, (-1, jin.n_positions))[n]
+        where = f" (query {n} of the batch)" if jin.batched else ""
+        raise InfeasibleGold(f"gold pair (intent {y}, slots {t[t >= 0].tolist()}) is masked{where}")
     post = log_partition(jin)
     loss = post.log_z - r
-    return (0.0 if loss <= 0 else loss), post
+    loss = np.where(loss <= 0, 0.0, loss)
+    return (loss if jin.batched else float(loss)), post
 
 
 def loss_gradients(
-    gold_y: int, gold_t: np.ndarray, post: JointPosterior, jin: JointScoreInputs
+    gold_y: int | np.ndarray, gold_t: np.ndarray, post: JointPosterior, jin: JointScoreInputs
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact gradients of the joint cross-entropy w.r.t. f_l and f_o.
 
     d L / d f_l[y]    = lam * (q(y) - 1[y = gold])
     d L / d f_o[i][o] = sum_y mu_y(i, o) - 1[gold_t_i = o]
     Masked cells have mu = 0, so they receive zero gradient through the
-    partition term.
+    partition term.  One query gives (Y,) and (m, T); a batch (Q, Y) and
+    (Q, M, T), zero past each query's length.
     """
-    gold_t = np.asarray(gold_t, dtype=int)
+    ys, ts, real = _gold(gold_y, gold_t, jin)
+    q, y, m, t = ys.size, jin.n_intents, jin.n_positions, jin.n_slots
     d_fl = jin.lam * post.intent_marginals.copy()
-    d_fl[gold_y] -= jin.lam
-    d_fo = post.slot_unary_marginals.sum(axis=0)
-    d_fo[np.arange(gold_t.shape[0]), gold_t] -= 1.0
-    return d_fl, d_fo
+    d_fl.reshape(q, y)[np.arange(q), ys] -= jin.lam
+    marginals = post.slot_unary_marginals.reshape(q, y, m, t)
+    d_fo = marginals.sum(axis=1)
+    if t == 1:
+        # numpy sums a lone cell's intents pairwise, in order otherwise; a
+        # one-position query alone is such a cell
+        one = np.flatnonzero(real.sum(1) == 1)
+        d_fo[one, :1] = marginals[one, :, :1].sum(axis=1)
+    q_i, p_i = np.nonzero(real)
+    d_fo[q_i, p_i, ts[real]] -= 1.0
+    return d_fl, d_fo.reshape(jin.f_o.shape)
 
 
 def viterbi_decode(
@@ -342,18 +467,11 @@ def viterbi_decode(
     maximizer).  The returned score is the path's running sum, added up in
     joint_score's order, so it matches joint_score bit for bit.
     """
-    f_l = jin.f_l.reshape(-1, jin.n_intents)
-    q, y, m, t = f_l.shape[0], jin.n_intents, jin.n_positions, jin.n_slots
-    lengths = np.full(q, m) if jin.lengths is None else jin.lengths
-    order = np.argsort(-lengths, kind="stable")
-    f_l, lengths = f_l[order], lengths[order]
-    # packed row r is query order[rank[r]] at position pos[r], position-major;
-    # the live[i] queries order[:live[i]] run through position i
-    pos, rank = np.nonzero(np.arange(lengths[0])[:, None] < lengths)
-    live = np.bincount(pos)
-    rows = jin.f_o.reshape(-1, m, t)[order[rank], pos]
-    fe = apply_relation_mask(rows[:, None, None], jin.rm, slice(None))[:, :, 0]  # (N, Y, T)
-    sm = _suffix_max(fe.transpose(2, 0, 1), jin.tm, live.tolist())
+    pk = _pack(jin)
+    order, rank, pos, fe = pk.order, pk.rank, pk.pos, pk.fe
+    q, y, m, t = order.size, jin.n_intents, jin.n_positions, jin.n_slots
+    f_l = jin.f_l.reshape(q, y)[order]
+    sm = _suffix_max(fe.transpose(2, 0, 1), jin.tm, pk.live)
     # position 0 holds every query: its block is sm's first (T, Q·Y)
     first = jin.tm.start + fe[:q] + sm[: t * q * y].reshape(t, q, y).transpose(1, 2, 0)
     totals = jin.lam * f_l + _max(first, 2)
@@ -364,12 +482,12 @@ def viterbi_decode(
     # in position pos[r]'s (T, live·Y) block, row r's completion for label o
     # sits at o·live·Y + rank[r]·Y + its intent
     chosen = best_y[rank]
-    at = (t * (np.cumsum(live) - live)[pos] + rank) * y + chosen
+    at = (t * np.array(pk.starts)[pos] + rank) * y + chosen
     fe = fe[np.arange(rank.size), chosen]
-    sm = sm.take(at[:, None] + np.arange(t) * (y * live[pos])[:, None])
+    sm = sm.take(at[:, None] + np.arange(t) * (y * np.array(pk.live)[pos])[:, None])
     path = np.empty(rank.size, dtype=int)
     acc, into, a, queries = np.zeros((q, 1)), jin.tm.start[None], 0, np.arange(q)
-    for k in live.tolist():
+    for k in pk.live:
         # each live query's running sum through t_i = o, then its best completion
         reach = acc[:k] + into[:k] + fe[a : a + k]
         o = path[a : a + k] = np.argmax(reach + sm[a : a + k], axis=1)

@@ -23,9 +23,10 @@ from typing import Sequence
 import numpy as np
 
 from .core import Episode, LabelMismatch, MalformedInput, Sample, config_from_dict
-from .encoder import Encoder, encoder_backward, zero_grads
+from .encoder import Encoder, WindowState, encoder_backward, zero_grads
 from .lattice import (
     InfeasibleGold,
+    InfeasibleLattice,
     JointScoreInputs,
     NonFiniteScores,
     loss_gradients,
@@ -189,32 +190,78 @@ def _softmax_ce(scores: np.ndarray, gold: Sequence[int]) -> tuple[np.ndarray, np
     return log_z - gold_scores, grad
 
 
-def _loss_and_emission_grads(
-    query: Sample, f_l: np.ndarray, f_o: np.ndarray, ctx: EpisodeContext, config: RunConfig
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Configured loss plus dL/df_l and dL/df_o.  Gold ids outside the
-    episode's label space raise LabelMismatch: indexing would read -1 as
-    the last label."""
+@dataclass
+class QueryScores:
+    """One query's forward pass through the encoder and the similarities,
+    and its loss with the loss's gradients w.r.t. its intent and slot
+    scores."""
+
+    rows: np.ndarray  # (m, d) token embeddings
+    state: WindowState | None  # the encoder's forward state, for the backward pass
+    utt: np.ndarray  # (1, d) utterance embedding
+    f_l: np.ndarray  # (Y,)
+    f_o: np.ndarray  # (m, T)
+    loss: float = 0.0
+    d_fl: np.ndarray | None = None
+    d_fo: np.ndarray | None = None
+
+
+def _query_scores(query: Sample, ctx: EpisodeContext, config: RunConfig) -> QueryScores:
+    """A query's embeddings and scores.  Gold ids outside the episode's
+    label space raise LabelMismatch: indexing would read -1 as the last
+    label, and the separate losses never reach the lattice's own check."""
+    kind = config.similarity_kind
+    rows, state = ctx.encoder.encode_tokens(query.tokens, True)
+    utt = rows.mean(axis=0, keepdims=True)
+    f_l = similarity_to_protos(utt, ctx.protos.intent_protos, kind)[0]
+    f_o = similarity_to_protos(rows, ctx.protos.slot_protos, kind)
     ls = ctx.episode.label_space
     if not (0 <= query.intent < ls.n_intents and all(0 <= o < ls.n_slots for o in query.slots)):
         raise LabelMismatch(f"gold intent {query.intent} or slots {list(query.slots)} fall outside "
                             f"the episode's {ls.n_intents} intents and {ls.n_slots} slot labels")
+    return QueryScores(rows, state, utt, f_l, f_o)
+
+
+def _padded(rows: np.ndarray, lengths: np.ndarray, fill) -> np.ndarray:
+    """Queries' rows laid end to end, as a (Q, M, ...) stack holding fill
+    past each query's length."""
+    real = np.arange(lengths.max()) < lengths[:, None]
+    out = np.full((*real.shape, *rows.shape[1:]), fill, dtype=rows.dtype)
+    out[real] = rows
+    return out
+
+
+def _joint_losses(ready: Sequence[tuple[Sample, QueryScores]], ctx: EpisodeContext,
+                  config: RunConfig) -> None:
+    """Fill in the joint loss and score gradients of each (query, scores)
+    pair from one packed lattice call; each is what a call on its query
+    alone gives."""
+    lengths = np.array([s.f_o.shape[0] for _, s in ready])
+    f_o = _padded(np.concatenate([s.f_o for _, s in ready]), lengths, 0.0)
+    jin = JointScoreInputs(np.stack([s.f_l for _, s in ready]), f_o, ctx.rm, ctx.tm, config.lam, lengths)
+    gold_y = np.array([query.intent for query, _ in ready])
+    gold_t = _padded(np.concatenate([query.slots for query, _ in ready]), lengths, -1)
+    losses, post = nll_loss(gold_y, gold_t, jin)
+    d_fl, d_fo = loss_gradients(gold_y, gold_t, post, jin)
+    for n, ((_, s), m) in enumerate(zip(ready, lengths.tolist())):
+        s.loss, s.d_fl, s.d_fo = float(losses[n]), d_fl[n], d_fo[n, :m]
+
+
+def _separate_losses(
+    query: Sample, s: QueryScores, ctx: EpisodeContext, config: RunConfig
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """The sum_sep or seq_ce loss of one query plus dL/df_l and dL/df_o."""
     gold_y, gold_t = query.intent, np.asarray(query.slots, dtype=int)
-    if config.loss_mode == "joint":
-        jin = JointScoreInputs(f_l, f_o, ctx.rm, ctx.tm, config.lam)
-        loss, post = nll_loss(gold_y, gold_t, jin)
-        d_fl, d_fo = loss_gradients(gold_y, gold_t, post, jin)
-        return loss, d_fl, d_fo
-    intent_loss, d_fl = _softmax_ce(f_l[None], [gold_y])
+    intent_loss, d_fl = _softmax_ce(s.f_l[None], [gold_y])
     if config.loss_mode == "sum_sep":
-        token_loss, d_fo = _softmax_ce(apply_relation_mask(f_o, ctx.rm, gold_y), gold_t)
+        token_loss, d_fo = _softmax_ce(apply_relation_mask(s.f_o, ctx.rm, gold_y), gold_t)
         # cumsum adds the terms one at a time, intent first, as a loop would;
         # np.sum pairs them up and rounds differently
         return float(np.cumsum(np.r_[intent_loss, token_loss])[-1]), d_fl[0], d_fo
     # seq_ce: independent intent CE plus a slots-only sequence CE
     jin = JointScoreInputs(
         np.zeros(1),
-        f_o,
+        s.f_o,
         RelationMask(ctx.rm.rm[gold_y : gold_y + 1], ctx.rm.forced_o),
         ctx.tm,
         0.0,
@@ -224,35 +271,73 @@ def _loss_and_emission_grads(
     return float(intent_loss[0]) + seq_loss, d_fl[0], d_fo
 
 
+def score_queries(
+    queries: Sequence[Sample], ctx: EpisodeContext, config: RunConfig
+) -> list[QueryScores | Exception]:
+    """Each query's forward pass, loss and score gradients, or the error
+    that compute_loss raises for it: an error waits for its query's turn,
+    as in a loop of one call per query.
+
+    In joint mode the queries share one packed lattice call.  When that
+    call raises (a non-finite score, a masked gold pair), each query is
+    scored alone instead, which finds the query the error belongs to;
+    every result is the same either way.
+    """
+    out: list[QueryScores | Exception] = []
+    for query in queries:
+        try:
+            out.append(_query_scores(query, ctx, config))
+        except Exception as exc:  # raised again at its query's turn
+            out.append(exc)
+    ready = [(query, s) for query, s in zip(queries, out) if isinstance(s, QueryScores)]
+    if config.loss_mode == "joint" and len(ready) > 1:
+        try:
+            _joint_losses(ready, ctx, config)
+            return out
+        except (NonFiniteScores, InfeasibleGold, InfeasibleLattice):
+            pass
+    for n, (query, s) in enumerate(zip(queries, out)):
+        if not isinstance(s, QueryScores):
+            continue
+        try:
+            if config.loss_mode == "joint":
+                _joint_losses([(query, s)], ctx, config)
+            else:
+                s.loss, s.d_fl, s.d_fo = _separate_losses(query, s, ctx, config)
+        except Exception as exc:  # raised again at its query's turn
+            out[n] = exc
+    return out
+
+
 def compute_loss(
-    query: Sample, ctx: EpisodeContext, config: RunConfig
+    query: Sample, ctx: EpisodeContext, config: RunConfig, scores: QueryScores | Exception | None = None
 ) -> tuple[float, dict[str, np.ndarray] | None]:
     """Loss of one query sample and, for a trainable encoder, the full
     parameter gradients (including the path through the support-derived
-    prototypes).
+    prototypes).  scores is the query's entry of score_queries, which
+    train() computes for the queries of a batch together; without it the
+    query is scored alone.
 
     Raises InfeasibleGold when the gold configuration has zero probability
     under the training masks; the training loop skips and counts these.
     """
+    if scores is None:
+        scores = score_queries([query], ctx, config)[0]
+    if isinstance(scores, Exception):
+        raise scores
     enc = ctx.encoder
     kind = config.similarity_kind
-    q_rows, q_state = enc.encode_tokens(query.tokens, True)
-    q_utt = q_rows.mean(axis=0, keepdims=True)
-    f_l = similarity_to_protos(q_utt, ctx.protos.intent_protos, kind)[0]
-    f_o = similarity_to_protos(q_rows, ctx.protos.slot_protos, kind)
-
-    loss, d_fl, d_fo = _loss_and_emission_grads(query, f_l, f_o, ctx, config)
     if not enc.is_trainable:
-        return loss, None
+        return scores.loss, None
 
     # chain rule through the similarities
-    d_q_utt, d_c_intent = similarity_grads(q_utt, ctx.protos.intent_protos, kind, d_fl[None])
-    d_q_rows, d_c_slot = similarity_grads(q_rows, ctx.protos.slot_protos, kind, d_fo)
+    d_q_utt, d_c_intent = similarity_grads(scores.utt, ctx.protos.intent_protos, kind, scores.d_fl[None])
+    d_q_rows, d_c_slot = similarity_grads(scores.rows, ctx.protos.slot_protos, kind, scores.d_fo)
     d_c_intent /= ctx.protos.intent_counts[:, None]
     d_c_slot /= ctx.protos.slot_counts[:, None]
 
     grads = zero_grads(enc.params)
-    encoder_backward(enc.params, enc.config, q_state, d_rows=d_q_rows, d_utt=d_q_utt[0], out=grads)
+    encoder_backward(enc.params, enc.config, scores.state, d_rows=d_q_rows, d_utt=d_q_utt[0], out=grads)
     # prototypes are per-class means over the support set, so each support
     # utterance and token gets its class's gradient share; the support's
     # forward state was kept when the context built the prototypes
@@ -261,7 +346,7 @@ def compute_loss(
             enc.params, enc.config, state,
             d_rows=d_c_slot[list(sample.slots)], d_utt=d_c_intent[sample.intent], out=grads,
         )
-    return loss, grads
+    return scores.loss, grads
 
 
 # --- decoding and evaluation --------------------------------------------------
@@ -288,12 +373,10 @@ def predict_episode(
     lengths = np.array([em.slot.shape[0] for em in emissions])
     f_l = np.stack([em.intent for em in emissions])
     rows = np.concatenate([em.slot for em in emissions])  # query by query
-    real = np.arange(lengths.max()) < lengths[:, None]  # (Q, M): the cells rows fill
     if config.msd_eval:
-        f_o = np.zeros((*real.shape, rows.shape[1]))
-        f_o[real] = rows
+        f_o = _padded(rows, lengths, 0.0)
         ys, paths, _ = viterbi_decode(JointScoreInputs(f_l, f_o, ctx.rm, ctx.tm, config.lam, lengths))
-        flat = paths[real].tolist()
+        flat = paths[paths >= 0].tolist()  # paths are -1 past each query's length
     else:
         ys = np.argmax(f_l, axis=1)
         fe = apply_relation_mask(rows[:, None], ctx.rm, np.repeat(ys, lengths))[:, 0]
@@ -347,8 +430,11 @@ def train(
 
     Batches accumulate gradients over batch_size query samples.  Episodes
     are visited in a seeded shuffled order, re-shuffled each pass; the
-    whole run is a pure function of (episodes, encoder init, config).
-    Raises TrainingDiverged on a non-finite loss or gradient.
+    whole run is a pure function of (episodes, encoder init, config).  The
+    queries a batch takes from one episode are scored together
+    (score_queries), then each runs compute_loss for its backward pass, so
+    every loss, gradient, skip and error is that of one compute_loss call
+    per query.  Raises TrainingDiverged on a non-finite loss or gradient.
     """
     if len(source_episodes) < 1 or len(dev_episodes) < 1:
         raise ValueError("source and dev episode lists must be non-empty")
@@ -382,41 +468,48 @@ def train(
     step = 0
     while step < config.max_steps:
         contributed = 0
-        order = rng.permutation(len(source_episodes))
-        queries = ((source_episodes[i], q) for i in order for q in source_episodes[i].query)
-        for episode, query in queries:
-            # a context is valid until the next step changes the parameters
-            if ctx is None or ctx.episode is not episode:
-                ctx = build_context(episode, encoder, config)
-            try:
-                loss, grads = compute_loss(query, ctx, config)
-            except InfeasibleGold:
-                result.skipped_queries += 1
-                continue
-            except NonFiniteScores as exc:
-                raise TrainingDiverged(step + 1, str(exc), result) from exc
-            if not np.isfinite(loss):
-                raise TrainingDiverged(step + 1, f"query loss is {loss}", result)
-            contributed += 1
-            batch_losses.append(loss)
-            for k in grads_acc:
-                grads_acc[k] += grads[k]
-            if len(batch_losses) < config.batch_size:
-                continue
-            for k in grads_acc:
-                grads_acc[k] /= len(batch_losses)
-            if not all(np.isfinite(g).all() for g in grads_acc.values()):
-                raise TrainingDiverged(step + 1, "batch gradient is not finite", result)
-            adam_step(params, grads_acc, state, config)
-            ctx = None
-            step += 1
-            result.log.append({"step": step, "event": "train", "loss": float(np.mean(batch_losses)),
-                               "skipped": result.skipped_queries})
-            for k in grads_acc:
-                grads_acc[k][:] = 0.0
-            batch_losses.clear()
-            if step % config.eval_every == 0:
-                log_eval(step)
+        for i in rng.permutation(len(source_episodes)):
+            episode = source_episodes[i]
+            left = episode.query
+            while left and step < config.max_steps:
+                # a context is valid until the next step changes the parameters
+                if ctx is None or ctx.episode is not episode:
+                    ctx = build_context(episode, encoder, config)
+                # the episode's queries that can still join the batch are
+                # scored together; a step can only follow the last of them
+                room = config.batch_size - len(batch_losses)
+                chunk, left = left[:room], left[room:]
+                for query, scores in zip(chunk, score_queries(chunk, ctx, config)):
+                    try:
+                        loss, grads = compute_loss(query, ctx, config, scores)
+                    except InfeasibleGold:
+                        result.skipped_queries += 1
+                        continue
+                    except NonFiniteScores as exc:
+                        raise TrainingDiverged(step + 1, str(exc), result) from exc
+                    if not np.isfinite(loss):
+                        raise TrainingDiverged(step + 1, f"query loss is {loss}", result)
+                    contributed += 1
+                    batch_losses.append(loss)
+                    for k in grads_acc:
+                        grads_acc[k] += grads[k]
+                    if len(batch_losses) < config.batch_size:
+                        continue
+                    for k in grads_acc:
+                        grads_acc[k] /= len(batch_losses)
+                    if not all(np.isfinite(g).all() for g in grads_acc.values()):
+                        raise TrainingDiverged(step + 1, "batch gradient is not finite", result)
+                    adam_step(params, grads_acc, state, config)
+                    ctx = None
+                    step += 1
+                    result.log.append({"step": step, "event": "train",
+                                       "loss": float(np.mean(batch_losses)),
+                                       "skipped": result.skipped_queries})
+                    for k in grads_acc:
+                        grads_acc[k][:] = 0.0
+                    batch_losses.clear()
+                    if step % config.eval_every == 0:
+                        log_eval(step)
             if step >= config.max_steps:
                 break
         if contributed == 0:

@@ -2,9 +2,9 @@
 row-batched emissions and similarity backward, the backward pass from a
 kept forward state, the transition mask, the structured sum-product
 sweep, the training loop, the K-shot support selection, the labeled-file
-writer, the ablation grid, the packed decoder, and the span counts and
-gold warnings read from the label space's one adjacency rule are
-bit-identical to the code they replaced.
+writer, the ablation grid, the packed decoder and the packed sum-product
+half, and the span counts and gold warnings read from the label space's
+one adjacency rule are bit-identical to the code they replaced.
 
 The references below are that code: a per-position window mean, the
 (i, j) double loop that scatters the window gradient, per-token prototype
@@ -16,7 +16,8 @@ BIO cells, the dense per-intent log_partition, the training loop that
 selected the masks per query and rebuilt a context after every step, the
 support selection that recounted the whole selection after every move,
 the per-file record builders, the grid that built every cell's prototypes
-anew, the decoder that ran one Viterbi call per query, and the span and
+anew, the decoder that ran one Viterbi call per query, the per-query
+joint score, loss and gradients over the dense kernel, and the span and
 warning loops that parsed every token's label.  Every comparison is exact, not a tolerance:
 the benchmark's snips-train quality guards record how rounding breaks
 near-tied intent scores, so they depend on the exact bits.
@@ -66,6 +67,7 @@ from jmrm.experiments import ABLATION_GRID, run_ablation, run_cell
 from jmrm.lattice import (
     InfeasibleGold,
     JointScoreInputs,
+    joint_score,
     log_partition,
     logsumexp,
     loss_gradients,
@@ -1269,6 +1271,153 @@ def test_padded_cells_change_no_bit(bio):
         for g, w in zip(got, want):
             assert_same_bits(g, w)
     assert_decodes_alone(f_l, np.where(past[..., None], 1e300, f_o), lengths, rm, tm)
+
+
+# The sum-product half takes the same packed batch; the references are the
+# dense per-query kernel above and the per-query joint_score, nll_loss and
+# loss_gradients they replaced.
+
+
+def ref_joint_score(y, t, jin):
+    """R(y, t) of one query: a running sum over its positions."""
+    t = np.asarray(t, dtype=int)
+    fe = apply_relation_mask(jin.f_o, jin.rm, y)
+    s = jin.tm.start[t[0]] + fe[0, t[0]]
+    for i in range(1, t.shape[0]):
+        s = s + jin.tm.trans[t[i - 1], t[i]]
+        s = s + fe[i, t[i]]
+    return float(jin.lam * jin.f_l[y] + s)
+
+
+def ref_loss_and_gradients(gold_y, gold_t, jin):
+    """One query's clamped loss, dL/df_l and dL/df_o over the dense kernel."""
+    log_z, q, unary = ref_log_partition_dense(jin)
+    loss = log_z - ref_joint_score(gold_y, gold_t, jin)
+    d_fl = jin.lam * q.copy()
+    d_fl[gold_y] -= jin.lam
+    d_fo = unary.sum(axis=0)
+    d_fo[np.arange(gold_t.shape[0]), gold_t] -= 1.0
+    return (0.0 if loss <= 0 else loss), d_fl, d_fo
+
+
+def feasible_golds(rm, tm, lengths, y_n, t_n, rng):
+    """A feasible gold pair per query, as packed golds: (Q,) intents and
+    (Q, M) slot ids, -1 past each length (the decode of random scores)."""
+    decodes = [viterbi_decode(JointScoreInputs(rng.standard_normal(y_n), rng.standard_normal((m, t_n)),
+                                               rm, tm, 1.0)) for m in lengths]
+    gold_t = np.full((len(lengths), max(lengths)), -1)
+    for n, (_, path, _) in enumerate(decodes):
+        gold_t[n, : path.size] = path
+    return np.array([y for y, _, _ in decodes]), gold_t
+
+
+def assert_partition_alone(jin, gold_y, gold_t):
+    """Each query of the packed batch gets from log_partition, nll_loss and
+    loss_gradients what the dense kernel and the per-query code give it,
+    and zeros past its length."""
+    post = log_partition(jin)
+    losses, post_nll = nll_loss(gold_y, gold_t, jin)
+    d_fl, d_fo = loss_gradients(gold_y, gold_t, post, jin)
+    for got, want in zip((post_nll.log_z, post_nll.intent_marginals, post_nll.slot_unary_marginals),
+                         (post.log_z, post.intent_marginals, post.slot_unary_marginals)):
+        assert_same_bits(got, want)
+    scores = joint_score(gold_y, gold_t, jin)
+    lengths = np.full(len(gold_y), jin.n_positions) if jin.lengths is None else jin.lengths
+    for n, m in enumerate(lengths):
+        one = JointScoreInputs(jin.f_l[n], jin.f_o[n, :m], jin.rm, jin.tm, jin.lam)
+        log_z, q, unary = ref_log_partition_dense(one)
+        assert_same_bits(post.log_z[n], np.float64(log_z))
+        assert_same_bits(post.intent_marginals[n], q)
+        assert_same_bits(post.slot_unary_marginals[n, :, :m], unary)
+        assert_same_bits(scores[n], np.float64(ref_joint_score(gold_y[n], gold_t[n, :m], one)))
+        loss, g_l, g_o = ref_loss_and_gradients(gold_y[n], gold_t[n, :m], one)
+        assert_same_bits(losses[n], np.float64(loss))
+        assert_same_bits(d_fl[n], g_l)
+        assert_same_bits(d_fo[n, :m], g_o)
+        assert not post.slot_unary_marginals[n, :, m:].any() and not d_fo[n, m:].any()
+        # the one-query case of the same functions
+        alone_loss, alone = nll_loss(gold_y[n], gold_t[n, :m], one)
+        assert_same_bits(np.float64(alone_loss), np.float64(loss))
+        assert alone.slot_unary_marginals.flags.c_contiguous
+        for got, want in zip(loss_gradients(gold_y[n], gold_t[n, :m], alone, one), (g_l, g_o)):
+            assert_same_bits(got, want)
+
+
+def packed_case(y_n, t_n, bio, scale, seed):
+    """ragged_case's masks and scores; under BIO with Y > 1 the last intent
+    may use I-type0 only, which BIO bans from opening a sequence, so that
+    intent gets zero mass."""
+    rm, tm, f_l, f_o = ragged_case(y_n, t_n, bio, scale, seed)
+    if bio and y_n > 1:
+        related = rm.rm.copy()
+        related[-1] = False
+        related[-1, bio_space(y_n, t_n).slot_id("I-type0")] = True
+        rm = RelationMask(related, False)
+    return rm, tm, f_l, f_o
+
+
+@pytest.mark.parametrize("bio", [True, False], ids=["bio", "permissive"])
+@pytest.mark.parametrize("t_n", [3, 9, 79])
+@pytest.mark.parametrize("y_n", [1, 2, 7])
+def test_packed_partition_matches_per_query_calls(y_n, t_n, bio):
+    """Batches of 1, 2 and 8 queries of one length and of mixed lengths, in
+    any order, at two scales, each also integer-rounded to make exact ties
+    within and across queries."""
+    for scale in (1.0, 30.0):
+        rm, tm, f_l, f_o = packed_case(y_n, t_n, bio, scale, 0)
+        rng = np.random.default_rng([y_n, t_n, bio, int(scale)])
+        for fl, fo in ((f_l, f_o), (np.round(f_l), np.round(f_o))):
+            for q in (1, 2, 8):
+                gold_y, gold_t = feasible_golds(rm, tm, [12] * q, y_n, t_n, rng)
+                assert_partition_alone(JointScoreInputs(fl[:q], fo[:q, :12], rm, tm, 1.0), gold_y, gold_t)
+            for lengths in RAGGED_LENGTHS:
+                q, width = len(lengths), max(lengths) + 2
+                gold_y, gold_t = feasible_golds(rm, tm, lengths, y_n, t_n, rng)
+                gold_t = np.pad(gold_t, ((0, 0), (0, 2)), constant_values=-1)
+                jin = JointScoreInputs(fl[:q], fo[:q, :width], rm, tm, 1.0, np.array(lengths))
+                assert_partition_alone(jin, gold_y, gold_t)
+
+
+@pytest.mark.parametrize("bio", [True, False], ids=["bio", "permissive"])
+def test_padded_cells_change_no_partition_bit(bio):
+    """Cells past a query's length are never read: filling them with
+    +-1e300 or NaN leaves log Z, q, the marginals, the losses and the
+    gradients as they are (and a read of 1e300 would overflow, which pytest
+    turns into an error)."""
+    rm, tm, f_l, f_o = packed_case(7, 79, bio, 1.0, 1)
+    f_l, f_o = np.round(f_l), np.round(f_o)
+    lengths = np.array(RAGGED_LENGTHS[-1])
+    gold_y, gold_t = feasible_golds(rm, tm, lengths, 7, 79, np.random.default_rng(2))
+    gold_t = np.pad(gold_t, ((0, 0), (0, 2)), constant_values=-1)
+    past = np.arange(f_o.shape[1]) >= lengths[:, None]
+
+    def outputs(fill):
+        jin = JointScoreInputs(f_l, np.where(past[..., None], fill, f_o), rm, tm, 1.0, lengths)
+        loss, post = nll_loss(gold_y, gold_t, jin)
+        return (loss, post.log_z, post.intent_marginals, post.slot_unary_marginals,
+                *loss_gradients(gold_y, gold_t, post, jin))
+
+    want = outputs(0.0)
+    for poison in (1e300, -1e300, np.nan):
+        for got, w in zip(outputs(poison), want):
+            assert_same_bits(got, w)
+    assert_partition_alone(JointScoreInputs(f_l, np.where(past[..., None], 1e300, f_o), rm, tm, 1.0, lengths),
+                           gold_y, gold_t)
+
+
+@pytest.mark.parametrize("y_n", [1, 2, 7, 12])
+def test_packed_gradients_on_a_one_label_space(y_n):
+    """With one slot label numpy sums a one-token query's intents pairwise
+    (which differs from in order from 8 intents on) and a longer query's in
+    order; a ragged batch keeps each as it is."""
+    rng = np.random.default_rng(y_n)
+    rm, tm = RelationMask(np.ones((y_n, 1), dtype=bool), True), permissive_transition_mask(1)
+    for lengths in ((1,), (3, 1, 2, 1), (1, 1)) * 10:
+        q, width = len(lengths), max(lengths)
+        f_l, f_o = rng.standard_normal((q, y_n)), rng.standard_normal((q, width, 1))
+        gold_t = np.where(np.arange(width) < np.array(lengths)[:, None], 0, -1)
+        gold_y = rng.integers(y_n, size=q)
+        assert_partition_alone(JointScoreInputs(f_l, f_o, rm, tm, 1.0, np.array(lengths)), gold_y, gold_t)
 
 
 def ref_predict_episode(episode, encoder, config):

@@ -7,7 +7,9 @@ non-UTF-8 byte) and each mutant is run through ``jmrm.cli.main``.  A mutant
 may still be valid; any failure must be a typed error defined in jmrm,
 reported through the one-line JSON exit.  The per-query lengths of a
 packed lattice batch, which no file carries, are checked the same way: each
-bad one ends in a ValueError where JointScoreInputs is built.
+bad one ends in a ValueError where JointScoreInputs is built.  So are the
+gold pairs the lattice scores: an id outside the label space ends in
+LabelMismatch, and a sequence of another length in LengthMismatch.
 """
 
 import importlib
@@ -21,8 +23,10 @@ import pytest
 import jmrm
 from jmrm.cli import main
 from jmrm.encoder import EncoderConfig, init_encoder, save_encoder
-from jmrm.lattice import JointScoreInputs, joint_score, log_partition, nll_loss
+from jmrm.core import LabelMismatch, LengthMismatch
+from jmrm.lattice import JointScoreInputs, joint_score, log_partition, loss_gradients, nll_loss
 from jmrm.masks import all_ones_relation_mask, permissive_transition_mask
+from jmrm.oracles import random_instance
 
 MUTANTS_PER_KIND = 120
 UNTYPED = {"KeyError", "TypeError", "IndexError", "AttributeError",
@@ -229,11 +233,54 @@ def test_lengths_need_a_batch():
         lattice_inputs((2,), (4, 3), np.array([4]))
 
 
-def test_one_query_functions_reject_a_packed_batch():
+def gold_calls(gold_y, gold_t, jin):
+    post = log_partition(jin)
+    return (lambda: joint_score(gold_y, gold_t, jin), lambda: nll_loss(gold_y, gold_t, jin),
+            lambda: loss_gradients(gold_y, gold_t, post, jin))
+
+
+def test_a_packed_batch_rejects_one_querys_gold():
     jin = lattice_inputs((2, 2), (2, 4, 3), np.array([4, 2]))
-    gold = np.zeros(4, dtype=int)
-    for call, name in ((lambda: log_partition(jin), "log_partition"),
-                       (lambda: nll_loss(0, gold, jin), "nll_loss"),
-                       (lambda: joint_score(0, gold, jin), "joint_score")):
-        with pytest.raises(ValueError, match=f"{name} takes one query"):
+    assert log_partition(jin).log_z.shape == (2,)
+    for call in gold_calls(0, np.zeros(4, dtype=int), jin):
+        with pytest.raises(LengthMismatch, match=r"are not \(2,\) and \(2, 4\)"):
+            call()
+
+
+@pytest.mark.parametrize("gold_y, gold_t, error, match", [
+    (-1, [0, 1, 2], LabelMismatch, "gold intent -1 lies outside the 3 intents"),
+    (3, [0, 1, 2], LabelMismatch, "gold intent 3 lies outside"),
+    (0, [0, -1, 2], LabelMismatch, "gold slot id -1 lies outside the 4 slot labels"),
+    (0, [0, 1, 4], LabelMismatch, "gold slot id 4 lies outside"),
+    (0.0, [0, 1, 2], LabelMismatch, "gold ids must be integers"),
+    (0, [0.0, 1.0, 2.0], LabelMismatch, "gold ids must be integers"),
+    (-1, [0, 1], LengthMismatch, r"slots \(2,\) are not \(\) and \(3,\)"),
+    (0, [0, 1, 2, 3], LengthMismatch, r"slots \(4,\) are not"),
+    ([0], [0, 1, 2], LengthMismatch, r"gold intents \(1,\)"),
+])
+def test_gold_outside_the_label_space_or_length_rejected(gold_y, gold_t, error, match):
+    """Indexing would score intent -1 and slot id -1 as the last label, and
+    loss_gradients would take a gold sequence of another length."""
+    jin = random_instance(np.random.default_rng(0))  # Y=3, m=3, T=4
+    for call in gold_calls(gold_y, gold_t, jin):
+        with pytest.raises(error, match=match):
+            call()
+
+
+@pytest.mark.parametrize("gold_y, gold_t, error, match", [
+    ([0, 1], [[0, 1, 2, 0], [2, 0, -1, -1]], None, None),
+    ([0, 2], [[0, 1, 2, 0], [2, 0, -1, -1]], LabelMismatch, "gold intent 2"),
+    ([0, 1], [[0, 1, 2, 3], [2, 0, -1, -1]], LabelMismatch, "gold slot id 3"),
+    ([0, 1], [[0, 1, 2, -1], [2, 0, -1, -1]], LabelMismatch, "gold slot id -1"),
+    ([0, 1], [[0, 1, 2, 0], [2, 0, 1, -1]], LengthMismatch, "past a query's length must be -1"),
+    ([0, 1], [[0, 1, 2, 0], [2, 0, -1, -2]], LengthMismatch, "past a query's length must be -1"),
+    ([0, 1, 0], [[0, 1, 2, 0], [2, 0, -1, -1]], LengthMismatch, r"gold intents \(3,\)"),
+])
+def test_packed_gold_checked_query_by_query(gold_y, gold_t, error, match):
+    jin = lattice_inputs((2, 2), (2, 4, 3), np.array([4, 2]))
+    for call in gold_calls(np.array(gold_y), np.array(gold_t), jin):
+        if error is None:
+            call()
+            continue
+        with pytest.raises(error, match=match):
             call()

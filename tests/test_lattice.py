@@ -736,14 +736,23 @@ class TestBatchedInputs:
             JointScoreInputs(np.zeros((3, 2)), f_o, all_ones_relation_mask(2, 3),
                              permissive_transition_mask(3))
 
-    def test_one_query_functions_reject_a_batch(self):
+    def test_batch_functions_give_each_query_its_own_result(self):
         jin = self.batch()
-        with pytest.raises(ValueError, match="log_partition takes one query"):
-            log_partition(jin)
-        with pytest.raises(ValueError, match="nll_loss takes one query"):
-            nll_loss(0, np.zeros(4, dtype=int), jin)
-        with pytest.raises(ValueError, match="joint_score takes one query"):
-            joint_score(0, np.zeros(4, dtype=int), jin)
+        gold_y, gold_t = np.array([0, 1, 1]), np.array([[0, 1, 2, 0], [2, 2, 1, 0], [1, 0, 0, 2]])
+        post = log_partition(jin)
+        losses, _ = nll_loss(gold_y, gold_t, jin)
+        d_fl, d_fo = loss_gradients(gold_y, gold_t, post, jin)
+        scores = joint_score(gold_y, gold_t, jin)
+        for n in range(3):
+            one = JointScoreInputs(jin.f_l[n], jin.f_o[n], jin.rm, jin.tm)
+            alone = log_partition(one)
+            assert post.log_z[n] == alone.log_z
+            np.testing.assert_array_equal(post.intent_marginals[n], alone.intent_marginals)
+            np.testing.assert_array_equal(post.slot_unary_marginals[n], alone.slot_unary_marginals)
+            assert scores[n] == joint_score(gold_y[n], gold_t[n], one)
+            assert losses[n] == nll_loss(gold_y[n], gold_t[n], one)[0]
+            for got, want in zip((d_fl[n], d_fo[n]), loss_gradients(gold_y[n], gold_t[n], alone, one)):
+                np.testing.assert_array_equal(got, want)
 
 
 class TestInfeasibleLattice:

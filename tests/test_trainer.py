@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import jmrm.encoder
+import jmrm.lattice
 import jmrm.trainer
 from jmrm.core import Episode, LabelMismatch, LabelSpace, MalformedInput, Sample
 from jmrm.encoder import EncoderConfig, init_encoder
@@ -298,9 +299,9 @@ class TestTrain:
                 built.append(ctx)
             return ctx
 
-        def recording_loss(query, ctx, config):
+        def recording_loss(query, ctx, config, scores=None):
             used.add(id(ctx))
-            return loss(query, ctx, config)
+            return loss(query, ctx, config, scores)
 
         def flagged_evaluate(*args):
             evaluating.append(True)
@@ -320,14 +321,73 @@ class TestTrain:
         # a query of the same visit follows
         assert len(built) == 8
 
+    def test_a_batch_shares_one_lattice_call_per_episode(self, monkeypatch):
+        shapes = []
+        log_partition = jmrm.lattice.log_partition
+
+        def recording_partition(jin):
+            shapes.append(jin.f_l.shape)
+            return log_partition(jin)
+
+        monkeypatch.setattr(jmrm.lattice, "log_partition", recording_partition)
+        train_eps, dev_eps, enc = self.make_run()
+        result = train(train_eps, dev_eps, enc, RunConfig(max_steps=6, eval_every=3))
+        assert result.skipped_queries == 0
+        # 4 episode visits of 6 queries, batches of 4: each visit's queries
+        # split where a step falls, and no query is scored alone
+        assert [shape[0] for shape in shapes] == [4, 2, 2, 4, 4, 2, 2, 4]
+        assert {len(shape) for shape in shapes} == {2}
+
+    @pytest.mark.parametrize("kind, middle, skipped", [
+        # a gold pair the relation mask bans, then a query whose only new
+        # token embeds as NaN: the skip is counted before the error
+        ("vpb", ("book queen", "O B-artist", "book faulty", "O O"), 1),
+        # the NaN query, then one whose new token embeds as a zero vector,
+        # which cos similarity rejects: the first error ends the run
+        ("cos", ("book faulty", "O O", "book blank", "O O"), 0),
+    ])
+    def test_a_batch_ends_training_as_one_call_per_query_does(self, monkeypatch, kind, middle, skipped):
+        ls = LabelSpace(("play_music", "book_restaurant"), ("O", "B-artist", "B-city"))
+        support = (
+            make_sample(ls, "play queen", "play_music", "O B-artist"),
+            make_sample(ls, "book paris", "book_restaurant", "O B-city"),
+        )
+        query = (
+            make_sample(ls, "play madonna", "play_music", "O B-artist"),
+            make_sample(ls, middle[0], "book_restaurant", middle[1]),
+            make_sample(ls, middle[2], "book_restaurant", middle[3]),
+            make_sample(ls, "book rome", "book_restaurant", "O B-city"),
+        )
+        train_ep = Episode(support, query, ls, "faults")  # one batch of 4
+        dev_ep = Episode(support, query[:1] + query[3:], ls, "dev")
+
+        def diverged():
+            enc = init_encoder(EncoderConfig(kind="trainable", dim=8, seed=0),
+                               ["play", "book", "queen", "paris", "madonna", "rome", "faulty", "blank"])
+            enc.params.token_table[enc.params.vocab["faulty"]] = np.nan
+            enc.params.token_table[enc.params.vocab["blank"]] = 0.0
+            with pytest.raises(TrainingDiverged) as info:
+                train([train_ep], [dev_ep], enc, RunConfig(similarity_kind=kind, max_steps=3, eval_every=1))
+            return info.value
+
+        packed = diverged()
+        score = jmrm.trainer.score_queries
+        monkeypatch.setattr(jmrm.trainer, "score_queries",
+                            lambda queries, ctx, config: [score([q], ctx, config)[0] for q in queries])
+        alone = diverged()
+        assert (packed.step, str(packed), packed.result.skipped_queries, packed.result.log) == (
+            alone.step, str(alone), alone.result.skipped_queries, alone.result.log)
+        assert (packed.step, packed.result.skipped_queries) == (1, skipped)
+        assert "f_l holds NaN or infinite scores" in str(packed)
+
     @pytest.mark.parametrize("fault", ["loss", "gradient", "scores"])
     def test_non_finite_batch_stops_before_the_step(self, monkeypatch, fault):
         loss = jmrm.trainer.compute_loss
         calls = []
 
-        def faulty_loss(query, ctx, config):
+        def faulty_loss(query, ctx, config, scores=None):
             calls.append(query)
-            value, grads = loss(query, ctx, config)
+            value, grads = loss(query, ctx, config, scores)
             if len(calls) < 7:  # batches of 4: step 1 is healthy, step 2 is not
                 return value, grads
             if fault == "scores":

@@ -253,10 +253,13 @@ def _read_records(path) -> list:
             isinstance(metrics, dict)
             and isinstance(rec.get("similarity"), str)
             and isinstance(rec.get("name", ""), str)
-            and all(type(metrics.get(k, "")) in (int, float, type(None)) for k in REPORT_METRICS)
+            # each metric null or a rate; a JSON integer compares exactly, so
+            # one beyond float range fails here instead of overflowing later
+            and all(v is None or type(v) in (int, float) and 0 <= v <= 1
+                    for v in (metrics.get(k, "") for k in REPORT_METRICS))
         ):
-            raise MalformedInput(f"{path}: record {i} needs a string similarity and "
-                                 f"numeric or null metrics {', '.join(REPORT_METRICS)}")
+            raise MalformedInput(f"{path}: record {i} needs a string similarity and metrics "
+                                 f"{', '.join(REPORT_METRICS)}, each null or a number in [0, 1]")
     return records
 
 

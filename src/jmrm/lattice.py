@@ -6,17 +6,20 @@ The joint score of a pair is
 
 with f_e the relation-masked slot emissions and f_t the transition mask
 (START row for t_0).  Every function takes one query or a batch of Q
-queries of any lengths (JointScoreInputs with a leading query axis and,
-for a ragged batch, their lengths); one query is the Q = 1 case.  The
-batch is packed, as a PackedSequence is: the queries are ordered longest
-first, stably, so the queries that run through a position are a prefix of
-that order, and each dynamic program works on that prefix only.  Packed
-rows hold one (query, position) pair each, position-major, and no padded
-cell is read, computed or exponentiated.  Each program is one sweep over
-positions for every intent and every live query at once, and each runs on
-the mask's open/closed form (TransitionMask), not on the dense (T, T)
-transitions, with outputs bit-identical to the dense recursions.  The
-sum-product sweeps give log Z and the marginals:
+queries of any lengths, and one query is the Q = 1 case.  Slot scores
+are rows, one per token: one query's (m, T), or a batch's (N, T), its
+queries' rows laid end to end in query order with (Q,) lengths that sum
+to N, as PackedSequence.data lays them.  Every output indexed by row
+keeps that layout: marginals (Y, N, T), slot gradients (N, T), gold
+slots and Viterbi paths (N,).  Inside, the dynamic programs run packed:
+the queries are ordered longest first, stably, so the queries that run
+through a position are a prefix of that order, and each program works on
+that prefix only, on packed rows that hold one (query, position) pair
+each, position-major.  Each program is one sweep over positions for
+every intent and every live query at once, and each runs on the mask's
+open/closed form (TransitionMask), not on the dense (T, T) transitions,
+with outputs bit-identical to the dense recursions.  The sum-product
+sweeps give log Z and the marginals:
 
   - _forward sums each column's predecessors in index order, as numpy does
     the dense forward's strided sums.  One logsumexp over all T
@@ -82,29 +85,28 @@ def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
 
 @dataclass
 class JointScoreInputs:
-    """One query's scores, or a batch of Q queries' scores stacked on a
-    leading axis; every query shares the masks and lam.
+    """One query's scores, or a batch of Q queries' scores; every query
+    shares the masks and lam.
 
-    A batch's f_o is (Q, M, T), and lengths, if given, holds each query's
-    length, 1 to M: cells past it are never read, so they may hold
-    anything.  Without lengths every query runs all M positions."""
+    A batch's f_l is (Q, Y), and its f_o is (N, T): its queries' rows laid
+    end to end in query order, query q's lengths[q] rows starting at row
+    sum(lengths[:q]).  lengths is given exactly for a batch; each is at
+    least 1, and they sum to N."""
 
     f_l: np.ndarray  # (Y,) or (Q, Y)
-    f_o: np.ndarray  # (m, T) or (Q, M, T)
+    f_o: np.ndarray  # (m, T) or (N, T)
     rm: RelationMask
     tm: TransitionMask
     lam: float = 1.0
-    lengths: np.ndarray | None = None  # (Q,) ints in 1..M
+    lengths: np.ndarray | None = None  # a batch's (Q,) ints in 1..N, summing to N
 
     def __post_init__(self):
         self.f_l = np.asarray(self.f_l, dtype=float)
         self.f_o = np.asarray(self.f_o, dtype=float)
-        batch = self.f_l.shape[:-1]  # () or (Q,)
-        if (self.f_l.ndim not in (1, 2) or self.f_o.shape[:-2] != batch or self.f_o.ndim < 2
-                or 0 in (self.f_l.shape[-1], *self.f_o.shape[-2:])):
+        if self.f_l.ndim not in (1, 2) or self.f_o.ndim != 2 or 0 in (self.f_l.shape[-1], *self.f_o.shape):
             raise ValueError(
-                f"f_l {self.f_l.shape} and f_o {self.f_o.shape} are not (Y,) and (m, T), "
-                "nor (Q, Y) and (Q, m, T), with Y, m and T >= 1")
+                f"f_l {self.f_l.shape} and f_o {self.f_o.shape} are not (Y,) or (Q, Y), "
+                "and (m, T) or (N, T), with Y, m, N and T >= 1")
         y, t = self.n_intents, self.n_slots
         if self.rm.rm.shape != (y, t):
             raise ValueError(f"relation mask shape {self.rm.rm.shape} != ({y}, {t})")
@@ -112,17 +114,18 @@ class JointScoreInputs:
             raise ValueError("transition mask shape mismatch")
         if not np.isfinite(self.lam):
             raise ValueError("lam must be finite")
-        real = self.f_o
-        if self.lengths is not None:
+        if self.batched != (self.lengths is not None):
+            raise ValueError(f"lengths needs a batch, and a batch needs lengths; f_l is {self.f_l.shape}")
+        if self.batched:
             lengths = self.lengths = np.asarray(self.lengths)
-            if not self.batched:
-                raise ValueError("lengths needs a batch: (Q, Y) and (Q, M, T) scores")
+            batch, n = self.f_l.shape[:1], self.n_positions
             if lengths.shape != batch or not np.issubdtype(lengths.dtype, np.integer):
                 raise ValueError(f"lengths {lengths.shape} {lengths.dtype} are not {batch} integers")
-            if np.any((lengths < 1) | (lengths > self.n_positions)):
-                raise ValueError(f"lengths must lie in 1..{self.n_positions}")
-            real = self.f_o[np.arange(self.n_positions) < lengths[:, None]]
-        for name, scores in (("f_l", self.f_l), ("f_o", real)):
+            if np.any((lengths < 1) | (lengths > n)):
+                raise ValueError(f"lengths must lie in 1..{n}")
+            if lengths.sum() != n:  # cannot overflow: each length is at most n
+                raise ValueError(f"lengths sum to {lengths.sum()}, not to the {n} rows of f_o")
+        for name, scores in (("f_l", self.f_l), ("f_o", self.f_o)):
             if not np.all(np.isfinite(scores)):
                 raise NonFiniteScores(f"{name} holds NaN or infinite scores")
 
@@ -136,22 +139,28 @@ class JointScoreInputs:
 
     @property
     def n_positions(self) -> int:
-        return self.f_o.shape[-2]
+        """The rows of f_o: one query's m, or a batch's N."""
+        return self.f_o.shape[0]
 
     @property
     def n_slots(self) -> int:
-        return self.f_o.shape[-1]
+        return self.f_o.shape[1]
+
+
+def _queries(jin: JointScoreInputs) -> tuple[np.ndarray, np.ndarray]:
+    """Each query's row count and first row of f_o, (Q,) each."""
+    lengths = np.array([jin.n_positions]) if jin.lengths is None else jin.lengths
+    return lengths, np.cumsum(lengths) - lengths
 
 
 @dataclass
 class JointPosterior:
     """log Z, q(y) and the joint unary marginals of one query, or of each
-    query of a batch on a leading axis."""
+    query of a batch."""
 
     log_z: float | np.ndarray  # a float, or (Q,)
     intent_marginals: np.ndarray  # (Y,) or (Q, Y): q(y)
-    # (Y, m, T) or (Q, Y, M, T): joint P(intent=y, t_i=o), 0 past a query's length
-    slot_unary_marginals: np.ndarray
+    slot_unary_marginals: np.ndarray  # (Y, N, T): joint P(intent=y, t_i=o) at each row i of f_o
 
 
 @dataclass(frozen=True)
@@ -159,83 +168,73 @@ class _Packed:
     """A batch packed longest query first (see the module docstring).
 
     Sorted query s is query order[s], of length lengths[s].  Packed row r
-    is sorted query rank[r] at position pos[r], position-major: position
-    i's rows are the live[i] from starts[i], and they hold the sorted
-    queries 0 .. live[i] - 1.  fe holds each row's relation-masked
-    emissions, (N, Y, T).
+    is sorted query rank[r] at position pos[r], which is row src[r] of
+    f_o; position-major: position i's rows are the live[i] from starts[i],
+    and they hold the sorted queries 0 .. live[i] - 1.  fe holds each
+    row's relation-masked emissions, (N, Y, T).
     """
 
     order: np.ndarray
     lengths: np.ndarray
     rank: np.ndarray
     pos: np.ndarray
+    src: np.ndarray
     live: list[int]
     starts: list[int]
     fe: np.ndarray
 
 
 def _pack(jin: JointScoreInputs) -> _Packed:
-    q, m, t = jin.f_l.size // jin.n_intents, jin.n_positions, jin.n_slots
-    lengths = np.full(q, m) if jin.lengths is None else jin.lengths
+    lengths, starts = _queries(jin)
     order = np.argsort(-lengths, kind="stable")
-    lengths = lengths[order]
+    first, lengths = starts[order], lengths[order]
     pos, rank = np.nonzero(np.arange(lengths[0])[:, None] < lengths)
     live = np.bincount(pos)
-    rows = jin.f_o.reshape(-1, m, t)[order[rank], pos]
-    fe = apply_relation_mask(rows[:, None, None], jin.rm, slice(None))[:, :, 0]
-    return _Packed(order, lengths, rank, pos, live.tolist(), (np.cumsum(live) - live).tolist(), fe)
+    src = first[rank] + pos
+    fe = apply_relation_mask(jin.f_o[src][:, None, None], jin.rm, slice(None))[:, :, 0]
+    return _Packed(order, lengths, rank, pos, src, live.tolist(), (np.cumsum(live) - live).tolist(), fe)
 
 
 def _gold(
     gold_y: int | np.ndarray, gold_t: np.ndarray, jin: JointScoreInputs
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The gold intents (Q,) and slot ids (Q, M) of a batch, or of one
-    query as Q = 1, and the (Q, M) mask of the cells within each query's
-    length.  A batch's slot ids are -1 past each query's length, as
-    viterbi_decode pads its paths.  An id outside the label space raises
-    LabelMismatch, and a sequence of another length LengthMismatch."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The gold intents (Q,) of a batch, or of one query as Q = 1, and
+    their slot ids (N,), one per row of f_o, as viterbi_decode gives its
+    paths.  An id outside the label space raises LabelMismatch, and gold of
+    another shape LengthMismatch."""
     ys, ts = np.asarray(gold_y), np.asarray(gold_t)
-    batch, m = jin.f_l.shape[:-1], jin.n_positions
-    if ys.shape != batch or ts.shape != (*batch, m):
+    batch, n = jin.f_l.shape[:-1], jin.n_positions
+    if ys.shape != batch or ts.shape != (n,):
         raise LengthMismatch(f"gold intents {ys.shape} and slots {ts.shape} are not "
-                             f"{batch} and {(*batch, m)}, one per query and position")
+                             f"{batch} and {(n,)}, one per query and row")
     if not (np.issubdtype(ys.dtype, np.integer) and np.issubdtype(ts.dtype, np.integer)):
         raise LabelMismatch(f"gold ids must be integers, not {ys.dtype} and {ts.dtype}")
-    ys, ts = ys.reshape(-1), ts.reshape(-1, m)
-    lengths = np.full(ys.size, m) if jin.lengths is None else jin.lengths
-    real = np.arange(m) < lengths[:, None]
-    if np.any(ts[~real] != -1):
-        raise LengthMismatch("gold slots past a query's length must be -1")
+    ys = ys.reshape(-1)
     bad_y = ys[(ys < 0) | (ys >= jin.n_intents)]
     if bad_y.size:
         raise LabelMismatch(f"gold intent {bad_y[0]} lies outside the {jin.n_intents} intents")
-    inside = ts[real]
-    bad_t = inside[(inside < 0) | (inside >= jin.n_slots)]
+    bad_t = ts[(ts < 0) | (ts >= jin.n_slots)]
     if bad_t.size:
         raise LabelMismatch(f"gold slot id {bad_t[0]} lies outside the {jin.n_slots} slot labels")
-    return ys, ts, real
+    return ys, ts
 
 
 def joint_score(
     y: int | np.ndarray, t: np.ndarray, jin: JointScoreInputs
 ) -> float | np.ndarray:
     """R(y, t) of one query, a float, or of each query of a batch, (Q,),
-    from (Q,) intents and (Q, M) slot ids, -1 past each query's length;
-    -inf iff any emission or transition factor is masked."""
-    ys, ts, real = _gold(y, t, jin)
-    q, m = real.shape
-    q_i, p_i = np.nonzero(real)
-    o, prev = ts[real], ts[q_i, np.maximum(p_i - 1, 0)]
-    emit = jin.f_o.reshape(q, m, -1)[q_i, p_i, o]
+    from (Q,) intents and (N,) slot ids, one per row of f_o; -inf iff any
+    emission or transition factor is masked."""
+    ys, ts = _gold(y, t, jin)
+    (lengths, starts), rows = _queries(jin), np.arange(ts.size)
     # START, an emission, then a transition and an emission per position,
-    # added in that order by add.accumulate: the recursions' association,
-    # so degenerate one-path lattices give bit-identical scores
-    factors = np.zeros((q, m, 2))
-    factors[q_i, p_i, 0] = np.where(p_i > 0, jin.tm.trans[prev, o], jin.tm.start[o])
-    factors[q_i, p_i, 1] = np.where(jin.rm.rm[ys[q_i], o], emit, NEG_INF)
-    path_sums = np.add.accumulate(factors.reshape(q, 2 * m), axis=1)
-    queries = np.arange(q)
-    r = jin.lam * jin.f_l.reshape(q, -1)[queries, ys] + path_sums[queries, 2 * real.sum(1) - 1]
+    # added in that order by add.accumulate, query by query: the recursions'
+    # association, so degenerate one-path lattices give bit-identical scores
+    factors = np.empty((ts.size, 2))
+    factors[:, 0] = np.where(np.isin(rows, starts), jin.tm.start[ts], jin.tm.trans[ts[rows - 1], ts])
+    factors[:, 1] = np.where(jin.rm.rm[np.repeat(ys, lengths), ts], jin.f_o[rows, ts], NEG_INF)
+    path_sums = [np.add.accumulate(f)[-1] for f in np.split(factors.ravel(), 2 * starts[1:])]
+    r = jin.lam * jin.f_l.reshape(ys.size, -1)[np.arange(ys.size), ys] + path_sums
     return r if jin.batched else float(r[0])
 
 
@@ -364,11 +363,11 @@ def log_partition(jin: JointScoreInputs) -> JointPosterior:
     one query or of each query of a batch, each exactly as a call on that
     query alone gives them.
 
-    slot_unary_marginals[..., y, i, o] is the joint probability of {intent
-    = y and t_i = o}; each (y, i) slice sums to q(y), and cells masked by
-    the relation mask are exactly zero.  One query's marginals are
-    C-ordered (Y, m, T); a batch's are (Q, Y, M, T), zero past each query's
-    length.
+    slot_unary_marginals[y, i, o] is the joint probability of {intent = y
+    and t = o at row i of f_o} under row i's query; each (y, i) slice sums
+    to that query's q(y), and cells masked by the relation mask are exactly
+    zero.  The marginals are C-ordered (Y, N, T), one column per row of
+    f_o.
     """
     pk = _pack(jin)
     q, y, t = pk.lengths.size, jin.n_intents, jin.n_slots
@@ -393,10 +392,10 @@ def log_partition(jin: JointScoreInputs) -> JointPosterior:
     unary -= log_z[pk.rank][:, None]
     np.exp(unary, unary)
     intent_marginals = np.exp(log_joint - log_z[:, None])
-    if not jin.batched:
+    if not jin.batched:  # one query's packed rows are its rows, in order
         return JointPosterior(float(log_z[0]), intent_marginals[0], unary)
-    marginals = np.zeros((q, y, jin.n_positions, t))
-    marginals[pk.order[pk.rank], :, pk.pos] = unary.transpose(1, 0, 2)
+    marginals = np.empty_like(unary)
+    marginals[:, pk.src] = unary
     in_order = JointPosterior(np.empty_like(log_z), np.empty_like(intent_marginals), marginals)
     in_order.log_z[pk.order], in_order.intent_marginals[pk.order] = log_z, intent_marginals
     return in_order
@@ -413,10 +412,10 @@ def nll_loss(
     r = joint_score(gold_y, gold_t, jin)
     masked = np.flatnonzero(np.reshape(r, -1) == NEG_INF)
     if masked.size:
-        n = masked[0]
-        y, t = np.reshape(gold_y, -1)[n], np.reshape(gold_t, (-1, jin.n_positions))[n]
+        n, (lengths, starts) = masked[0], _queries(jin)
+        y, t = np.reshape(gold_y, -1)[n], np.asarray(gold_t)[starts[n] : starts[n] + lengths[n]]
         where = f" (query {n} of the batch)" if jin.batched else ""
-        raise InfeasibleGold(f"gold pair (intent {y}, slots {t[t >= 0].tolist()}) is masked{where}")
+        raise InfeasibleGold(f"gold pair (intent {y}, slots {t.tolist()}) is masked{where}")
     post = log_partition(jin)
     loss = post.log_z - r
     loss = np.where(loss <= 0, 0.0, loss)
@@ -431,23 +430,22 @@ def loss_gradients(
     d L / d f_l[y]    = lam * (q(y) - 1[y = gold])
     d L / d f_o[i][o] = sum_y mu_y(i, o) - 1[gold_t_i = o]
     Masked cells have mu = 0, so they receive zero gradient through the
-    partition term.  One query gives (Y,) and (m, T); a batch (Q, Y) and
-    (Q, M, T), zero past each query's length.
+    partition term.  d_fl has f_l's shape, (Y,) or (Q, Y), and d_fo has
+    f_o's, (m, T) or (N, T).
     """
-    ys, ts, real = _gold(gold_y, gold_t, jin)
-    q, y, m, t = ys.size, jin.n_intents, jin.n_positions, jin.n_slots
+    ys, ts = _gold(gold_y, gold_t, jin)
     d_fl = jin.lam * post.intent_marginals.copy()
-    d_fl.reshape(q, y)[np.arange(q), ys] -= jin.lam
-    marginals = post.slot_unary_marginals.reshape(q, y, m, t)
-    d_fo = marginals.sum(axis=1)
-    if t == 1:
+    d_fl.reshape(ys.size, -1)[np.arange(ys.size), ys] -= jin.lam
+    marginals = post.slot_unary_marginals
+    d_fo = marginals.sum(axis=0)
+    if jin.n_slots == 1:
         # numpy sums a lone cell's intents pairwise, in order otherwise; a
-        # one-position query alone is such a cell
-        one = np.flatnonzero(real.sum(1) == 1)
-        d_fo[one, :1] = marginals[one, :, :1].sum(axis=1)
-    q_i, p_i = np.nonzero(real)
-    d_fo[q_i, p_i, ts[real]] -= 1.0
-    return d_fl, d_fo.reshape(jin.f_o.shape)
+        # one-row query alone is such a cell, so its row is summed alone
+        lengths, starts = _queries(jin)
+        one = starts[lengths == 1]
+        d_fo[one, 0] = np.ascontiguousarray(marginals[:, one, 0].T).sum(axis=1)
+    d_fo[np.arange(ts.size), ts] -= 1.0
+    return d_fl, d_fo
 
 
 def viterbi_decode(
@@ -456,11 +454,11 @@ def viterbi_decode(
     """Highest-scoring feasible (intent, slot sequence) pair of each query.
 
     One query gives (y, path (m,), score); a batch of Q gives the (Q,)
-    intents, the (Q, M) paths, -1 past each query's length, and the (Q,)
+    intents, the (N,) paths, one slot id per row of f_o, and the (Q,)
     scores, in query order and each exactly as a call on that query alone
-    would give them.  The batch is packed (see the module docstring): the
-    queries are sorted longest first, stably, and each position works on
-    the prefix of them that runs through it.  Ties break to the lowest
+    would give them.  The lattice is packed (see the module docstring):
+    the queries are sorted longest first, stably, and each position works
+    on the prefix of them that runs through it.  Ties break to the lowest
     intent id, then the lexicographically smallest slot-id sequence; the
     greedy forward pass below picks, at each position, the smallest slot
     id that still admits an optimal completion (np.argmax returns the first
@@ -469,7 +467,7 @@ def viterbi_decode(
     """
     pk = _pack(jin)
     order, rank, pos, fe = pk.order, pk.rank, pk.pos, pk.fe
-    q, y, m, t = order.size, jin.n_intents, jin.n_positions, jin.n_slots
+    q, y, t = order.size, jin.n_intents, jin.n_slots
     f_l = jin.f_l.reshape(q, y)[order]
     sm = _suffix_max(fe.transpose(2, 0, 1), jin.tm, pk.live)
     # position 0 holds every query: its block is sm's first (T, Q·Y)
@@ -494,8 +492,8 @@ def viterbi_decode(
         acc[:k, 0] = reach[queries[:k], o]
         into, a = jin.tm.trans.take(o, 0), a + k
     score = jin.lam * f_l[queries, best_y] + acc[:, 0]
-    ys, scores, paths = np.empty_like(best_y), np.empty_like(score), np.full((q, m), -1)
-    ys[order], scores[order], paths[order[rank], pos] = best_y, score, path
+    ys, scores, paths = np.empty_like(best_y), np.empty_like(score), np.empty_like(path)
+    ys[order], scores[order], paths[pk.src] = best_y, score, path
     if jin.batched:
         return ys, paths, scores
-    return int(ys[0]), paths[0], float(scores[0])
+    return int(ys[0]), paths, float(scores[0])

@@ -222,29 +222,21 @@ def _query_scores(query: Sample, ctx: EpisodeContext, config: RunConfig) -> Quer
     return QueryScores(rows, state, utt, f_l, f_o)
 
 
-def _padded(rows: np.ndarray, lengths: np.ndarray, fill) -> np.ndarray:
-    """Queries' rows laid end to end, as a (Q, M, ...) stack holding fill
-    past each query's length."""
-    real = np.arange(lengths.max()) < lengths[:, None]
-    out = np.full((*real.shape, *rows.shape[1:]), fill, dtype=rows.dtype)
-    out[real] = rows
-    return out
-
-
 def _joint_losses(ready: Sequence[tuple[Sample, QueryScores]], ctx: EpisodeContext,
                   config: RunConfig) -> None:
     """Fill in the joint loss and score gradients of each (query, scores)
-    pair from one packed lattice call; each is what a call on its query
-    alone gives."""
+    pair from one lattice call on the queries' slot score rows, and their
+    gold slots, laid end to end; each is what a call on its query alone
+    gives."""
     lengths = np.array([s.f_o.shape[0] for _, s in ready])
-    f_o = _padded(np.concatenate([s.f_o for _, s in ready]), lengths, 0.0)
+    f_o = np.concatenate([s.f_o for _, s in ready])
     jin = JointScoreInputs(np.stack([s.f_l for _, s in ready]), f_o, ctx.rm, ctx.tm, config.lam, lengths)
     gold_y = np.array([query.intent for query, _ in ready])
-    gold_t = _padded(np.concatenate([query.slots for query, _ in ready]), lengths, -1)
+    gold_t = np.concatenate([query.slots for query, _ in ready])
     losses, post = nll_loss(gold_y, gold_t, jin)
     d_fl, d_fo = loss_gradients(gold_y, gold_t, post, jin)
-    for n, ((_, s), m) in enumerate(zip(ready, lengths.tolist())):
-        s.loss, s.d_fl, s.d_fo = float(losses[n]), d_fl[n], d_fo[n, :m]
+    for n, ((_, s), rows) in enumerate(zip(ready, np.split(d_fo, np.cumsum(lengths)[:-1]))):
+        s.loss, s.d_fl, s.d_fo = float(losses[n]), d_fl[n], rows
 
 
 def _separate_losses(
@@ -278,7 +270,7 @@ def score_queries(
     that compute_loss raises for it: an error waits for its query's turn,
     as in a loop of one call per query.
 
-    In joint mode the queries share one packed lattice call.  When that
+    In joint mode the queries share one lattice call.  When that
     call raises (a non-finite score, a masked gold pair), each query is
     scored alone instead, which finds the query the error belongs to;
     every result is the same either way.
@@ -361,9 +353,9 @@ def predict_episode(
     masked lattice.  With msd_eval off, the intent is the emission argmax
     and slots are per-token argmaxes over the intent-conditioned emissions
     (the classic prototype-pipeline decoder).  Either way the episode is
-    decoded in one call: one packed Viterbi call over every query, whatever
-    its length, or one masked argmax over every query's slot rows.  Each
-    query's result is the one it would get alone.
+    decoded in one call over every query's slot score rows, laid end to
+    end: one Viterbi call, whatever the queries' lengths, or one masked
+    argmax.  Each query's result is the one it would get alone.
     """
     ctx = build_context(episode, encoder, config, training=False)
     emissions = [compute_emissions(q, ctx.protos, encoder, config.similarity_kind)
@@ -374,16 +366,12 @@ def predict_episode(
     f_l = np.stack([em.intent for em in emissions])
     rows = np.concatenate([em.slot for em in emissions])  # query by query
     if config.msd_eval:
-        f_o = _padded(rows, lengths, 0.0)
-        ys, paths, _ = viterbi_decode(JointScoreInputs(f_l, f_o, ctx.rm, ctx.tm, config.lam, lengths))
-        flat = paths[paths >= 0].tolist()  # paths are -1 past each query's length
+        ys, flat, _ = viterbi_decode(JointScoreInputs(f_l, rows, ctx.rm, ctx.tm, config.lam, lengths))
     else:
         ys = np.argmax(f_l, axis=1)
         fe = apply_relation_mask(rows[:, None], ctx.rm, np.repeat(ys, lengths))[:, 0]
-        flat = np.argmax(fe, axis=1).tolist()
-    ends = np.cumsum(lengths).tolist()
-    paths = [flat[a:b] for a, b in zip([0, *ends], ends)]
-    return list(zip(ys.tolist(), paths))
+        flat = np.argmax(fe, axis=1)
+    return [(y, path.tolist()) for y, path in zip(ys.tolist(), np.split(flat, np.cumsum(lengths)[:-1]))]
 
 
 def evaluate(

@@ -1183,9 +1183,21 @@ def test_trainable_grid_matches_per_cell_prototypes():
 
 # --- batched decoding -------------------------------------------------------------
 #
-# viterbi_decode takes a packed batch of queries of any lengths, and
-# predict_episode decodes an episode in one call; the reference is the
-# per-query loop.
+# viterbi_decode takes a batch of queries of any lengths, their rows laid
+# end to end, and predict_episode decodes an episode in one call; the
+# reference is the per-query loop.
+
+
+def end_to_end(stack, lengths):
+    """The first lengths[n] rows of each query n of a (Q, M, ...) stack,
+    laid end to end."""
+    return np.concatenate([stack[n, :m] for n, m in enumerate(lengths)])
+
+
+def query_rows(lengths):
+    """Each query's slice of the rows laid end to end."""
+    ends = np.cumsum(lengths).tolist()
+    return [slice(a, b) for a, b in zip([0, *ends], ends)]
 
 
 @pytest.mark.parametrize("bio", [True, False], ids=["bio", "permissive"])
@@ -1208,19 +1220,20 @@ def test_batched_viterbi_matches_per_query_calls(y_n, t_n, m, bio):
         for fl, fo in ((f_l, f_o), (np.round(f_l), np.round(f_o))):
             alone = [viterbi_decode(JointScoreInputs(fl[n], fo[n], rm, tm, 1.0)) for n in range(8)]
             for q in (1, 2, 8):
-                ys, paths, scores = viterbi_decode(JointScoreInputs(fl[:q], fo[:q], rm, tm, 1.0))
+                jin = JointScoreInputs(fl[:q], fo[:q].reshape(q * m, t_n), rm, tm, 1.0, np.full(q, m))
+                ys, paths, scores = viterbi_decode(jin)
                 assert_same_bits(ys, [y for y, _, _ in alone[:q]])
-                assert_same_bits(paths, np.stack([path for _, path, _ in alone[:q]]))
+                assert_same_bits(paths, np.concatenate([path for _, path, _ in alone[:q]]))
                 assert_same_bits(scores, [s for _, _, s in alone[:q]])
 
 
-# unsorted, with repeats and 1-token queries; each runs in a stack two
-# positions longer than its longest query
+# unsorted, with repeats and 1-token queries
 RAGGED_LENGTHS = [(1,), (5,), (1, 6), (6, 1), (3, 1, 9, 4, 9, 1, 12, 5)]
 
 
 def ragged_case(y_n, t_n, bio, scale, seed):
-    """Masks and scores of 8 queries over 14 positions."""
+    """Masks and scores of 8 queries of up to 14 positions, as a (Q, 14, T)
+    stack that end_to_end cuts to the lengths."""
     ls = bio_space(y_n, t_n)
     tm = build_transition_mask(ls) if bio else permissive_transition_mask(t_n)
     rng = np.random.default_rng([y_n, t_n, bio, int(scale), seed])
@@ -1231,15 +1244,14 @@ def ragged_case(y_n, t_n, bio, scale, seed):
 
 
 def assert_decodes_alone(f_l, f_o, lengths, rm, tm):
-    """Each query of the packed batch decodes as a call on its own rows."""
+    """Each query of the batch decodes as a call on its own rows."""
     ys, paths, scores = viterbi_decode(JointScoreInputs(f_l, f_o, rm, tm, 1.0, lengths))
-    assert paths.shape == f_o.shape[:2]
-    for n, m in enumerate(lengths):
-        y, path, s = viterbi_decode(JointScoreInputs(f_l[n], f_o[n, :m], rm, tm, 1.0))
+    assert paths.shape == f_o.shape[:1]
+    for n, rows in enumerate(query_rows(lengths)):
+        y, path, s = viterbi_decode(JointScoreInputs(f_l[n], f_o[rows], rm, tm, 1.0))
         assert_same_bits(ys[n], np.int64(y))
-        assert_same_bits(paths[n, :m], path)
+        assert_same_bits(paths[rows], path)
         assert_same_bits(scores[n], np.float64(s))
-        assert (paths[n, m:] == -1).all()
 
 
 @pytest.mark.parametrize("bio", [True, False], ids=["bio", "permissive"])
@@ -1253,28 +1265,12 @@ def test_ragged_viterbi_matches_per_query_calls(y_n, t_n, bio):
         rm, tm, f_l, f_o = ragged_case(y_n, t_n, bio, scale, 0)
         for fl, fo in ((f_l, f_o), (np.round(f_l), np.round(f_o))):
             for lengths in RAGGED_LENGTHS:
-                q, width = len(lengths), max(lengths) + 2
-                assert_decodes_alone(fl[:q], fo[:q, :width], np.array(lengths), rm, tm)
+                q = len(lengths)
+                assert_decodes_alone(fl[:q], end_to_end(fo, lengths), np.array(lengths), rm, tm)
 
 
-@pytest.mark.parametrize("bio", [True, False], ids=["bio", "permissive"])
-def test_padded_cells_change_no_bit(bio):
-    """Cells past a query's length are never read: filling them with
-    +-1e300 or NaN leaves every intent, path and score as it is."""
-    rm, tm, f_l, f_o = ragged_case(7, 79, bio, 1.0, 1)
-    f_l, f_o = np.round(f_l), np.round(f_o)
-    lengths = np.array(RAGGED_LENGTHS[-1])
-    past = np.arange(f_o.shape[1]) >= lengths[:, None]
-    want = viterbi_decode(JointScoreInputs(f_l, np.where(past[..., None], 0.0, f_o), rm, tm, 1.0, lengths))
-    for poison in (1e300, -1e300, np.nan):
-        got = viterbi_decode(JointScoreInputs(f_l, np.where(past[..., None], poison, f_o), rm, tm, 1.0, lengths))
-        for g, w in zip(got, want):
-            assert_same_bits(g, w)
-    assert_decodes_alone(f_l, np.where(past[..., None], 1e300, f_o), lengths, rm, tm)
-
-
-# The sum-product half takes the same packed batch; the references are the
-# dense per-query kernel above and the per-query joint_score, nll_loss and
+# The sum-product half takes the same batch; the references are the dense
+# per-query kernel above and the per-query joint_score, nll_loss and
 # loss_gradients they replaced.
 
 
@@ -1301,45 +1297,41 @@ def ref_loss_and_gradients(gold_y, gold_t, jin):
 
 
 def feasible_golds(rm, tm, lengths, y_n, t_n, rng):
-    """A feasible gold pair per query, as packed golds: (Q,) intents and
-    (Q, M) slot ids, -1 past each length (the decode of random scores)."""
+    """A feasible gold pair per query, as a batch's golds: (Q,) intents and
+    (N,) slot ids laid end to end (the decode of random scores)."""
     decodes = [viterbi_decode(JointScoreInputs(rng.standard_normal(y_n), rng.standard_normal((m, t_n)),
                                                rm, tm, 1.0)) for m in lengths]
-    gold_t = np.full((len(lengths), max(lengths)), -1)
-    for n, (_, path, _) in enumerate(decodes):
-        gold_t[n, : path.size] = path
-    return np.array([y for y, _, _ in decodes]), gold_t
+    return np.array([y for y, _, _ in decodes]), np.concatenate([path for _, path, _ in decodes])
 
 
 def assert_partition_alone(jin, gold_y, gold_t):
-    """Each query of the packed batch gets from log_partition, nll_loss and
+    """Each query of the batch gets from log_partition, nll_loss and
     loss_gradients what the dense kernel and the per-query code give it,
-    and zeros past its length."""
+    at its own rows."""
     post = log_partition(jin)
     losses, post_nll = nll_loss(gold_y, gold_t, jin)
     d_fl, d_fo = loss_gradients(gold_y, gold_t, post, jin)
     for got, want in zip((post_nll.log_z, post_nll.intent_marginals, post_nll.slot_unary_marginals),
                          (post.log_z, post.intent_marginals, post.slot_unary_marginals)):
         assert_same_bits(got, want)
+    assert post.slot_unary_marginals.shape == (jin.n_intents, *jin.f_o.shape) and d_fo.shape == jin.f_o.shape
     scores = joint_score(gold_y, gold_t, jin)
-    lengths = np.full(len(gold_y), jin.n_positions) if jin.lengths is None else jin.lengths
-    for n, m in enumerate(lengths):
-        one = JointScoreInputs(jin.f_l[n], jin.f_o[n, :m], jin.rm, jin.tm, jin.lam)
+    for n, rows in enumerate(query_rows(jin.lengths)):
+        one = JointScoreInputs(jin.f_l[n], jin.f_o[rows], jin.rm, jin.tm, jin.lam)
         log_z, q, unary = ref_log_partition_dense(one)
         assert_same_bits(post.log_z[n], np.float64(log_z))
         assert_same_bits(post.intent_marginals[n], q)
-        assert_same_bits(post.slot_unary_marginals[n, :, :m], unary)
-        assert_same_bits(scores[n], np.float64(ref_joint_score(gold_y[n], gold_t[n, :m], one)))
-        loss, g_l, g_o = ref_loss_and_gradients(gold_y[n], gold_t[n, :m], one)
+        assert_same_bits(post.slot_unary_marginals[:, rows], unary)
+        assert_same_bits(scores[n], np.float64(ref_joint_score(gold_y[n], gold_t[rows], one)))
+        loss, g_l, g_o = ref_loss_and_gradients(gold_y[n], gold_t[rows], one)
         assert_same_bits(losses[n], np.float64(loss))
         assert_same_bits(d_fl[n], g_l)
-        assert_same_bits(d_fo[n, :m], g_o)
-        assert not post.slot_unary_marginals[n, :, m:].any() and not d_fo[n, m:].any()
+        assert_same_bits(d_fo[rows], g_o)
         # the one-query case of the same functions
-        alone_loss, alone = nll_loss(gold_y[n], gold_t[n, :m], one)
+        alone_loss, alone = nll_loss(gold_y[n], gold_t[rows], one)
         assert_same_bits(np.float64(alone_loss), np.float64(loss))
         assert alone.slot_unary_marginals.flags.c_contiguous
-        for got, want in zip(loss_gradients(gold_y[n], gold_t[n, :m], alone, one), (g_l, g_o)):
+        for got, want in zip(loss_gradients(gold_y[n], gold_t[rows], alone, one), (g_l, g_o)):
             assert_same_bits(got, want)
 
 
@@ -1367,42 +1359,11 @@ def test_packed_partition_matches_per_query_calls(y_n, t_n, bio):
         rm, tm, f_l, f_o = packed_case(y_n, t_n, bio, scale, 0)
         rng = np.random.default_rng([y_n, t_n, bio, int(scale)])
         for fl, fo in ((f_l, f_o), (np.round(f_l), np.round(f_o))):
-            for q in (1, 2, 8):
-                gold_y, gold_t = feasible_golds(rm, tm, [12] * q, y_n, t_n, rng)
-                assert_partition_alone(JointScoreInputs(fl[:q], fo[:q, :12], rm, tm, 1.0), gold_y, gold_t)
-            for lengths in RAGGED_LENGTHS:
-                q, width = len(lengths), max(lengths) + 2
+            for lengths in [(12,) * q for q in (1, 2, 8)] + RAGGED_LENGTHS:
+                q = len(lengths)
                 gold_y, gold_t = feasible_golds(rm, tm, lengths, y_n, t_n, rng)
-                gold_t = np.pad(gold_t, ((0, 0), (0, 2)), constant_values=-1)
-                jin = JointScoreInputs(fl[:q], fo[:q, :width], rm, tm, 1.0, np.array(lengths))
+                jin = JointScoreInputs(fl[:q], end_to_end(fo, lengths), rm, tm, 1.0, np.array(lengths))
                 assert_partition_alone(jin, gold_y, gold_t)
-
-
-@pytest.mark.parametrize("bio", [True, False], ids=["bio", "permissive"])
-def test_padded_cells_change_no_partition_bit(bio):
-    """Cells past a query's length are never read: filling them with
-    +-1e300 or NaN leaves log Z, q, the marginals, the losses and the
-    gradients as they are (and a read of 1e300 would overflow, which pytest
-    turns into an error)."""
-    rm, tm, f_l, f_o = packed_case(7, 79, bio, 1.0, 1)
-    f_l, f_o = np.round(f_l), np.round(f_o)
-    lengths = np.array(RAGGED_LENGTHS[-1])
-    gold_y, gold_t = feasible_golds(rm, tm, lengths, 7, 79, np.random.default_rng(2))
-    gold_t = np.pad(gold_t, ((0, 0), (0, 2)), constant_values=-1)
-    past = np.arange(f_o.shape[1]) >= lengths[:, None]
-
-    def outputs(fill):
-        jin = JointScoreInputs(f_l, np.where(past[..., None], fill, f_o), rm, tm, 1.0, lengths)
-        loss, post = nll_loss(gold_y, gold_t, jin)
-        return (loss, post.log_z, post.intent_marginals, post.slot_unary_marginals,
-                *loss_gradients(gold_y, gold_t, post, jin))
-
-    want = outputs(0.0)
-    for poison in (1e300, -1e300, np.nan):
-        for got, w in zip(outputs(poison), want):
-            assert_same_bits(got, w)
-    assert_partition_alone(JointScoreInputs(f_l, np.where(past[..., None], 1e300, f_o), rm, tm, 1.0, lengths),
-                           gold_y, gold_t)
 
 
 @pytest.mark.parametrize("y_n", [1, 2, 7, 12])
@@ -1415,9 +1376,10 @@ def test_packed_gradients_on_a_one_label_space(y_n):
     for lengths in ((1,), (3, 1, 2, 1), (1, 1)) * 10:
         q, width = len(lengths), max(lengths)
         f_l, f_o = rng.standard_normal((q, y_n)), rng.standard_normal((q, width, 1))
-        gold_t = np.where(np.arange(width) < np.array(lengths)[:, None], 0, -1)
+        gold_t = np.zeros(sum(lengths), dtype=int)
         gold_y = rng.integers(y_n, size=q)
-        assert_partition_alone(JointScoreInputs(f_l, f_o, rm, tm, 1.0, np.array(lengths)), gold_y, gold_t)
+        assert_partition_alone(JointScoreInputs(f_l, end_to_end(f_o, lengths), rm, tm, 1.0, np.array(lengths)),
+                               gold_y, gold_t)
 
 
 def ref_predict_episode(episode, encoder, config):

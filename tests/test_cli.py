@@ -276,6 +276,29 @@ class TestOracleCheckAndReport:
 
 
 class TestErrors:
+    @pytest.mark.parametrize("value", ["7", "-0.5", "1.5", "1" + "0" * 400],
+                             ids=["7", "negative", "above-1", "beyond-float-range"])
+    def test_report_rejects_a_metric_outside_0_1(self, tmp_path, capsys, value):
+        """A rate of 7 would print as 700.00 and exit 0, and an integer
+        beyond float range would end in an untyped OverflowError."""
+        good = '{"similarity": "cos", "metrics": {"intent_acc": 0.5, "slot_f1": 1, "joint_acc": null}}'
+        bad = good.replace('"joint_acc": null', f'"joint_acc": {value}')
+        path = tmp_path / "bad.json"
+        path.write_text(f'{{"records": [{good}, {bad}]}}')
+        assert run_cli("report", "--inputs", path) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        payload = json.loads(captured.err.strip().splitlines()[-1])
+        assert payload["error"] == "MalformedInput"
+        assert payload["message"].startswith(f"{path}: record 1 needs")
+        assert "each null or a number in [0, 1]" in payload["message"]
+
+    def test_report_reads_rates_at_the_bounds(self, tmp_path, capsys):
+        path = tmp_path / "ok.json"
+        path.write_text('{"similarity": "cos", "metrics": {"intent_acc": 0, "slot_f1": 1.0, "joint_acc": null}}')
+        assert run_cli("report", "--inputs", path) == 0
+        assert "0.00" in capsys.readouterr().out
+
     def test_missing_file_yields_error_json(self, tmp_path, capsys):
         code = main(["eval", "--checkpoint", str(tmp_path / "nope.json"),
                      "--episodes", str(tmp_path / "nope2.json"),

@@ -6,9 +6,9 @@ as a matrix row, turn a number into NaN, truncate the bytes, insert a
 non-UTF-8 byte) and each mutant is run through ``jmrm.cli.main``.  A mutant
 may still be valid; any failure must be a typed error defined in jmrm,
 reported through the one-line JSON exit.  The per-query lengths of a
-packed lattice batch, which no file carries, are checked the same way: each
-bad one ends in a ValueError where JointScoreInputs is built.  So are the
-gold pairs the lattice scores: an id outside the label space ends in
+lattice batch, which no file carries, are checked the same way: each bad
+one ends in a ValueError where JointScoreInputs is built.  So are the gold
+pairs the lattice scores: an id outside the label space ends in
 LabelMismatch, and a sequence of another length in LengthMismatch.
 """
 
@@ -205,7 +205,7 @@ def test_mutants_fail_typed(files, capsys, seed, kind):
     assert failures >= MUTANTS_PER_KIND // 3
 
 
-# --- packed lattice batches ---------------------------------------------------
+# --- lattice batches: queries' rows end to end, with their lengths ------------
 
 
 def lattice_inputs(f_l_shape, f_o_shape, lengths):
@@ -222,15 +222,25 @@ def lattice_inputs(f_l_shape, f_o_shape, lengths):
     ([0, 2], r"lengths must lie in 1\.\.4"),
     ([4, -1], r"lengths must lie in 1\.\.4"),
     ([5, 2], r"lengths must lie in 1\.\.4"),
+    ([2, 1], r"lengths sum to 3, not to the 4 rows of f_o"),
+    ([3, 2], r"lengths sum to 5, not to the 4 rows of f_o"),
+    ([-2, 6], r"lengths must lie in 1\.\.4"),  # sums to the rows
+    ([4.0, 0.0], r"lengths \(2,\) float64 are not \(2,\) integers"),  # sums to the rows
 ])
 def test_bad_lengths_rejected(lengths, match):
     with pytest.raises(ValueError, match=match):
-        lattice_inputs((2, 2), (2, 4, 3), np.array(lengths))
+        lattice_inputs((2, 2), (4, 3), np.array(lengths))
 
 
 def test_lengths_need_a_batch():
     with pytest.raises(ValueError, match="lengths needs a batch"):
         lattice_inputs((2,), (4, 3), np.array([4]))
+
+
+def test_a_batch_needs_lengths():
+    for f_l in ((2, 2), (1, 2)):
+        with pytest.raises(ValueError, match=r"a batch needs lengths; f_l is \(\d, 2\)"):
+            lattice_inputs(f_l, (4, 3), None)
 
 
 def gold_calls(gold_y, gold_t, jin):
@@ -240,10 +250,10 @@ def gold_calls(gold_y, gold_t, jin):
 
 
 def test_a_packed_batch_rejects_one_querys_gold():
-    jin = lattice_inputs((2, 2), (2, 4, 3), np.array([4, 2]))
+    jin = lattice_inputs((2, 2), (6, 3), np.array([4, 2]))
     assert log_partition(jin).log_z.shape == (2,)
     for call in gold_calls(0, np.zeros(4, dtype=int), jin):
-        with pytest.raises(LengthMismatch, match=r"are not \(2,\) and \(2, 4\)"):
+        with pytest.raises(LengthMismatch, match=r"are not \(2,\) and \(6,\)"):
             call()
 
 
@@ -268,16 +278,16 @@ def test_gold_outside_the_label_space_or_length_rejected(gold_y, gold_t, error, 
 
 
 @pytest.mark.parametrize("gold_y, gold_t, error, match", [
-    ([0, 1], [[0, 1, 2, 0], [2, 0, -1, -1]], None, None),
-    ([0, 2], [[0, 1, 2, 0], [2, 0, -1, -1]], LabelMismatch, "gold intent 2"),
-    ([0, 1], [[0, 1, 2, 3], [2, 0, -1, -1]], LabelMismatch, "gold slot id 3"),
-    ([0, 1], [[0, 1, 2, -1], [2, 0, -1, -1]], LabelMismatch, "gold slot id -1"),
-    ([0, 1], [[0, 1, 2, 0], [2, 0, 1, -1]], LengthMismatch, "past a query's length must be -1"),
-    ([0, 1], [[0, 1, 2, 0], [2, 0, -1, -2]], LengthMismatch, "past a query's length must be -1"),
-    ([0, 1, 0], [[0, 1, 2, 0], [2, 0, -1, -1]], LengthMismatch, r"gold intents \(3,\)"),
+    ([0, 1], [0, 1, 2, 0, 2, 0], None, None),
+    ([0, 2], [0, 1, 2, 0, 2, 0], LabelMismatch, "gold intent 2"),
+    ([0, 1], [0, 1, 2, 3, 2, 0], LabelMismatch, "gold slot id 3"),
+    ([0, 1], [0, 1, 2, -1, 2, 0], LabelMismatch, "gold slot id -1"),
+    ([0, 1], [0, 1, 2, 0, 2], LengthMismatch, r"slots \(5,\) are not \(2,\) and \(6,\)"),
+    ([0, 1], [[0, 1, 2, 0], [2, 0, -1, -1]], LengthMismatch, r"slots \(2, 4\) are not"),  # padded
+    ([0, 1, 0], [0, 1, 2, 0, 2, 0], LengthMismatch, r"gold intents \(3,\)"),
 ])
 def test_packed_gold_checked_query_by_query(gold_y, gold_t, error, match):
-    jin = lattice_inputs((2, 2), (2, 4, 3), np.array([4, 2]))
+    jin = lattice_inputs((2, 2), (6, 3), np.array([4, 2]))
     for call in gold_calls(np.array(gold_y), np.array(gold_t), jin):
         if error is None:
             call()

@@ -465,13 +465,13 @@ class TestNonFiniteScores:
 
 class TestInputChecks:
     @pytest.mark.parametrize("f_l_shape, f_o_shape", [
-        ((0,), (3, 2)), ((2,), (0, 3)), ((2,), (3, 0)), ((1, 2), (1, 0, 3)),
+        ((0,), (3, 2)), ((2,), (0, 3)), ((2,), (3, 0)), ((1, 2), (0, 3)),
     ])
     def test_zero_size_rejected(self, f_l_shape, f_o_shape):
         rm, tm = all_ones_relation_mask(2, 3), permissive_transition_mask(3)
         with pytest.raises(ValueError, match=re.escape(
-                f"f_l {f_l_shape} and f_o {f_o_shape} are not (Y,) and (m, T), nor (Q, Y) "
-                "and (Q, m, T), with Y, m and T >= 1")):
+                f"f_l {f_l_shape} and f_o {f_o_shape} are not (Y,) or (Q, Y), and (m, T) "
+                "or (N, T), with Y, m, N and T >= 1")):
             JointScoreInputs(np.zeros(f_l_shape), np.zeros(f_o_shape), rm, tm)
 
     def test_relation_mask_shape_checked(self):
@@ -705,23 +705,25 @@ class TestTransitionStructure:
 
 
 class TestBatchedInputs:
-    """A leading query axis: (Q, Y) intent and (Q, m, T) slot scores."""
+    """A batch: (Q, Y) intent scores, and (N, T) slot scores that lay the
+    queries' rows end to end, with their (Q,) lengths."""
 
-    def batch(self, q=3, y=2, m=4, t=3):
-        rng = np.random.default_rng(q)
-        return JointScoreInputs(rng.standard_normal((q, y)), rng.standard_normal((q, m, t)),
-                                all_ones_relation_mask(y, t), permissive_transition_mask(t))
+    def batch(self, lengths=(4, 2, 3), y=2, t=3):
+        rng = np.random.default_rng(len(lengths))
+        return JointScoreInputs(rng.standard_normal((len(lengths), y)), rng.standard_normal((sum(lengths), t)),
+                                all_ones_relation_mask(y, t), permissive_transition_mask(t), 1.0,
+                                np.array(lengths))
 
     def test_sizes_read_the_trailing_axes(self):
         jin = self.batch()
         assert jin.batched and not open_inputs(np.zeros(2), np.zeros((4, 3))).batched
-        assert (jin.n_intents, jin.n_positions, jin.n_slots) == (2, 4, 3)
+        assert (jin.n_intents, jin.n_positions, jin.n_slots) == (2, 9, 3)
 
     @pytest.mark.parametrize("f_l, f_o", [
-        ((3, 2), (4, 3)),  # a batch of intent scores, one query's slot scores
-        ((2,), (3, 4, 3)),  # the other way round
-        ((3, 2), (2, 4, 3)),  # batch sizes differ
-        ((1, 3, 2), (1, 3, 4, 3)),  # two leading axes
+        ((3, 2), (3, 4, 3)),  # a padded (Q, M, T) stack of slot scores
+        ((2,), (3, 4, 3)),  # one query's intent scores, a stack of slot scores
+        ((3, 2), (4,)),  # no label axis
+        ((1, 3, 2), (3, 3)),  # two leading axes
         ((2,), (3,)),  # no position axis
     ])
     def test_shape_mismatch_rejected(self, f_l, f_o):
@@ -730,28 +732,42 @@ class TestBatchedInputs:
                              permissive_transition_mask(3))
 
     def test_non_finite_score_in_any_query_rejected(self):
-        f_o = np.zeros((3, 4, 3))
-        f_o[2, 1, 0] = np.nan
+        f_o = np.zeros((9, 3))
+        f_o[7, 0] = np.nan
         with pytest.raises(NonFiniteScores, match="f_o"):
             JointScoreInputs(np.zeros((3, 2)), f_o, all_ones_relation_mask(2, 3),
-                             permissive_transition_mask(3))
+                             permissive_transition_mask(3), 1.0, np.array([4, 2, 3]))
+
+    def test_each_query_opens_from_start(self):
+        """A query's first slot is scored from START, not from the slot
+        before it, which ends the query before: I-X after B-X is allowed
+        within a query and banned at its start."""
+        b, i = SNIPS_SPACE.slot_id("B-type0"), SNIPS_SPACE.slot_id("I-type0")
+        jin = JointScoreInputs(np.zeros((2, 2)), np.zeros((4, SNIPS_SPACE.n_slots)),
+                               all_ones_relation_mask(2, SNIPS_SPACE.n_slots),
+                               build_transition_mask(SNIPS_SPACE), 1.0, np.array([2, 2]))
+        scores = joint_score(np.array([0, 0]), np.array([0, b, i, 0]), jin)
+        assert scores.tolist() == [2.0, NEG_INF]
+        with pytest.raises(InfeasibleGold, match=r"slots \[\d+, 0\]\) is masked \(query 1 of the batch\)"):
+            nll_loss(np.array([0, 0]), np.array([0, b, i, 0]), jin)
 
     def test_batch_functions_give_each_query_its_own_result(self):
         jin = self.batch()
-        gold_y, gold_t = np.array([0, 1, 1]), np.array([[0, 1, 2, 0], [2, 2, 1, 0], [1, 0, 0, 2]])
+        gold_y, gold_t = np.array([0, 1, 1]), np.array([0, 1, 2, 0, 2, 2, 1, 0, 2])
         post = log_partition(jin)
         losses, _ = nll_loss(gold_y, gold_t, jin)
         d_fl, d_fo = loss_gradients(gold_y, gold_t, post, jin)
         scores = joint_score(gold_y, gold_t, jin)
-        for n in range(3):
-            one = JointScoreInputs(jin.f_l[n], jin.f_o[n], jin.rm, jin.tm)
+        assert post.slot_unary_marginals.shape == (2, 9, 3) and d_fo.shape == (9, 3)
+        for n, rows in enumerate((slice(0, 4), slice(4, 6), slice(6, 9))):
+            one = JointScoreInputs(jin.f_l[n], jin.f_o[rows], jin.rm, jin.tm)
             alone = log_partition(one)
             assert post.log_z[n] == alone.log_z
             np.testing.assert_array_equal(post.intent_marginals[n], alone.intent_marginals)
-            np.testing.assert_array_equal(post.slot_unary_marginals[n], alone.slot_unary_marginals)
-            assert scores[n] == joint_score(gold_y[n], gold_t[n], one)
-            assert losses[n] == nll_loss(gold_y[n], gold_t[n], one)[0]
-            for got, want in zip((d_fl[n], d_fo[n]), loss_gradients(gold_y[n], gold_t[n], alone, one)):
+            np.testing.assert_array_equal(post.slot_unary_marginals[:, rows], alone.slot_unary_marginals)
+            assert scores[n] == joint_score(gold_y[n], gold_t[rows], one)
+            assert losses[n] == nll_loss(gold_y[n], gold_t[rows], one)[0]
+            for got, want in zip((d_fl[n], d_fo[rows]), loss_gradients(gold_y[n], gold_t[rows], alone, one)):
                 np.testing.assert_array_equal(got, want)
 
 
@@ -766,6 +782,7 @@ class TestInfeasibleLattice:
             log_partition(jin)
         with pytest.raises(InfeasibleLattice):
             viterbi_decode(jin)
-        batch = JointScoreInputs(np.zeros((2, 2)), np.zeros((2, 3, SNIPS_SPACE.n_slots)), jin.rm, jin.tm)
+        batch = JointScoreInputs(np.zeros((2, 2)), np.zeros((6, SNIPS_SPACE.n_slots)), jin.rm, jin.tm, 1.0,
+                                 np.array([3, 3]))
         with pytest.raises(InfeasibleLattice):
             viterbi_decode(batch)

@@ -20,7 +20,6 @@ from .core import (
     parse_episodes,
     save_episode_file,
     serialize_episodes,
-    validate_sample,
 )
 from .encoder import (
     Encoder,

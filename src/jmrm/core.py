@@ -1,5 +1,5 @@
-"""Core domain types, the BIO slot grammar, the JSON input boundary,
-labeled-file I/O, the run-file JSON writer, and the episode label-space rule.
+"""Core domain types, the BIO slot grammar, the sample rule, the JSON input
+boundary, labeled-file I/O, the run-file writer, the episode label-space rule.
 
 A labeled sample is a tokenized utterance with one intent label and one
 slot label per token (BIO scheme).  An episode bundles a small labeled
@@ -129,8 +129,8 @@ class LabelSpace:
 class Sample:
     """One labeled utterance: tokens, an intent id, and per-token slot ids.
 
-    Construction does not validate against a label space; use
-    validate_sample to obtain a violation report.
+    Construction does not check the sample: the Corpus or Episode that holds
+    it does, against its label space (check_samples).
     """
 
     tokens: tuple[str, ...]
@@ -145,12 +145,53 @@ class Sample:
         return len(self.tokens)
 
 
+def check_samples(ls: LabelSpace, parts: Mapping[str, Sequence[Sample]]) -> tuple[np.ndarray, np.ndarray]:
+    """The sample rule, in one pass over flat arrays: each sample of each
+    part (a name such as "episode 'music' support" and its samples) has at
+    least one token, one slot id per token, and integer ids (not bools)
+    inside ls.  The first bad sample raises LengthMismatch or LabelMismatch
+    naming its part and index.  Returns the slot ids end to end (N,) and
+    each sample's slot count."""
+    samples = [s for part in parts.values() for s in part]
+    intents = [s.intent for s in samples]
+    slots = list(chain.from_iterable(s.slots for s in samples))
+    integer = {t: t is not bool and issubclass(t, (int, np.integer))
+               for t in {*map(type, intents), *map(type, slots)}}
+    if not all(integer.values()):  # a non-integer id is outside the label space
+        intents, slots = ([x if integer[type(x)] else -1 for x in ids] for ids in (intents, slots))
+    n_slots = np.array([len(s.slots) for s in samples], dtype=np.intp)
+    intent_ids = np.fromiter(intents, np.intp, len(intents))
+    slot_ids = np.fromiter(slots, np.intp, len(slots))
+    bad_length = np.array([not 0 < len(s.tokens) == len(s.slots) for s in samples], dtype=bool)
+    bad = bad_length | (intent_ids < 0) | (intent_ids >= ls.n_intents)
+    bad[np.repeat(np.arange(len(samples)), n_slots)[(slot_ids < 0) | (slot_ids >= ls.n_slots)]] = True
+    for n in np.flatnonzero(bad)[:1].tolist():
+        name, k = [(name, k) for name, part in parts.items() for k in range(len(part))][n]
+        s, where = samples[n], f"{name} sample {k}"
+        if bad_length[n]:
+            raise LengthMismatch(f"{where}: {len(s.tokens)} tokens vs {len(s.slots)} slots")
+        raise LabelMismatch(f"{where}: intent {s.intent} or slots {s.slots} outside "
+                            f"{ls.n_intents} intents and {ls.n_slots} slot labels")
+    return slot_ids, n_slots
+
+
+def warn_bio_anomalies(ls: LabelSpace, slot_ids: np.ndarray, n_slots: np.ndarray) -> None:
+    """Warn of each gold slot id, in sample and position order, that may not
+    open its sample or follow its predecessor, given what check_samples
+    returns: real corpora contain such annotation noise, so it is no error."""
+    pos = np.arange(slot_ids.size) - np.repeat(np.cumsum(n_slots) - n_slots, n_slots)
+    ok = np.where(pos == 0, ls.may_start[slot_ids], ls.may_follow[np.roll(slot_ids, 1), slot_ids])
+    for sid, i in zip(slot_ids[~ok].tolist(), pos[~ok].tolist()):
+        logger.warning("gold BIO anomaly: %s at position %d has no compatible predecessor",
+                       ls.slot_labels[sid], i)
+
+
 @dataclass(frozen=True)
 class Episode:
     """A support set, a query set, and the episode-local label space.
 
-    Construction checks each sample's lengths (LengthMismatch) and label ids
-    (LabelMismatch) as a Corpus does, without logging its BIO anomalies again."""
+    Construction checks its samples as a Corpus does (check_samples),
+    without logging their BIO anomalies again."""
 
     support: tuple[Sample, ...]
     query: tuple[Sample, ...]
@@ -160,50 +201,9 @@ class Episode:
     def __post_init__(self):
         object.__setattr__(self, "support", tuple(self.support))
         object.__setattr__(self, "query", tuple(self.query))
-        ls, samples = self.label_space, self.support + self.query
-        n_slots = np.array([len(s.slots) for s in samples], dtype=np.intp)
-        slots = np.fromiter(chain.from_iterable(s.slots for s in samples), np.intp, n_slots.sum())
-        bad_length = np.array([not 0 < len(s.tokens) == len(s.slots) for s in samples], dtype=bool)
-        bad = bad_length | np.array([not 0 <= s.intent < ls.n_intents for s in samples], dtype=bool)
-        bad[np.repeat(np.arange(len(samples)), n_slots)[(slots < 0) | (slots >= ls.n_slots)]] = True
-        for n in np.flatnonzero(bad)[:1].tolist():
-            s = samples[n]
-            part, k = ("support", n) if n < len(self.support) else ("query", n - len(self.support))
-            where = f"episode {self.domain_name!r} {part} sample {k}"
-            if bad_length[n]:
-                raise LengthMismatch(f"{where}: {len(s.tokens)} tokens vs {len(s.slots)} slots")
-            raise LabelMismatch(f"{where}: intent {s.intent} or slots {s.slots} outside "
-                                f"{ls.n_intents} intents and {ls.n_slots} slot labels")
-
-
-def validate_sample(sample: Sample, ls: LabelSpace) -> list[str]:
-    """Report all invariant violations of a sample against a label space.
-
-    Returns an empty list when the sample is well formed.  BIO-validity of
-    the gold slot sequence is NOT a violation (real corpora contain
-    annotation noise): a label that may not open the sequence or follow its
-    predecessor is logged as a warning instead.
-    """
-    violations: list[str] = []
-    if len(sample.tokens) < 1:
-        violations.append("empty token sequence")
-    if len(sample.slots) != len(sample.tokens):
-        violations.append(
-            f"length mismatch: {len(sample.tokens)} tokens vs {len(sample.slots)} slots"
-        )
-    if not 0 <= sample.intent < ls.n_intents:
-        violations.append(f"unknown intent id {sample.intent}")
-    for i, sid in enumerate(sample.slots):
-        if not 0 <= sid < ls.n_slots:
-            violations.append(f"unknown slot id {sid} at position {i}")
-    if violations:
-        return violations
-    slots = sample.slots
-    for i, sid in enumerate(slots):
-        if not (ls.may_follow[slots[i - 1], sid] if i else ls.may_start[sid]):
-            logger.warning("gold BIO anomaly: %s at position %d has no compatible predecessor",
-                           ls.slot_labels[sid], i)
-    return violations
+        where = f"episode {self.domain_name!r}"
+        check_samples(self.label_space, {f"{where} support": self.support,
+                                         f"{where} query": self.query})
 
 
 # --- JSON input boundary -------------------------------------------------

@@ -21,15 +21,15 @@ import numpy as np
 from .core import (
     Episode,
     LabelSpace,
-    MalformedInput,
     O_LABEL,
     Sample,
+    check_samples,
     episode_label_space,
     labeled_record,
     parse_labeled_records,
     remap,
     serialize_labeled_records,
-    validate_sample,
+    warn_bio_anomalies,
 )
 
 
@@ -39,7 +39,8 @@ class InsufficientCorpus(ValueError):
 
 @dataclass(frozen=True)
 class Corpus:
-    """All labeled samples of one domain under a domain-global label space."""
+    """All labeled samples of one domain under a domain-global label space;
+    construction checks them (check_samples), then warns of gold BIO anomalies."""
 
     domain_name: str
     samples: tuple[Sample, ...]
@@ -47,12 +48,8 @@ class Corpus:
 
     def __post_init__(self):
         object.__setattr__(self, "samples", tuple(self.samples))
-        for n, sample in enumerate(self.samples):
-            violations = validate_sample(sample, self.label_space)
-            if violations:
-                raise MalformedInput(
-                    f"corpus {self.domain_name!r} sample {n}: {violations[0]}"
-                )
+        ls = self.label_space
+        warn_bio_anomalies(ls, *check_samples(ls, {f"corpus {self.domain_name!r}": self.samples}))
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,6 @@ from jmrm.core import (
     sample_to_dict,
     serialize_episodes,
     split_slot_label,
-    validate_sample,
 )
 from jmrm.episodes import (
     Corpus,
@@ -442,7 +441,7 @@ def test_transition_mask_matches_cell_loop(ls):
 # --- the one BIO adjacency rule: span counts, the gold warning and the mask ----
 #
 # ref_bio_spans and ref_warn_bio_anomalies are bio_spans and the warning
-# helper validate_sample called (_warn_bio_anomalies) as they were,
+# helper of the former per-sample check (_warn_bio_anomalies) as they were,
 # re-parsing the label of every token, and SlotSpan is the span type
 # bio_spans returned.  The only edits: LabelSpace.slot_kind, which is gone,
 # is spelled out as split_slot_label(ls.slot_labels[sid]), and the warning
@@ -541,7 +540,7 @@ def test_bio_rule_matches_label_parsing(seed, caplog):
             tm = build_transition_mask(ls)
             assert_same_bits(tm.trans, trans)
             assert_same_bits(tm.start, start)
-            golds, predictions = [], []
+            golds, predictions, want = [], [], []
             for valid in (True, False) * 6:
                 slots = random_bio_sequence(rng, trans, start, valid)
                 # a prediction that keeps a random share of the gold labels
@@ -550,14 +549,15 @@ def test_bio_rule_matches_label_parsing(seed, caplog):
                 golds.append(Sample(("w",) * len(slots), 0, slots))
                 predictions.append((0, pred.tolist()))
                 caplog.clear()
-                assert validate_sample(golds[-1], ls) == []
-                got = [(r.levelno, r.getMessage()) for r in caplog.records]
-                caplog.clear()
                 ref_warn_bio_anomalies(slots, ls)
-                want = [(r.levelno, r.getMessage()) for r in caplog.records]
-                assert got == want
-                assert not (valid and want)
-                warned += bool(want)
+                want += [(r.levelno, r.getMessage()) for r in caplog.records]
+                assert not (valid and caplog.records)
+                warned += bool(caplog.records)
+            # a Corpus logs the anomalies of all its golds, in sample order
+            caplog.clear()
+            Corpus("golds", golds, ls)
+            assert [(r.levelno, r.getMessage()) for r in caplog.records] == want
+            assert all(r.name == "jmrm.core" for r in caplog.records)
             m = score(predictions, golds, ls)
             counts = (m.n_gold_spans, m.n_pred_spans, m.n_correct_spans)
             assert counts == ref_span_counts(predictions, golds, ls)

@@ -19,9 +19,8 @@ from jmrm.core import (
     parse_episodes,
     serialize_episodes,
     split_slot_label,
-    validate_sample,
 )
-from jmrm.episodes import SynthSpec, build_episode, generate_synthetic
+from jmrm.episodes import Corpus, SynthSpec, build_episode, generate_synthetic
 from jmrm.metrics import score
 
 from conftest import conlleval_counts, make_sample, random_bio_strings
@@ -129,29 +128,88 @@ class TestParse:
         assert serialize_episodes(reparsed) == text
 
 
-class TestValidateSample:
-    def test_ok(self, music_space):
-        s = make_sample(music_space, "play madonna", "play_music", "O B-artist")
-        assert validate_sample(s, music_space) == []
+class TestCorpusChecks:
+    """A Corpus checks its samples by the one sample rule (check_samples):
+    a bad sample ends in a typed error naming the corpus and the sample,
+    and a gold BIO anomaly is a warning, not an error."""
+
+    @staticmethod
+    def corpus(music_space, *samples):
+        good = make_sample(music_space, "play madonna", "play_music", "O B-artist")
+        return Corpus("music", (good, *samples), music_space)
+
+    def test_ok(self, music_space, caplog):
+        with caplog.at_level(logging.WARNING, logger="jmrm.core"):
+            assert len(self.corpus(music_space).samples) == 1
+        assert caplog.records == []
 
     def test_gold_bio_violation_is_warning_not_error(self, music_space, caplog):
         s = Sample(tokens=("paris",), intent=0, slots=(music_space.slot_id("I-city"),))
         with caplog.at_level(logging.WARNING, logger="jmrm.core"):
-            assert validate_sample(s, music_space) == []
-        assert any("BIO anomaly" in r.message for r in caplog.records)
+            assert self.corpus(music_space, s).samples[1] == s
+        assert [r.getMessage() for r in caplog.records] == [
+            "gold BIO anomaly: I-city at position 0 has no compatible predecessor"]
 
     def test_unknown_intent(self, music_space):
         s = Sample(tokens=("x",), intent=music_space.n_intents, slots=(0,))
-        report = validate_sample(s, music_space)
-        assert any("unknown intent" in v for v in report)
+        with pytest.raises(LabelMismatch, match=r"^corpus 'music' sample 1: intent 2 or "
+                           r"slots \(0,\) outside 2 intents and 5 slot labels$"):
+            self.corpus(music_space, s)
 
     def test_length_mismatch_reported(self, music_space):
         s = Sample(tokens=("a", "b"), intent=0, slots=(0,))
-        assert any("length mismatch" in v for v in validate_sample(s, music_space))
+        with pytest.raises(LengthMismatch, match="^corpus 'music' sample 1: 2 tokens vs 1 slots$"):
+            self.corpus(music_space, s)
 
     def test_empty_tokens_reported(self, music_space):
         s = Sample(tokens=(), intent=0, slots=())
-        assert any("empty" in v for v in validate_sample(s, music_space))
+        with pytest.raises(LengthMismatch, match="^corpus 'music' sample 1: 0 tokens vs 0 slots$"):
+            self.corpus(music_space, s)
+
+    def test_no_warning_before_a_bad_sample(self, music_space, caplog):
+        odd = Sample(("paris",), 0, (music_space.slot_id("I-city"),))
+        with caplog.at_level(logging.WARNING, logger="jmrm.core"):
+            with pytest.raises(LabelMismatch, match="^corpus 'music' sample 2: "):
+                self.corpus(music_space, odd, Sample(("a",), 0, (5,)))
+        assert caplog.records == []
+
+
+# ids a label-space index must not be: Python and numpy floats, strings and
+# bools, each of which numpy or a comparison would read as a valid id
+NON_INTEGER_IDS = {"float": 0.5, "whole-float": 1.0, "np.float64": np.float64(1.0),
+                   "str": "1", "bool": True, "np.bool": np.True_}
+
+
+class TestIntegerIds:
+    """The sample rule takes Python and numpy integer ids, and nothing else:
+    a float, string or bool id is a LabelMismatch in a Corpus and in an
+    Episode's support and query sets, not a silent cast to an integer."""
+
+    @staticmethod
+    def build(ls, container, bad):
+        good = Sample(("play", "madonna"), 0, (0, 1))
+        if container == "corpus":
+            return Corpus("music", (good, bad), ls)
+        if container == "support":
+            return Episode((good, bad), (), ls, "music")
+        return Episode((good,), (bad,), ls, "music")
+
+    WHERE = {"corpus": "corpus 'music' sample 1", "support": "episode 'music' support sample 1",
+             "query": "episode 'music' query sample 0"}
+
+    @pytest.mark.parametrize("container", ["corpus", "support", "query"])
+    @pytest.mark.parametrize("bad_id", NON_INTEGER_IDS.values(), ids=NON_INTEGER_IDS.keys())
+    @pytest.mark.parametrize("field", ["intent", "slot"])
+    def test_non_integer_id_is_rejected(self, music_space, container, bad_id, field):
+        bad = (Sample(("play", "it"), bad_id, (0, 0)) if field == "intent" else
+               Sample(("play", "it"), 0, (0, bad_id)))
+        with pytest.raises(LabelMismatch, match=f"^{self.WHERE[container]}: intent "):
+            self.build(music_space, container, bad)
+
+    @pytest.mark.parametrize("container", ["corpus", "support", "query"])
+    def test_numpy_integer_ids_are_accepted(self, music_space, container):
+        ok = Sample(("play", "it"), np.int64(1), tuple(np.array([0, 3], dtype=np.int32)))
+        self.build(music_space, container, ok)
 
 
 class TestEpisodeChecks:

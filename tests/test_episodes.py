@@ -8,7 +8,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from jmrm.core import LabelSpace, MalformedInput, O_LABEL, Sample, split_slot_label, validate_sample
+from jmrm.core import (
+    LabelMismatch,
+    LabelSpace,
+    MalformedInput,
+    O_LABEL,
+    Sample,
+    check_samples,
+    split_slot_label,
+)
 from jmrm.episodes import (
     Corpus,
     InsufficientCorpus,
@@ -38,7 +46,8 @@ class TestCorpus:
     def test_invalid_sample_rejected(self):
         ls = LabelSpace(("intent0",), ("O", "B-a"))
         samples = (make_sample(ls, "u1 x", "intent0", "B-a O"), Sample(("u2",), 3, (0,)))
-        with pytest.raises(MalformedInput, match="corpus 'tiny' sample 1: unknown intent id 3"):
+        with pytest.raises(LabelMismatch, match=r"^corpus 'tiny' sample 1: intent 3 or slots "
+                           r"\(0,\) outside 1 intents and 2 slot labels$"):
             Corpus("tiny", samples, ls)
 
     @pytest.mark.parametrize("key, labels, message", [
@@ -159,8 +168,7 @@ class TestBuildEpisode:
 
     def test_episode_samples_validate(self, tiny_corpus):
         ep = build_episode(tiny_corpus, 1, 1, np.random.default_rng(3))
-        for s in ep.support + ep.query:
-            assert validate_sample(s, ep.label_space) == []
+        check_samples(ep.label_space, {"episode": ep.support + ep.query})
 
     def test_insufficient_for_query(self, tiny_corpus):
         with pytest.raises(InsufficientCorpus):
@@ -225,8 +233,8 @@ class TestGenerateSynthetic:
         spec = SynthSpec(n_source_domains=2, n_dev_domains=1, n_target_domains=1, seed=5)
         for split in generate_synthetic(spec):
             for corpus in split:
+                check_samples(corpus.label_space, {"corpus": corpus.samples})
                 for s in corpus.samples:
-                    assert validate_sample(s, corpus.label_space) == []
                     assert strict_bio_valid(s, corpus.label_space)
 
     def test_distinct_relations_across_domains(self):

@@ -96,6 +96,12 @@ class TestScore:
         assert m.intent_acc is None and m.slot_f1 is None and m.joint_acc is None
         assert m.n_queries == 0
 
+    def test_empty_reports_every_rate_as_null(self):
+        report = EMPTY_METRICS.to_dict()
+        assert set(report.pop("counts").values()) == {0}
+        assert report == dict.fromkeys(
+            ("intent_acc", "slot_f1", "slot_precision", "slot_recall", "joint_acc"))
+
     def test_zero_token_sample_counts_as_exact(self, music_space):
         golds = [Sample((), 0, ()),
                  make_sample(music_space, "play queen", "play_music", "O B-artist"),

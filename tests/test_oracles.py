@@ -122,6 +122,21 @@ class TestMutantsFailTheirSuites:
         assert stats["pass"] is False
         assert stats["max_posterior_err"] is None
 
+    def test_decode_that_moves_under_a_shift_fails_shift_invariance(self, monkeypatch):
+        """A Viterbi that clips scores below zero: a shift by SHIFT lifts
+        scores out of the clip, so its argmax moves while the posteriors,
+        from the true kernel, stay put."""
+        kernel = oracles.viterbi_decode
+
+        def mutant(jin):
+            return kernel(replace(jin, f_l=np.maximum(jin.f_l, 0.0), f_o=np.maximum(jin.f_o, 0.0)))
+
+        monkeypatch.setattr(oracles, "viterbi_decode", mutant)
+        stats = shift_invariance_suite(TRIALS, seed=0)
+        assert stats["pass"] is False
+        assert stats["decode_changes"] > 0
+        assert stats["max_posterior_err"] <= 1e-9
+
 
 def test_decode_into_a_masked_cell_is_a_violation(monkeypatch):
     kernel = oracles.viterbi_decode

@@ -160,8 +160,7 @@ def check_samples(ls: LabelSpace, parts: Mapping[str, Sequence[Sample]]) -> tupl
     if not all(integer.values()):  # a non-integer id is outside the label space
         intents, slots = ([x if integer[type(x)] else -1 for x in ids] for ids in (intents, slots))
     n_slots = np.array([len(s.slots) for s in samples], dtype=np.intp)
-    intent_ids = np.fromiter(intents, np.intp, len(intents))
-    slot_ids = np.fromiter(slots, np.intp, len(slots))
+    intent_ids, slot_ids = _id_array(intents), _id_array(slots)
     bad_length = np.array([not 0 < len(s.tokens) == len(s.slots) for s in samples], dtype=bool)
     bad = bad_length | (intent_ids < 0) | (intent_ids >= ls.n_intents)
     bad[np.repeat(np.arange(len(samples)), n_slots)[(slot_ids < 0) | (slot_ids >= ls.n_slots)]] = True
@@ -173,6 +172,16 @@ def check_samples(ls: LabelSpace, parts: Mapping[str, Sequence[Sample]]) -> tupl
         raise LabelMismatch(f"{where}: intent {s.intent} or slots {s.slots} outside "
                             f"{ls.n_intents} intents and {ls.n_slots} slot labels")
     return slot_ids, n_slots
+
+
+def _id_array(ids: list) -> np.ndarray:
+    """Integer ids as intp; an id beyond intp becomes -1, which lies
+    outside every label space as it does."""
+    try:
+        return np.fromiter(ids, np.intp, len(ids))
+    except OverflowError:
+        lo, hi = np.iinfo(np.intp).min, np.iinfo(np.intp).max
+        return np.fromiter((x if lo <= x <= hi else -1 for x in ids), np.intp, len(ids))
 
 
 def warn_bio_anomalies(ls: LabelSpace, slot_ids: np.ndarray, n_slots: np.ndarray) -> None:

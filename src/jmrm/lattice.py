@@ -11,15 +11,23 @@ are rows, one per token: one query's (m, T), or a batch's (N, T), its
 queries' rows laid end to end in query order with (Q,) lengths that sum
 to N, as PackedSequence.data lays them.  Every output indexed by row
 keeps that layout: marginals (Y, N, T), slot gradients (N, T), gold
-slots and Viterbi paths (N,).  Inside, the dynamic programs run packed:
-the queries are ordered longest first, stably, so the queries that run
-through a position are a prefix of that order, and each program works on
-that prefix only, on packed rows that hold one (query, position) pair
-each, position-major.  Each program is one sweep over positions for
-every intent and every live query at once, and each runs on the mask's
-open/closed form (TransitionMask), not on the dense (T, T) transitions,
-with outputs bit-identical to the dense recursions.  The sum-product
-sweeps give log Z and the marginals:
+slots and Viterbi paths (N,).
+
+Inside, the dynamic programs run on one packed layout (_Packed).  The
+queries are ordered longest first, stably, so the queries that run
+through a position are a prefix of that order.  A packed row holds one
+(query, position) pair, position-major, and every packed array is
+indexed label-major, (T, N, Y): position i's rows are [:, starts[i] :
+starts[i] + live[i]], the sorted queries 0 .. live[i] - 1, and the first
+live[i + 1] of them run on to position i + 1.  The masked emissions fe,
+the forward and backward scores and the best completions all take that
+layout; fe and the backward scores are views of query-major (N, Y, T)
+memory, as apply_relation_mask and the backward's contiguous row sums
+lay it out.  Each program is one sweep over positions for every intent
+and every live query at once, and each gather takes whole label rows.
+The sweeps run on the mask's open/closed form (TransitionMask), not on
+the dense (T, T) transitions, with outputs bit-identical to the dense
+recursions.  The sum-product sweeps give log Z and the marginals:
 
   - _forward sums each column's predecessors in index order, as numpy does
     the dense forward's strided sums.  One logsumexp over all T
@@ -165,19 +173,17 @@ class JointPosterior:
 
 @dataclass(frozen=True)
 class _Packed:
-    """A batch packed longest query first (see the module docstring).
+    """A batch packed longest query first, in the module docstring's layout.
 
     Sorted query s is query order[s], of length lengths[s].  Packed row r
-    is sorted query rank[r] at position pos[r], which is row src[r] of
-    f_o; position-major: position i's rows are the live[i] from starts[i],
-    and they hold the sorted queries 0 .. live[i] - 1.  fe holds each
-    row's relation-masked emissions, (N, Y, T).
+    is sorted query rank[r], at row src[r] of f_o; position i's rows are
+    the live[i] from starts[i].  fe holds each row's relation-masked
+    emissions, (T, N, Y).
     """
 
     order: np.ndarray
     lengths: np.ndarray
     rank: np.ndarray
-    pos: np.ndarray
     src: np.ndarray
     live: list[int]
     starts: list[int]
@@ -191,8 +197,8 @@ def _pack(jin: JointScoreInputs) -> _Packed:
     pos, rank = np.nonzero(np.arange(lengths[0])[:, None] < lengths)
     live = np.bincount(pos)
     src = first[rank] + pos
-    fe = apply_relation_mask(jin.f_o[src][:, None, None], jin.rm, slice(None))[:, :, 0]
-    return _Packed(order, lengths, rank, pos, src, live.tolist(), (np.cumsum(live) - live).tolist(), fe)
+    fe = apply_relation_mask(jin.f_o[src][:, None, None], jin.rm, slice(None))[:, :, 0].transpose(2, 0, 1)
+    return _Packed(order, lengths, rank, src, live.tolist(), (np.cumsum(live) - live).tolist(), fe)
 
 
 def _gold(
@@ -250,22 +256,17 @@ def _lse_in_order(a: np.ndarray) -> np.ndarray:
 
 
 def _forward(fe: np.ndarray, tm: TransitionMask, live: list[int], starts: list[int]) -> np.ndarray:
-    """Forward scores, left to right over a packed (N, Y, T) stack (see
-    _Packed for live and starts).
+    """Forward scores, left to right over the packed fe.
 
     At a query's first position alpha[o] = start[o] + fe[o], and one
     position on alpha[o] = logsumexp_p(trans[p, o] + alpha[p]) + fe[o],
     summed over the allowed p in index order (see the module docstring).
-    The queries running at a position are the first of those running one
-    position back.  The padding of tm.closed_pred reads the sentinel row
-    T, held at -inf.  The work runs label-major, (T, N, Y), so both gathers
-    take whole rows, and alpha comes back in that layout.  Call under
-    np.errstate(divide="ignore").
+    The padding of tm.closed_pred reads the sentinel row T, held at -inf.
+    Call under np.errstate(divide="ignore").
     """
-    n, y, t = fe.shape
+    t, n, y = fe.shape
     open_cols, closed_cols = tm.open_cols, tm.closed_cols
     pred = tm.closed_pred.T  # (J, C): axis 0 walks each column's predecessors
-    fe = fe.transpose(2, 0, 1)
     alpha = np.empty((t, n, y))
     np.add(tm.start[:, None, None], fe[:, : live[0]], alpha[:, : live[0]])
     ahead = np.empty((0, 0, 0))
@@ -284,23 +285,22 @@ def _forward(fe: np.ndarray, tm: TransitionMask, live: list[int], starts: list[i
 def _backward(
     fe: np.ndarray, tm: TransitionMask, rm: np.ndarray, live: list[int], starts: list[int]
 ) -> np.ndarray:
-    """Backward scores, right to left over a packed (N, Y, T) stack, in
-    that layout (see _Packed for live and starts).
+    """Backward scores, right to left over the packed fe.
 
     beta = 0 at a query's last position, and before it
     beta[o] = logsumexp_p(trans[o, p] + fe[p] + beta[p]) one position on.
-    Each class's row sum runs whole over a C-contiguous (k, Y, R, T) array,
-    so numpy groups it as it grouped the dense row.  terms holds the exp of
-    the cells both masks allow and 0 elsewhere; tm.row_class copies each
-    class's result to its rows.  The row max is _suffix_max's structured
-    one: every allowed transition scores 1 and rounding is monotone, so
-    1 + max equals the dense max bit for bit.  Call under
-    np.errstate(divide="ignore").
+    The work runs query-major: each class's row sum runs whole over a
+    C-contiguous (k, Y, R, T) array, so numpy groups it as it grouped the
+    dense row.  terms holds the exp of the cells both masks allow and 0
+    elsewhere; tm.row_class copies each class's result to its rows.  The row max is
+    _suffix_max's structured one: every allowed transition scores 1 and
+    rounding is monotone, so 1 + max equals the dense max bit for bit.
+    Call under np.errstate(divide="ignore").
     """
-    n, y, t = fe.shape
-    beta = np.zeros((n, y, t))
+    t, n, y = fe.shape
+    fe, beta = fe.transpose(1, 2, 0), np.zeros((n, y, t))
     if len(live) == 1:
-        return beta
+        return beta.transpose(2, 0, 1)
     r, k_max = tm.row_rep.size, live[1]
     succ = tm.closed_succ[tm.row_rep]
     # the cells both masks allow, as flat indices into the (k, Y, R, T)
@@ -324,13 +324,11 @@ def _backward(
         np.put(terms, into[:c], np.exp(ahead.take(cell[:c]) + 1.0 - safe.take(yr[:c])))
         now = (np.log(np.add.reduce(terms[:k], -1)) + safe)[..., tm.row_class]
         beta[starts[i] : starts[i] + k] = now
-    return beta
+    return beta.transpose(2, 0, 1)
 
 
-def _suffix_max(fe: np.ndarray, tm: TransitionMask, live: list[int]) -> np.ndarray:
-    """Best completion after t_i = o, right to left over a packed (T, N, Y)
-    stack: position i's rows are the live[i] columns from sum(live[:i]),
-    and the rows still running at i + 1 are the first live[i + 1] of them.
+def _suffix_max(fe: np.ndarray, tm: TransitionMask, live: list[int], starts: list[int]) -> np.ndarray:
+    """Best completion after t_i = o, right to left over the packed fe.
 
     h = 0 at a query's last position, and before it h[o] = 1 + max of
     fe[p] + h[p] one position on, over the p that may follow o.  Per
@@ -338,23 +336,17 @@ def _suffix_max(fe: np.ndarray, tm: TransitionMask, live: list[int]) -> np.ndarr
     T, and one max over the gather of tm.closed_succ, whose rows all end
     with T: O(Y T (K+1)) instead of O(Y T^2).  Every allowed transition
     scores exactly 1 and rounding is monotone, so adding it after the max
-    equals the dense max_p(trans[o, p] + ...) bit for bit.  The work runs
-    label-major, (T, k·Y), so both gathers take whole rows.  h comes back
-    flat, one C-ordered (T, live[i]·Y) block per position, so each step
-    reads and writes whole blocks.
+    equals the dense max_p(trans[o, p] + ...) bit for bit.
     """
     t, n, y = fe.shape
-    open_cols, closed_succ = tm.open_cols, tm.closed_succ
-    ends = np.cumsum(live).tolist()  # position i's rows end where i + 1's start
-    h = np.zeros(t * n * y)
-    block = [h[t * y * (end - k) : t * y * end].reshape(t, k * y) for k, end in zip(live, ends)]
-    buf = np.empty((t + 1) * live[0] * y)
+    h = np.zeros((t, n, y))
+    buf = np.empty((t + 1) * live[0] * y)  # reshaped per width, so each step's ahead is contiguous
     for i in range(len(live) - 2, -1, -1):
-        k, nxt = live[i + 1], ends[i]
-        ahead = buf[: (t + 1) * k * y].reshape(t + 1, k * y)
-        np.add(fe[:, nxt : nxt + k], block[i + 1].reshape(t, k, y), ahead[:t].reshape(t, k, y))
-        ahead[t] = _max(ahead.take(open_cols, 0), 0, initial=NEG_INF)
-        np.add(_max(ahead.take(closed_succ, 0), 1), 1.0, block[i][:, : k * y])
+        k, a, nxt = live[i + 1], starts[i], starts[i + 1]
+        ahead = buf[: (t + 1) * k * y].reshape(t + 1, k, y)
+        np.add(fe[:, nxt : nxt + k], h[:, nxt : nxt + k], ahead[:t])
+        ahead[t] = _max(ahead.take(tm.open_cols, 0), 0, initial=NEG_INF)
+        np.add(_max(ahead.take(tm.closed_succ, 0), 1), 1.0, h[:, a : a + k])
     return h
 
 
@@ -388,7 +380,7 @@ def log_partition(jin: JointScoreInputs) -> JointPosterior:
     # loss_gradients sums over intents as the dense code's marginals were
     unary = np.empty((y, pk.rank.size, t))
     np.add(intent_score[pk.rank].T[:, :, None], alpha.transpose(2, 1, 0), unary)
-    unary += beta.transpose(1, 0, 2)
+    unary += beta.transpose(2, 1, 0)
     unary -= log_z[pk.rank][:, None]
     np.exp(unary, unary)
     intent_marginals = np.exp(log_joint - log_z[:, None])
@@ -466,29 +458,25 @@ def viterbi_decode(
     joint_score's order, so it matches joint_score bit for bit.
     """
     pk = _pack(jin)
-    order, rank, pos, fe = pk.order, pk.rank, pk.pos, pk.fe
-    q, y, t = order.size, jin.n_intents, jin.n_slots
+    order, rank = pk.order, pk.rank
+    q, y = order.size, jin.n_intents
     f_l = jin.f_l.reshape(q, y)[order]
-    sm = _suffix_max(fe.transpose(2, 0, 1), jin.tm, pk.live)
-    # position 0 holds every query: its block is sm's first (T, Q·Y)
-    first = jin.tm.start + fe[:q] + sm[: t * q * y].reshape(t, q, y).transpose(1, 2, 0)
+    h = _suffix_max(pk.fe, jin.tm, pk.live, pk.starts)
+    # position 0's rows hold every query, (Q, Y, T)
+    first = jin.tm.start + pk.fe[:, :q].transpose(1, 2, 0) + h[:, :q].transpose(1, 2, 0)
     totals = jin.lam * f_l + _max(first, 2)
     if np.any(_max(totals, 1) == NEG_INF):
         raise InfeasibleLattice("every (intent, slot sequence) pair is masked")
     best_y = np.argmax(totals, axis=1)
-    # each row's emissions and best completions under its query's intent, (N, T);
-    # in position pos[r]'s (T, live·Y) block, row r's completion for label o
-    # sits at o·live·Y + rank[r]·Y + its intent
-    chosen = best_y[rank]
-    at = (t * np.array(pk.starts)[pos] + rank) * y + chosen
-    fe = fe[np.arange(rank.size), chosen]
-    sm = sm.take(at[:, None] + np.arange(t) * (y * np.array(pk.live)[pos])[:, None])
+    # each row's emissions and best completions under its query's intent, (N, T)
+    chosen = (np.arange(rank.size), best_y[rank])
+    fe, h = pk.fe.transpose(1, 2, 0)[chosen], h.transpose(1, 2, 0)[chosen]
     path = np.empty(rank.size, dtype=int)
     acc, into, a, queries = np.zeros((q, 1)), jin.tm.start[None], 0, np.arange(q)
     for k in pk.live:
         # each live query's running sum through t_i = o, then its best completion
         reach = acc[:k] + into[:k] + fe[a : a + k]
-        o = path[a : a + k] = np.argmax(reach + sm[a : a + k], axis=1)
+        o = path[a : a + k] = np.argmax(reach + h[a : a + k], axis=1)
         acc[:k, 0] = reach[queries[:k], o]
         into, a = jin.tm.trans.take(o, 0), a + k
     score = jin.lam * f_l[queries, best_y] + acc[:, 0]

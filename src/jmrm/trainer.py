@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Episode, LabelMismatch, MalformedInput, Sample, config_from_dict
+from .core import Episode, MalformedInput, Sample, check_samples, config_from_dict
 from .encoder import Encoder, WindowState, encoder_backward, zero_grads
 from .lattice import (
     InfeasibleGold,
@@ -207,18 +207,13 @@ class QueryScores:
 
 
 def _query_scores(query: Sample, ctx: EpisodeContext, config: RunConfig) -> QueryScores:
-    """A query's embeddings and scores.  Gold ids outside the episode's
-    label space raise LabelMismatch: indexing would read -1 as the last
-    label, and the separate losses never reach the lattice's own check."""
+    """A query's embeddings and scores; the query has passed the sample rule
+    (check_samples) against the episode's label space."""
     kind = config.similarity_kind
     rows, state = ctx.encoder.encode_tokens(query.tokens, True)
     utt = rows.mean(axis=0, keepdims=True)
     f_l = similarity_to_protos(utt, ctx.protos.intent_protos, kind)[0]
     f_o = similarity_to_protos(rows, ctx.protos.slot_protos, kind)
-    ls = ctx.episode.label_space
-    if not (0 <= query.intent < ls.n_intents and all(0 <= o < ls.n_slots for o in query.slots)):
-        raise LabelMismatch(f"gold intent {query.intent} or slots {list(query.slots)} fall outside "
-                            f"the episode's {ls.n_intents} intents and {ls.n_slots} slot labels")
     return QueryScores(rows, state, utt, f_l, f_o)
 
 
@@ -307,13 +302,16 @@ def compute_loss(
     """Loss of one query sample and, for a trainable encoder, the full
     parameter gradients (including the path through the support-derived
     prototypes).  scores is the query's entry of score_queries, which
-    train() computes for the queries of a batch together; without it the
-    query is scored alone.
+    train() computes for the queries of a batch together, from episodes
+    that checked them; without it the query is checked by the sample rule
+    against the episode's label space (check_samples raises LengthMismatch
+    or LabelMismatch) and scored alone.
 
     Raises InfeasibleGold when the gold configuration has zero probability
     under the training masks; the training loop skips and counts these.
     """
     if scores is None:
+        check_samples(ctx.episode.label_space, {f"query for episode {ctx.episode.domain_name!r}": [query]})
         scores = score_queries([query], ctx, config)[0]
     if isinstance(scores, Exception):
         raise scores

@@ -12,15 +12,17 @@ sums, the 2-D ufunc.at window, prototype sums and token-based backward
 scatter, one similarity call and one similarity-gradient contraction per
 embedding row, the prototype gradient spread through per-class member
 lists, one softmax cross-entropy per token, the (o1, o2) double loop over
-BIO cells, the dense per-intent log_partition, the training loop that
-selected the masks per query and rebuilt a context after every step, the
-support selection that recounted the whole selection after every move,
-the per-file record builders, the grid that built every cell's prototypes
-anew, the decoder that ran one Viterbi call per query, the per-query
-joint score, loss and gradients over the dense kernel, and the span and
-warning loops that parsed every token's label.  Every comparison is exact, not a tolerance:
-the benchmark's snips-train quality guards record how rounding breaks
-near-tied intent scores, so they depend on the exact bits.
+BIO cells, the dense per-intent log_partition (ref_log_partition_dense,
+in tests/lattice_reference.py with the Viterbi reference), the training
+loop that selected the masks per query and rebuilt a context after every
+step, the support selection that recounted the whole selection after
+every move, the per-file record builders, the grid that built every
+cell's prototypes anew, the decoder that ran one Viterbi call per query,
+the per-query joint score, loss and gradients over the dense kernel, and
+the span and warning loops that parsed every token's label.  Every
+comparison is exact, not a tolerance: the benchmark's snips-train quality
+guards record how rounding breaks near-tied intent scores, so they depend
+on the exact bits.
 assert_same_bits compares bytes, so it also tells -0.0 from 0.0, as the
 run fingerprints (reprs) do.
 """
@@ -109,6 +111,7 @@ from jmrm.trainer import (
 )
 
 from conftest import SNIPS_SPACE, bio_space, make_sample, snips_shaped_episode
+from lattice_reference import ref_log_partition_dense
 
 KINDS = ("cos", "l2", "vpb")
 
@@ -692,37 +695,7 @@ def test_sum_sep_masked_gold_raises(snips_case):
         compute_loss(query, ctx, config)
 
 
-# --- log_partition against the dense per-intent kernel --------------------------
-
-
-def ref_sweep(fe, trans, last):
-    """The dense sum-product recursion, right to left over an (..., m, T) array.
-
-    h[..., m-1, :] = last and
-    h[..., i, o] = logsumexp_p(trans[o, p] + fe[..., i+1, p] + h[..., i+1, p]).
-    """
-    h = np.empty(fe.shape)
-    h[..., -1, :] = last
-    for i in range(fe.shape[-2] - 2, -1, -1):
-        ahead = fe[..., i + 1, :] + h[..., i + 1, :]
-        h[..., i, :] = logsumexp(trans + ahead[..., None, :], axis=-1)
-    return h
-
-
-def ref_log_partition_dense(jin):
-    """(log Z, q, unary marginals) one intent at a time: the forward pass
-    sweeps the reversed positions over trans.T, whose F-ordered temporaries
-    numpy sums in index order; the backward pass sums C-ordered rows, which
-    numpy sums pairwise."""
-    fe = apply_relation_mask(jin.f_o, jin.rm, slice(None))  # (Y, m, T)
-    trans, start = jin.tm.trans, jin.tm.start
-    alpha = np.stack([ref_sweep(f[::-1], trans.T, start)[::-1] for f in fe]) + fe
-    beta = np.stack([ref_sweep(f, trans, 0.0) for f in fe])
-    intent_score = jin.lam * jin.f_l
-    log_joint = intent_score + logsumexp(alpha[:, -1], axis=-1)
-    log_z = float(logsumexp(log_joint, axis=0))
-    unary = np.exp(intent_score[:, None, None] + alpha + beta - log_z)
-    return log_z, np.exp(log_joint - log_z), unary
+# --- log_partition against the dense per-intent kernel (lattice_reference) -----
 
 
 def assert_partition_matches_dense(jin):

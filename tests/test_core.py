@@ -207,6 +207,17 @@ class TestIntegerIds:
             self.build(music_space, container, bad)
 
     @pytest.mark.parametrize("container", ["corpus", "support", "query"])
+    @pytest.mark.parametrize("huge_id", [2**70, -2**70, np.uint64(2**64 - 1)], ids=["2**70", "-2**70", "uint64"])
+    @pytest.mark.parametrize("field", ["intent", "slot"])
+    def test_id_beyond_intp_is_rejected(self, music_space, container, huge_id, field):
+        """An integer id no intp holds lies outside the label space too: a
+        LabelMismatch, not an OverflowError from the id array."""
+        bad = (Sample(("play", "it"), huge_id, (0, 0)) if field == "intent" else
+               Sample(("play", "it"), 0, (0, huge_id)))
+        with pytest.raises(LabelMismatch, match=f"^{self.WHERE[container]}: intent "):
+            self.build(music_space, container, bad)
+
+    @pytest.mark.parametrize("container", ["corpus", "support", "query"])
     def test_numpy_integer_ids_are_accepted(self, music_space, container):
         ok = Sample(("play", "it"), np.int64(1), tuple(np.array([0, 3], dtype=np.int32)))
         self.build(music_space, container, ok)

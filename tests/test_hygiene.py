@@ -1,9 +1,10 @@
 """Source hygiene, checked with the standard library alone: no module of the
 package, the test suite, the demos or the benchmark scripts imports a name
 it never uses (the scan only reads them), the package defines no public
-name that only the tests read, every jmrm name the benchmark patches
-exists, and a traced benchmark round records the lattice spans its
-per-layer figures are made of."""
+name that only the tests read and no private name that nothing reads, the
+lattice reads every field of its packed batch, every jmrm name the
+benchmark patches exists, and a traced benchmark round records the lattice
+spans its per-layer figures are made of."""
 
 import ast
 import importlib
@@ -79,25 +80,36 @@ def _read_names(stmt: ast.stmt) -> set[str]:
     return names
 
 
-def unread_public_names(modules: list[Path], readers: list[Path]) -> list[str]:
-    """Public module-level names of modules that no statement reads other
-    than the one defining them, in modules or readers."""
+def unread_names(modules: list[Path], readers: list[Path], private: bool = False) -> list[str]:
+    """Public module-level names of modules, or with private its _names
+    (not __dunder__ ones), that no statement reads other than the one
+    defining them, in modules or readers."""
     bodies = {path: ast.parse(path.read_text(encoding="utf-8")).body
               for path in dict.fromkeys([*modules, *readers])}
     reads = [(path, stmt, _read_names(stmt)) for path, body in bodies.items() for stmt in body]
     return [f"{path.name}: {name}" for path in modules for stmt in bodies[path]
-            for name in _defined_names(stmt) if not name.startswith("_")
+            for name in _defined_names(stmt)
+            if name.startswith("_") == private and not (name.startswith("__") and name.endswith("__"))
             and not any(name in names for where, other, names in reads
                         if not (where == path and other is stmt))]
+
+
+SRC = [path for path in FILES if path.parent.name == "jmrm"]
 
 
 def test_src_defines_no_test_only_names():
     """No test-only code in src/: the package, the demos or the benchmark
     read every public name a package module defines (a re-export in the
     package __init__ is not a read)."""
-    modules = [path for path in FILES if path.parent.name == "jmrm" and path.name != "__init__.py"]
+    modules = [path for path in SRC if path.name != "__init__.py"]
     readers = [path for path in FILES if path.parent.name in ("demos", "benchmarks")]
-    assert unread_public_names(modules, modules + readers) == []
+    assert unread_names(modules, modules + readers) == []
+
+
+def test_src_reads_every_private_name():
+    """Every private module-level name of the package is read by another
+    statement of the package; a test that reads one does not count."""
+    assert unread_names(SRC, SRC, private=True) == []
 
 
 def test_scan_sees_an_unread_name(tmp_path):
@@ -107,8 +119,48 @@ def test_scan_sees_an_unread_name(tmp_path):
                       "def rec(n):\n    return rec(n - 1) if n else TABLE\n"
                       "def unused():\n    pass\nclass Used:\n    pass\n")
     reader.write_text("import module\nfrom module import Used\nprint(module.CONST)\n")
-    unread = unread_public_names([module], [module, reader])
+    unread = unread_names([module], [module, reader])
     assert unread == ["module.py: rec", "module.py: unused"]
+
+
+def test_scan_sees_an_unread_private_name(tmp_path):
+    module, reader = tmp_path / "module.py", tmp_path / "reader.py"
+    module.write_text('"""_unread and _rec are named here only in text."""\n'
+                      "__version__ = '1'\n_TABLE = {}\n_unread: int = 2\n"
+                      "def _rec(n):\n    return _rec(n - 1) if n else _TABLE\n"
+                      "def _helper():\n    pass\nclass _Used:\n    pass\n"
+                      "def public():\n    return _Used()\n")
+    reader.write_text("from module import _helper\n")
+    assert unread_names([module], [module], private=True) == [
+        "module.py: _unread", "module.py: _rec", "module.py: _helper"]
+    assert unread_names([module], [module, reader], private=True) == ["module.py: _unread", "module.py: _rec"]
+
+
+def unread_fields(path: Path, cls: str) -> list[str]:
+    """The annotated fields of class cls in path that no function there
+    reads as an attribute (x.field); the constructor call is no read."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    fields = [stmt.target.id for node in tree.body if isinstance(node, ast.ClassDef) and node.name == cls
+              for stmt in node.body if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    read = {node.attr for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(fn) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [name for name in fields if name not in read]
+
+
+def test_every_packed_field_is_read():
+    """The lattice reads every field it packs a batch into."""
+    assert unread_fields(ROOT / "src/jmrm/lattice.py", "_Packed") == []
+
+
+def test_scan_sees_an_unread_field(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text('"""p.unread is named here only in text."""\n'
+                      "class _Packed:\n    order: list\n    written: list\n    unread: list\n"
+                      "    kept: list\n\n"
+                      "def pack():\n    p = _Packed([0], [1], [2], [3])\n    p.written = [4]\n"
+                      "    return p\n\n"
+                      "def use(p):\n    return p.order, p.kept.copy()\n")
+    assert unread_fields(module, "_Packed") == ["written", "unread"]
 
 
 class RecordingPatcher:

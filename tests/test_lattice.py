@@ -14,6 +14,8 @@ from jmrm.lattice import (
     InfeasibleLattice,
     JointScoreInputs,
     NonFiniteScores,
+    _pack,
+    _suffix_max,
     joint_score,
     log_partition,
     logsumexp,
@@ -26,13 +28,13 @@ from jmrm.masks import (
     RelationMask,
     TransitionMask,
     all_ones_relation_mask,
-    apply_relation_mask,
     build_transition_mask,
     permissive_transition_mask,
 )
 from jmrm.oracles import random_instance
 
 from conftest import SNIPS_SPACE, bio_space
+from lattice_reference import ref_completions, ref_log_partition_dense, ref_viterbi
 
 
 def brute_force(jin):
@@ -490,103 +492,41 @@ class TestInputChecks:
             open_inputs(np.zeros(2), np.zeros((3, 2)), lam=lam)
 
 
-# --- dense per-intent reference recursions -----------------------------------
-#
-# Written position by position and intent by intent, over the dense (T, T)
-# transition scores, independently of the sweeps in jmrm.lattice.  The
-# enumeration oracles reach only tiny lattices; these pin SNIPS-sized ones.
+# --- against the dense reference (tests/lattice_reference.py) ----------------
 
 
-def ref_forward(fe, tm):
-    m, t = fe.shape
-    alpha = np.empty((m, t))
-    alpha[0] = tm.start + fe[0]
-    for i in range(1, m):
-        alpha[i] = logsumexp(alpha[i - 1][:, None] + tm.trans, axis=0) + fe[i]
-    return alpha
-
-
-def ref_backward(fe, tm):
-    m, t = fe.shape
-    beta = np.empty((m, t))
-    beta[m - 1] = 0.0
-    for i in range(m - 2, -1, -1):
-        beta[i] = logsumexp(tm.trans + (fe[i + 1] + beta[i + 1])[None, :], axis=1)
-    return beta
-
-
-def ref_suffix_max(fe, tm):
-    m, t = fe.shape
-    sm = np.empty((m, t))
-    sm[m - 1] = 0.0
-    for i in range(m - 2, -1, -1):
-        sm[i] = np.max(tm.trans + (fe[i + 1] + sm[i + 1])[None, :], axis=1)
-    return sm
-
-
-def ref_log_partition(jin):
-    """(log Z, q, unary marginals); an infeasible intent gets zero mass."""
-    y_n, m, t_n = jin.n_intents, jin.n_positions, jin.n_slots
-    log_joint = np.empty(y_n)
-    within = np.zeros((y_n, m, t_n))
-    for y in range(y_n):
-        fe = apply_relation_mask(jin.f_o, jin.rm, y)
-        alpha = ref_forward(fe, jin.tm)
-        log_z_slot = logsumexp(alpha[m - 1], axis=0)
-        log_joint[y] = jin.lam * jin.f_l[y] + log_z_slot
-        if log_z_slot > NEG_INF:
-            within[y] = np.exp(alpha + ref_backward(fe, jin.tm) - log_z_slot)
-    log_z = float(logsumexp(log_joint, axis=0))
-    q = np.exp(log_joint - log_z)
-    return log_z, q, q[:, None, None] * within
-
-
-def ref_viterbi(jin):
-    """Best pair; lowest intent, then lexicographically smallest path on ties."""
-    best = None
-    for y in range(jin.n_intents):
-        fe = apply_relation_mask(jin.f_o, jin.rm, y)
-        sm = ref_suffix_max(fe, jin.tm)
-        cand0 = jin.tm.start + fe[0] + sm[0]
-        total = jin.lam * jin.f_l[y] + np.max(cand0)
-        if best is None or total > best[0]:
-            best = (total, y, fe, sm, cand0)
-    _, y, fe, sm, cand0 = best
-    path = [int(np.argmax(cand0))]
-    acc = jin.tm.start[path[0]] + fe[0, path[0]]
-    for i in range(1, jin.n_positions):
-        cand = acc + jin.tm.trans[path[-1]] + fe[i] + sm[i]
-        path.append(int(np.argmax(cand)))
-        acc = acc + jin.tm.trans[path[-2], path[-1]] + fe[i, path[-1]]
-    return y, path, joint_score(y, np.array(path), jin)
+def masked_last_intent(m, scale, bio):
+    """Y=7, T=79 (the SNIPS-shaped BIO space) scores for an m-token query,
+    and their integer-rounded copy, which makes exact ties between paths and
+    intents.  The last intent may use I-type0 only: infeasible under BIO
+    (an I-label cannot open a sequence), feasible without it."""
+    rng = np.random.default_rng([m, int(scale), bio])
+    t_n = SNIPS_SPACE.n_slots
+    tm = build_transition_mask(SNIPS_SPACE) if bio else permissive_transition_mask(t_n)
+    rm = rng.random((7, t_n)) < 0.3
+    rm[:, 0] = True
+    rm[-1] = False
+    rm[-1, SNIPS_SPACE.slot_id("I-type0")] = True
+    f_l = scale * rng.standard_normal(7)
+    f_o = scale * rng.standard_normal((m, t_n))
+    return [JointScoreInputs(fl, fo, RelationMask(rm, True), tm, 1.0)
+            for fl, fo in ((f_l, f_o), (np.round(f_l), np.round(f_o)))]
 
 
 class TestLargeInstancesAgainstReference:
-    """Y=7, T=79 (SNIPS-shaped BIO space) against the dense reference."""
+    """Y=7, T=79 (SNIPS-shaped BIO space) against the dense reference, bit
+    for bit."""
 
     @pytest.mark.parametrize("bio", [True, False], ids=["bio", "permissive"])
     @pytest.mark.parametrize("scale", [1.0, 30.0, 1e3])
     @pytest.mark.parametrize("m", [12, 40])
     def test_partition_marginals_and_viterbi(self, m, scale, bio):
-        rng = np.random.default_rng([m, int(scale), bio])
-        t_n = SNIPS_SPACE.n_slots
-        tm = build_transition_mask(SNIPS_SPACE) if bio else permissive_transition_mask(t_n)
-        rm = rng.random((7, t_n)) < 0.3
-        rm[:, 0] = True
-        # the last intent may use I-type0 only: infeasible under BIO (an
-        # I-label cannot open a sequence), feasible without it
-        rm[-1] = False
-        rm[-1, SNIPS_SPACE.slot_id("I-type0")] = True
-        f_l = scale * rng.standard_normal(7)
-        f_o = scale * rng.standard_normal((m, t_n))
-        # integer-rounded copies make exact ties between paths and intents
-        for fl, fo in ((f_l, f_o), (np.round(f_l), np.round(f_o))):
-            jin = JointScoreInputs(fl, fo, RelationMask(rm, True), tm, 1.0)
-            log_z, q, unary = ref_log_partition(jin)
+        for jin in masked_last_intent(m, scale, bio):
+            log_z, q, unary = ref_log_partition_dense(jin)
             post = log_partition(jin)
-            assert abs(post.log_z - log_z) <= 1e-12 * abs(log_z)
-            np.testing.assert_allclose(post.intent_marginals, q, rtol=0, atol=1e-9)
-            np.testing.assert_allclose(post.slot_unary_marginals, unary, rtol=0, atol=1e-9)
+            assert post.log_z == log_z
+            np.testing.assert_array_equal(post.intent_marginals, q)
+            np.testing.assert_array_equal(post.slot_unary_marginals, unary)
             if bio:
                 assert np.all(post.slot_unary_marginals[-1] == 0.0)
             y, path, score = viterbi_decode(jin)
@@ -632,6 +572,70 @@ def test_viterbi_on_masks_with_many_closed_columns():
         y, path, score = viterbi_decode(jin)
         assert (y, [int(o) for o in path], score) == ref_viterbi(jin)
     assert no_open and many_closed
+
+
+def assert_completions_match_dense(jin):
+    """Every packed row of _suffix_max's (T, N, Y) completions equals the
+    dense reference's for its query and position under every intent."""
+    lengths = np.array([jin.n_positions]) if jin.lengths is None else jin.lengths
+    f_l, ends = jin.f_l.reshape(lengths.size, -1), np.cumsum(lengths)
+    dense = np.concatenate([ref_completions(JointScoreInputs(f_l[n], jin.f_o[end - m : end], jin.rm, jin.tm))
+                            for n, (m, end) in enumerate(zip(lengths, ends))], axis=1)  # (Y, N, T)
+    pk = _pack(jin)
+    np.testing.assert_array_equal(_suffix_max(pk.fe, jin.tm, pk.live, pk.starts),
+                                  dense[:, pk.src].transpose(2, 1, 0))
+
+
+class TestPackedCompletions:
+    """The max-plus sweep's completions row by row, not only through the
+    decode that reads them; ragged batches list their queries unsorted,
+    with repeats and 1-token queries."""
+
+    @pytest.mark.parametrize("bio", [True, False], ids=["bio", "permissive"])
+    @pytest.mark.parametrize("y_n, t_n", [(2, 9), (7, 79)])
+    def test_ragged_batches(self, y_n, t_n, bio):
+        tm = build_transition_mask(bio_space(y_n, t_n)) if bio else permissive_transition_mask(t_n)
+        rng = np.random.default_rng([y_n, t_n, bio])
+        rm = rng.random((y_n, t_n)) < 0.3
+        rm[:, 0] = True
+        for scale, lengths in itertools.product((1.0, 30.0), [(1,), (5,), (1, 6), (3, 1, 9, 4, 9, 1, 12, 5)]):
+            f_l = scale * rng.standard_normal((len(lengths), y_n))
+            f_o = scale * rng.standard_normal((sum(lengths), t_n))
+            for fl, fo in ((f_l, f_o), (np.round(f_l), np.round(f_o))):
+                assert_completions_match_dense(
+                    JointScoreInputs(fl, fo, RelationMask(rm, True), tm, 1.0, np.array(lengths)))
+
+    @pytest.mark.parametrize("bio", [True, False], ids=["bio", "permissive"])
+    def test_masked_last_intent(self, bio):
+        """TestLargeInstancesAgainstReference's inputs, each alone, and their
+        scores in one batch under the first one's masks."""
+        for scale in (1.0, 30.0, 1e3):
+            queries = [jin for m in (40, 12) for jin in masked_last_intent(m, scale, bio)]
+            for jin in queries:
+                assert_completions_match_dense(jin)
+            assert_completions_match_dense(JointScoreInputs(
+                np.stack([jin.f_l for jin in queries]), np.concatenate([jin.f_o for jin in queries]),
+                queries[0].rm, queries[0].tm, 1.0, np.array([jin.n_positions for jin in queries])))
+
+    def test_beyond_bio(self):
+        """Masks with no open column, and rows with several closed
+        successors (K > 1); the diagonal keeps every constant path
+        feasible."""
+        rng = np.random.default_rng(19)
+        no_open = many_closed = 0
+        for _ in range(40):
+            t_n, lengths = int(rng.integers(2, 12)), rng.integers(1, 8, size=int(rng.integers(1, 6)))
+            allowed = rng.random((t_n, t_n)) < rng.uniform(0.1, 0.9)
+            np.fill_diagonal(allowed, True)
+            tm = TransitionMask(np.where(allowed, 1.0, NEG_INF), np.ones(t_n))
+            no_open += tm.open_cols.size == 0
+            many_closed += tm.closed_succ.shape[1] > 2
+            rm = rng.random((3, t_n)) < 0.7
+            rm[np.arange(3), rng.integers(t_n, size=3)] = True
+            f_o = np.round(rng.standard_normal((lengths.sum(), t_n)))
+            assert_completions_match_dense(JointScoreInputs(
+                rng.standard_normal((lengths.size, 3)), f_o, RelationMask(rm, False), tm, 1.0, lengths))
+        assert no_open and many_closed
 
 
 class TestTransitionStructure:

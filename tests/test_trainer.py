@@ -6,7 +6,7 @@ import pytest
 import jmrm.encoder
 import jmrm.lattice
 import jmrm.trainer
-from jmrm.core import Episode, LabelMismatch, LabelSpace, MalformedInput, Sample
+from jmrm.core import Episode, LabelMismatch, LabelSpace, LengthMismatch, MalformedInput, Sample
 from jmrm.encoder import EncoderConfig, init_encoder
 from jmrm.episodes import SynthSpec, build_episode, generate_synthetic
 from jmrm.lattice import InfeasibleGold, JointScoreInputs, NonFiniteScores, nll_loss
@@ -151,16 +151,38 @@ class TestComputeLoss:
         result = train([ep], [ep], trainable, RunConfig(max_steps=2, eval_every=1, batch_size=1))
         assert result.skipped_queries >= 1
 
+    @staticmethod
+    def scored_alone(query, loss_mode):
+        ls = LabelSpace(("a",), ("O", "B-x", "I-x"))
+        ep = Episode((make_sample(ls, "play big band", "a", "O B-x I-x"),), (), ls, "ids")
+        cfg = RunConfig(loss_mode=loss_mode)
+        return compute_loss(query, build_context(ep, frozen_encoder(), cfg), cfg)
+
     @pytest.mark.parametrize("loss_mode", ["joint", "sum_sep", "seq_ce"])
     @pytest.mark.parametrize("intent, bad_slot", [(0, -1), (0, 3), (-1, 2), (1, 2)])
     def test_gold_ids_outside_the_label_space_raise(self, loss_mode, intent, bad_slot):
         # indexing would read -1 as I-x, the last label, and 3 as an IndexError
-        ls = LabelSpace(("a",), ("O", "B-x", "I-x"))
-        ep = Episode((make_sample(ls, "play big band", "a", "O B-x I-x"),), (), ls, "ids")
         query = Sample(("big", "band"), intent, (1, bad_slot))
-        cfg = RunConfig(loss_mode=loss_mode)
-        with pytest.raises(LabelMismatch, match="outside the episode's 1 intents and 3 slot"):
-            compute_loss(query, build_context(ep, frozen_encoder(), cfg), cfg)
+        with pytest.raises(LabelMismatch, match=f"^query for episode 'ids' sample 0: intent {intent} "
+                           rf"or slots \(1, {bad_slot}\) outside 1 intents and 3 slot labels$"):
+            self.scored_alone(query, loss_mode)
+
+    @pytest.mark.parametrize("loss_mode", ["joint", "sum_sep", "seq_ce"])
+    @pytest.mark.parametrize("tokens, intent, slots, error", [
+        (("big", "band"), 0, (1,), LengthMismatch),  # sum_sep indexed past the slots
+        (("big",), 0, (1, 2), LengthMismatch),
+        (("big", "band"), 0.0, (1, 2), LabelMismatch),  # a float intent indexed nothing
+        (("big", "band"), 0, (1.0, 2), LabelMismatch),  # a whole-float slot id passed
+        (("big", "band"), 0, (True, 2), LabelMismatch),  # a bool slot id passed as 1
+        (("big", "band"), 2**70, (1, 2), LabelMismatch),  # beyond intp
+        (("big", "band"), 0, (1, -2**70), LabelMismatch),
+    ], ids=["fewer-slots", "more-slots", "float-intent", "float-slot", "bool-slot", "huge-intent",
+            "huge-slot"])
+    def test_query_scored_alone_takes_the_sample_rule(self, loss_mode, tokens, intent, slots, error):
+        """A query that no Episode checked meets the sample rule before any
+        loss mode reads it: the typed error an Episode raises, naming it."""
+        with pytest.raises(error, match="^query for episode 'ids' sample 0: "):
+            self.scored_alone(Sample(tokens, intent, slots), loss_mode)
 
     def test_seq_ce_and_sum_sep_modes_run(self, small_episode):
         enc = frozen_encoder()

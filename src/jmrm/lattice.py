@@ -16,15 +16,14 @@ slots and Viterbi paths (N,).
 Inside, the dynamic programs run on one packed layout (_Packed).  The
 queries are ordered longest first, stably, so the queries that run
 through a position are a prefix of that order.  A packed row holds one
-(query, position) pair, position-major, and every packed array is
-indexed label-major, (T, N, Y): position i's rows are [:, starts[i] :
-starts[i] + live[i]], the sorted queries 0 .. live[i] - 1, and the first
-live[i + 1] of them run on to position i + 1.  The masked emissions fe,
-the forward and backward scores and the best completions all take that
-layout; fe and the backward scores are views of query-major (N, Y, T)
-memory, as apply_relation_mask and the backward's contiguous row sums
-lay it out.  Each program is one sweep over positions for every intent
-and every live query at once, and each gather takes whole label rows.
+(query, position) pair, position-major: position i's rows are starts[i]
+.. starts[i] + live[i] - 1, the sorted queries 0 .. live[i] - 1, and the
+first live[i + 1] of them run on to position i + 1.  The sum-product
+sweeps index their arrays label-major, (T, N, Y): the masked emissions fe
+and the forward and backward scores, where fe and the backward scores
+are views of query-major (N, Y, T) memory, as apply_relation_mask and the
+backward's contiguous row sums lay it out.  Each program is one sweep
+over positions for every intent and every live query at once.
 The sweeps run on the mask's open/closed form (TransitionMask), not on
 the dense (T, T) transitions, with outputs bit-identical to the dense
 recursions.  The sum-product sweeps give log Z and the marginals:
@@ -42,8 +41,14 @@ recursions.  The sum-product sweeps give log Z and the marginals:
     exponentiated; the rest stay at the exp(-inf) = 0 they stand for.
 
 The max-plus sweep, _suffix_max, gives the best completions that Viterbi
-reads greedily: one max over the open columns and one over the closed
-successors per position, O(Y T (K+1)) instead of O(Y T^2).
+reads greedily.  Both run on each intent's own labels (IntentLabels): its
+T_y allowed ids, ascending, padded with -inf to W = max_y T_y, row-major
+(N, Y, W), so each position's completions are one contiguous block.  A
+position costs one max over the open columns and one over the closed
+successors, O(Y W (K+1)) instead of O(Y T^2); W is T when an intent
+allows every label.  Maxima do not round and the dropped cells are -inf,
+so every allowed cell holds the dense recursion's value, and the
+ascending order keeps its first-maximizer ties.
 
 A batch changes no bit.  Every step is elementwise along the query and
 label axes, or a reduction whose grouping does not depend on them: the
@@ -63,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import LabelMismatch, LengthMismatch
-from .masks import NEG_INF, RelationMask, TransitionMask, apply_relation_mask
+from .masks import NEG_INF, IntentLabels, RelationMask, TransitionMask, apply_relation_mask, intent_labels
 
 
 class InfeasibleGold(ValueError):
@@ -177,8 +182,7 @@ class _Packed:
 
     Sorted query s is query order[s], of length lengths[s].  Packed row r
     is sorted query rank[r], at row src[r] of f_o; position i's rows are
-    the live[i] from starts[i].  fe holds each row's relation-masked
-    emissions, (T, N, Y).
+    the live[i] from starts[i], and sorted query s ends at row last[s].
     """
 
     order: np.ndarray
@@ -187,7 +191,7 @@ class _Packed:
     src: np.ndarray
     live: list[int]
     starts: list[int]
-    fe: np.ndarray
+    last: np.ndarray
 
 
 def _pack(jin: JointScoreInputs) -> _Packed:
@@ -197,8 +201,9 @@ def _pack(jin: JointScoreInputs) -> _Packed:
     pos, rank = np.nonzero(np.arange(lengths[0])[:, None] < lengths)
     live = np.bincount(pos)
     src = first[rank] + pos
-    fe = apply_relation_mask(jin.f_o[src][:, None, None], jin.rm, slice(None))[:, :, 0].transpose(2, 0, 1)
-    return _Packed(order, lengths, rank, src, live.tolist(), (np.cumsum(live) - live).tolist(), fe)
+    starts = np.cumsum(live) - live
+    return _Packed(order, lengths, rank, src, live.tolist(), starts.tolist(),
+                   starts[lengths - 1] + np.arange(lengths.size))
 
 
 def _gold(
@@ -327,26 +332,36 @@ def _backward(
     return beta.transpose(2, 0, 1)
 
 
-def _suffix_max(fe: np.ndarray, tm: TransitionMask, live: list[int], starts: list[int]) -> np.ndarray:
-    """Best completion after t_i = o, right to left over the packed fe.
+def _suffix_max(fe: np.ndarray, il: IntentLabels, live: list[int], starts: list[int]) -> np.ndarray:
+    """Best completion after t_i = o, right to left over the packed fe, on
+    each intent's own labels: fe and h are (N, Y, W), row-major, so each
+    position's completions are one contiguous block.
 
     h = 0 at a query's last position, and before it h[o] = 1 + max of
-    fe[p] + h[p] one position on, over the p that may follow o.  Per
-    position that is one max over tm.open_cols, stored in the sentinel row
-    T, and one max over the gather of tm.closed_succ, whose rows all end
-    with T: O(Y T (K+1)) instead of O(Y T^2).  Every allowed transition
-    scores exactly 1 and rounding is monotone, so adding it after the max
-    equals the dense max_p(trans[o, p] + ...) bit for bit.
+    fe[p] + h[p] one position on, over the p that may follow o.  Each
+    step's ahead holds one plane (IntentLabels) per live query: fe + h of
+    every (intent, column), then each intent's max over its open columns,
+    which il.open_score keeps, in its sentinel.  One gather of il.succ then
+    reads each column's closed successors and its sentinel: O(Y W (K+1))
+    instead of O(Y T^2).  Every allowed transition scores exactly 1 and
+    rounding is monotone, so adding it after the max equals the dense
+    max_p(trans[o, p] + ...) bit for bit; the dropped labels are -inf, and
+    maxima do not round, so every allowed (intent, label) cell is the
+    dense recursion's.
     """
-    t, n, y = fe.shape
-    h = np.zeros((t, n, y))
-    buf = np.empty((t + 1) * live[0] * y)  # reshaped per width, so each step's ahead is contiguous
-    for i in range(len(live) - 2, -1, -1):
-        k, a, nxt = live[i + 1], starts[i], starts[i + 1]
-        ahead = buf[: (t + 1) * k * y].reshape(t + 1, k, y)
-        np.add(fe[:, nxt : nxt + k], h[:, nxt : nxt + k], ahead[:t])
-        ahead[t] = _max(ahead.take(tm.open_cols, 0), 0, initial=NEG_INF)
-        np.add(_max(ahead.take(tm.closed_succ, 0), 1), 1.0, h[:, a : a + k])
+    n, y, w = fe.shape
+    yw = y * w
+    h = np.zeros((n, y, w))
+    fe_rows, h_rows, open_score = fe.reshape(n, yw), h.reshape(n, yw), il.open_score.reshape(yw)
+    ahead, opened = np.empty((live[0], yw + y)), np.empty((live[0], yw))
+    cells, best_open, open_cells = ahead[:, :yw], ahead[:, yw:], opened.reshape(-1, y, w)
+    for k, a, nxt in zip(live[:0:-1], starts[-2::-1], starts[:0:-1]):
+        now = h[a : a + k]
+        np.add(fe_rows[nxt : nxt + k], h_rows[nxt : nxt + k], cells[:k])
+        np.add(cells[:k], open_score, opened[:k])
+        _max(open_cells[:k], 2, out=best_open[:k])
+        _max(ahead[:k].take(il.succ, 1), 1, out=now)
+        now += 1.0
     return h
 
 
@@ -362,15 +377,16 @@ def log_partition(jin: JointScoreInputs) -> JointPosterior:
     f_o.
     """
     pk = _pack(jin)
+    # each packed row's relation-masked emissions, (T, N, Y)
+    fe = apply_relation_mask(jin.f_o[pk.src][:, None, None], jin.rm, slice(None))[:, :, 0].transpose(2, 0, 1)
     q, y, t = pk.lengths.size, jin.n_intents, jin.n_slots
     with np.errstate(divide="ignore"):
-        alpha = _forward(pk.fe, jin.tm, pk.live, pk.starts)
-        beta = _backward(pk.fe, jin.tm, jin.rm.rm, pk.live, pk.starts)
+        alpha = _forward(fe, jin.tm, pk.live, pk.starts)
+        beta = _backward(fe, jin.tm, jin.rm.rm, pk.live, pk.starts)
     intent_score = jin.lam * jin.f_l.reshape(q, y)[pk.order]
     # each query's last row, C-ordered (Q, Y, T) as the dense code's rows
     # were: logsumexp sums each contiguous row pairwise
-    last_rows = np.array(pk.starts)[pk.lengths - 1] + np.arange(q)
-    last = np.ascontiguousarray(alpha.transpose(1, 2, 0)[last_rows])
+    last = np.ascontiguousarray(alpha.transpose(1, 2, 0)[pk.last])
     log_joint = intent_score + logsumexp(last, axis=-1)
     log_z = logsumexp(log_joint, axis=-1)
     if np.any(log_z == NEG_INF):
@@ -461,27 +477,40 @@ def viterbi_decode(
     order, rank = pk.order, pk.rank
     q, y = order.size, jin.n_intents
     f_l = jin.f_l.reshape(q, y)[order]
-    h = _suffix_max(pk.fe, jin.tm, pk.live, pk.starts)
-    # position 0's rows hold every query, (Q, Y, T)
-    first = jin.tm.start + pk.fe[:, :q].transpose(1, 2, 0) + h[:, :q].transpose(1, 2, 0)
+    il = intent_labels(jin.rm, jin.tm)
+    # each packed row's relation-masked emissions on each intent's own
+    # labels, (N, Y, W), column w of intent y being label il.labels[y, w]
+    fe = apply_relation_mask(jin.f_o.take(pk.src, 0).take(il.labels, 1)[:, :, None], il.rm, slice(None))[:, :, 0]
+    h = _suffix_max(fe, il, pk.live, pk.starts)
+    # position 0's rows hold every query
+    first = jin.tm.start[il.labels] + fe[:q] + h[:q]
     totals = jin.lam * f_l + _max(first, 2)
     if np.any(_max(totals, 1) == NEG_INF):
         raise InfeasibleLattice("every (intent, slot sequence) pair is masked")
     best_y = np.argmax(totals, axis=1)
-    # each row's emissions and best completions under its query's intent, (N, T)
-    chosen = (np.arange(rank.size), best_y[rank])
-    fe, h = pk.fe.transpose(1, 2, 0)[chosen], h.transpose(1, 2, 0)[chosen]
-    path = np.empty(rank.size, dtype=int)
-    acc, into, a, queries = np.zeros((q, 1)), jin.tm.start[None], 0, np.arange(q)
+    # each row's emissions and best completions under its query's intent,
+    # (N, W), and each query's labels, (Q, W)
+    n, width = rank.size, il.labels.shape[1]
+    chosen = np.arange(0, n * y, y) + best_y[rank]
+    fe, h = fe.reshape(n * y, width).take(chosen, 0), h.reshape(n * y, width).take(chosen, 0)
+    labels = il.labels[best_y]
+    # query s's transitions out of its column w are row s W + w, which is
+    # also the flat index of its reach[w]
+    trans = jin.tm.trans[labels[:, :, None], labels[:, None, :]].reshape(q * width, width)
+    path, run = np.empty(n, dtype=int), np.empty(n)
+    # into: each live query's running sum so far plus its transition into
+    # each column; at position 0 that is 0 + START, which is START exactly
+    into, a, cols = jin.tm.start[labels], 0, np.arange(0, q * width, width)
     for k in pk.live:
-        # each live query's running sum through t_i = o, then its best completion
-        reach = acc[:k] + into[:k] + fe[a : a + k]
-        o = path[a : a + k] = np.argmax(reach + h[a : a + k], axis=1)
-        acc[:k, 0] = reach[queries[:k], o]
-        into, a = jin.tm.trans.take(o, 0), a + k
-    score = jin.lam * f_l[queries, best_y] + acc[:, 0]
+        # each live query's running sum through column w, then its best
+        # completion; run keeps the sum through the chosen column
+        reach = into[:k] + fe[a : a + k]
+        w = np.argmax(reach + h[a : a + k], axis=1, out=path[a : a + k])
+        at = cols[:k] + w
+        into, a = reach.take(at, out=run[a : a + k])[:, None] + trans.take(at, 0), a + k
+    score = jin.lam * f_l[np.arange(q), best_y] + run[pk.last]
     ys, scores, paths = np.empty_like(best_y), np.empty_like(score), np.empty_like(path)
-    ys[order], scores[order], paths[pk.src] = best_y, score, path
+    ys[order], scores[order], paths[pk.src] = best_y, score, labels[rank, path]
     if jin.batched:
         return ys, paths, scores
     return int(ys[0]), paths, float(scores[0])

@@ -7,7 +7,9 @@ only turns the label space's BIO rule (LabelSpace.may_follow, may_start)
 into scores: 1 for every legal slot adjacency, -inf for every illegal one,
 and a virtual START row that bans I-labels from opening a sequence.  The
 score-1 convention means every feasible length-m sequence accrues the same
-additive constant, so the joint softmax is unaffected by it.
+additive constant, so the joint softmax is unaffected by it.  Viterbi
+decodes on each intent's own labels (IntentLabels), which both masks
+together give.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ class TransitionMask:
     the lattice sweeps run on:
 
     open_cols    the columns every row allows (O and every B-X under BIO)
+    is_open      (T,): True at the open columns
     closed_cols  the other columns, ascending (every I-X under BIO)
     closed_succ  (T, K+1): row o's allowed columns that are not open, then
                  the sentinel index T, repeated to pad the row; K is the
@@ -55,6 +58,7 @@ class TransitionMask:
     trans: np.ndarray  # (T, T), entries in {1, -inf}
     start: np.ndarray  # (T,), entries in {1, -inf}
     open_cols: np.ndarray = field(init=False, repr=False, compare=False)
+    is_open: np.ndarray = field(init=False, repr=False, compare=False)
     closed_cols: np.ndarray = field(init=False, repr=False, compare=False)
     closed_succ: np.ndarray = field(init=False, repr=False, compare=False)
     closed_pred: np.ndarray = field(init=False, repr=False, compare=False)
@@ -89,7 +93,7 @@ class TransitionMask:
         row_class = np.empty(t, dtype=np.intp)
         row_class[order] = np.cumsum(first) - 1
         for name, value in (("trans", trans), ("start", start), ("open_cols", np.flatnonzero(is_open)),
-                            ("closed_cols", closed_cols), ("closed_succ", closed_succ),
+                            ("is_open", is_open), ("closed_cols", closed_cols), ("closed_succ", closed_succ),
                             ("closed_pred", closed_pred), ("row_class", row_class),
                             ("row_rep", order[first])):
             value.flags.writeable = False
@@ -103,6 +107,51 @@ def _padded_lists(keys: np.ndarray, values: np.ndarray, n: int, t: int) -> np.nd
     out = np.full((n, pos.max(initial=-1) + 2), t)
     out[keys, pos] = values
     return out
+
+
+@dataclass(frozen=True)
+class IntentLabels:
+    """Each intent's allowed slot labels as a label axis of its own, and the
+    transition mask's open/closed form on it.
+
+    Column w of intent y is label labels[y, w].  An intent's T_y allowed
+    labels come first, ascending, so a first maximizer along its axis is the
+    smallest such id; banned labels pad the row to W = max_y T_y.  A sweep
+    row is a plane of Y W + Y values: intent y's column w at y W + w, then
+    each intent's sentinel at Y W + y.
+
+    labels      (Y, W) slot ids
+    rm          the relation mask on these columns: column w of intent y
+                is allowed iff w < T_y
+    open_score  (Y, W): 0 where the label is one of TransitionMask.open_cols,
+                -inf elsewhere
+    succ        (K+1, Y, W): the plane index of each of the label's
+                TransitionMask.closed_succ within its intent.  A banned
+                successor reads the intent's sentinel, as the padding T
+                does, or, if it pads the row, its own column, which the
+                masked emissions hold at -inf
+    """
+
+    labels: np.ndarray
+    rm: RelationMask
+    open_score: np.ndarray
+    succ: np.ndarray
+
+
+def intent_labels(rm: RelationMask, tm: TransitionMask) -> IntentLabels:
+    """Each intent's allowed labels, listed by rm, under tm."""
+    allowed = rm.rm
+    y, t = allowed.shape
+    w = max(int(allowed.sum(axis=1).max()), 1)
+    labels = np.argsort(~allowed, axis=1, kind="stable")[:, :w]  # allowed first, each part ascending
+    rows = np.arange(y)[:, None]
+    # each label's plane index within each intent: its column if the row
+    # lists it, else the intent's sentinel, as for closed_succ's padding T
+    plane = np.repeat(y * w + rows, t + 1, axis=1)
+    plane[rows, labels] = np.arange(y * w).reshape(y, w)
+    return IntentLabels(labels, RelationMask(allowed[rows, labels], rm.forced_o),
+                        np.where(tm.is_open[labels], 0.0, NEG_INF),
+                        np.ascontiguousarray(plane[rows, tm.closed_succ.T[:, labels]]))
 
 
 def build_relation_mask(

@@ -28,7 +28,9 @@ from jmrm.masks import (
     RelationMask,
     TransitionMask,
     all_ones_relation_mask,
+    apply_relation_mask,
     build_transition_mask,
+    intent_labels,
     permissive_transition_mask,
 )
 from jmrm.oracles import random_instance
@@ -575,15 +577,21 @@ def test_viterbi_on_masks_with_many_closed_columns():
 
 
 def assert_completions_match_dense(jin):
-    """Every packed row of _suffix_max's (T, N, Y) completions equals the
-    dense reference's for its query and position under every intent."""
+    """Every packed row's best completions, _suffix_max's (N, Y, W), equal
+    the dense reference's for its query and position on every allowed
+    (intent, label) cell."""
     lengths = np.array([jin.n_positions]) if jin.lengths is None else jin.lengths
     f_l, ends = jin.f_l.reshape(lengths.size, -1), np.cumsum(lengths)
     dense = np.concatenate([ref_completions(JointScoreInputs(f_l[n], jin.f_o[end - m : end], jin.rm, jin.tm))
                             for n, (m, end) in enumerate(zip(lengths, ends))], axis=1)  # (Y, N, T)
     pk = _pack(jin)
-    np.testing.assert_array_equal(_suffix_max(pk.fe, jin.tm, pk.live, pk.starts),
-                                  dense[:, pk.src].transpose(2, 1, 0))
+    il = intent_labels(jin.rm, jin.tm)
+    fe = apply_relation_mask(jin.f_o[pk.src][:, il.labels][:, :, None], il.rm, slice(None))[:, :, 0]
+    h = _suffix_max(fe, il, pk.live, pk.starts)
+    allowed = il.rm.rm
+    assert allowed.sum() == jin.rm.rm.sum()  # each allowed (intent, label) once
+    want = dense[np.arange(jin.n_intents)[:, None], :, il.labels][..., pk.src]  # (Y, W, N), packed row order
+    np.testing.assert_array_equal(h[:, allowed], want[allowed].T)
 
 
 class TestPackedCompletions:
@@ -636,6 +644,118 @@ class TestPackedCompletions:
             assert_completions_match_dense(JointScoreInputs(
                 rng.standard_normal((lengths.size, 3)), f_o, RelationMask(rm, False), tm, 1.0, lengths))
         assert no_open and many_closed
+
+
+def assert_decodes_match_dense(jin):
+    """One viterbi_decode call on a batch gives each query the dense
+    reference's (y, path, score), bit for bit."""
+    ys, paths, scores = viterbi_decode(jin)
+    f_l, ends = jin.f_l.reshape(jin.lengths.size, -1), np.cumsum(jin.lengths)
+    for n, (m, end) in enumerate(zip(jin.lengths, ends)):
+        y, path, score = ref_viterbi(JointScoreInputs(f_l[n], jin.f_o[end - m : end], jin.rm, jin.tm))
+        assert (int(ys[n]), paths[end - m : end].tolist(), scores[n]) == (y, path, score)
+
+
+class TestIntentAxes:
+    """Viterbi on each intent's own labels against the dense references:
+    decodes and every allowed completion, bit for bit, on ragged batches
+    with one-row queries, each also integer-rounded to make exact ties."""
+
+    LENGTHS = [(1,), (1, 1, 1), (3, 1, 9, 4, 1, 12)]
+
+    def check(self, rm, tm, seed, scales=(1.0, 30.0)):
+        rng = np.random.default_rng(seed)
+        relation = RelationMask(rm, False)
+        for scale, lengths in itertools.product(scales, self.LENGTHS):
+            f_l = scale * rng.standard_normal((len(lengths), rm.shape[0]))
+            f_o = scale * rng.standard_normal((sum(lengths), rm.shape[1]))
+            for fl, fo in ((f_l, f_o), (np.round(f_l), np.round(f_o))):
+                jin = JointScoreInputs(fl, fo, relation, tm, 1.0, np.array(lengths))
+                assert_decodes_match_dense(jin)
+                assert_completions_match_dense(jin)
+
+    @pytest.mark.parametrize("bio", [True, False], ids=["bio", "permissive"])
+    def test_label_sets_of_every_size(self, bio):
+        """T_y from 1 (O alone) to T - 1, the others padded to it; then
+        with one intent allowing every label, so W = T."""
+        ls = bio_space(4, 15)
+        tm = build_transition_mask(ls) if bio else permissive_transition_mask(15)
+        rm = np.zeros((4, 15), dtype=bool)
+        rm[:, ls.o_id] = True
+        rm[1, [ls.slot_id("B-type2"), ls.slot_id("I-type2")]] = True
+        rm[2, 1::3] = True
+        rm[3, 1:] = True
+        rm[3, ls.slot_id("I-type4")] = False
+        il = intent_labels(RelationMask(rm, True), tm)
+        assert il.labels.shape == (4, 14) and il.rm.rm.sum(axis=1).tolist() == [1, 3, 6, 14]
+        self.check(rm, tm, 1)
+        rm[3] = True
+        self.check(rm, tm, 6)
+
+    @pytest.mark.parametrize("bio", [True, False], ids=["bio", "permissive"])
+    def test_all_allowed(self, bio):
+        """The identity compaction: W = T and every intent lists 0 .. T-1."""
+        tm = build_transition_mask(bio_space(3, 9)) if bio else permissive_transition_mask(9)
+        il = intent_labels(all_ones_relation_mask(3, 9), tm)
+        assert il.labels.tolist() == [list(range(9))] * 3 and il.rm.rm.all()
+        self.check(np.ones((3, 9), dtype=bool), tm, 2)
+
+    def test_inside_label_without_its_begin(self):
+        """I-X allowed, B-X not: I-X can only follow I-X, so it never opens
+        a span; under BIO the intent's best path avoids it."""
+        ls = bio_space(3, 9)
+        rm = np.zeros((3, 9), dtype=bool)
+        rm[:, ls.o_id] = True
+        rm[0, [ls.slot_id("I-type0"), ls.slot_id("B-type1"), ls.slot_id("I-type1")]] = True
+        rm[1, ls.slot_id("I-type3")] = True
+        rm[2, [ls.slot_id("I-type2"), ls.slot_id("I-type3")]] = True
+        self.check(rm, build_transition_mask(ls), 3)
+
+    def test_labels_not_grouped(self):
+        """O not at id 0, and no B-X next to its I-X."""
+        rng = np.random.default_rng(4)
+        names = ["O"] + [f"{p}-type{k}" for k in range(5) for p in ("B", "I")]
+        while names[0] == "O" or any(abs(names.index(f"B-type{k}") - names.index(f"I-type{k}")) == 1
+                                     for k in range(5)):
+            names = [names[i] for i in rng.permutation(len(names))]
+        ls = LabelSpace(("a", "b", "c"), tuple(names))
+        rm = rng.random((3, 11)) < 0.5
+        rm[:, ls.o_id] = True
+        self.check(rm, build_transition_mask(ls), 5)
+
+    def test_beyond_bio(self):
+        """40 masks with no open column, or rows with several closed
+        successors (K > 1); the diagonal keeps every constant path
+        feasible, and every intent allows a label of its own.  Most ban a
+        label of every intent, so W < T."""
+        rng = np.random.default_rng(23)
+        no_open = many_closed = narrowed = 0
+        for n in range(40):
+            t_n = int(rng.integers(2, 12))
+            allowed = rng.random((t_n, t_n)) < rng.uniform(0.1, 0.9)
+            np.fill_diagonal(allowed, True)
+            tm = TransitionMask(np.where(allowed, 1.0, NEG_INF), np.ones(t_n))
+            no_open += tm.open_cols.size == 0
+            many_closed += tm.closed_succ.shape[1] > 2
+            rm = rng.random((3, t_n)) < 0.5
+            rm[np.arange(3), rng.integers(t_n, size=3)] = True
+            narrowed += not rm.all(axis=1).any()
+            self.check(rm, tm, 100 + n, scales=(1.0,))
+        assert no_open and many_closed and narrowed == 25
+
+    def test_ties_break_to_the_smallest_id(self):
+        """Equal emissions everywhere: every allowed label ties, and each
+        position takes the intent's smallest allowed id, whatever the order
+        of the label ids."""
+        rm = np.zeros((2, 9), dtype=bool)
+        rm[0, [7, 2, 5]] = True
+        rm[1, [8, 4]] = True
+        jin = JointScoreInputs(np.zeros((2, 2)), np.zeros((5, 9)), RelationMask(rm, False),
+                               permissive_transition_mask(9), 1.0, np.array([4, 1]))
+        ys, paths, _ = viterbi_decode(jin)
+        assert ys.tolist() == [0, 0] and paths.tolist() == [2] * 5
+        assert_decodes_match_dense(jin)
+        assert_completions_match_dense(jin)
 
 
 class TestTransitionStructure:

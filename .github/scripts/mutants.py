@@ -31,8 +31,8 @@ LATTICE_TESTS = ("tests/test_lattice.py",)
 MUTANTS = (
     ("intent labels listed descending",
      "src/jmrm/masks.py",
-     '    labels = np.argsort(~allowed, axis=1, kind="stable")[:, :w]  # allowed first, each part ascending\n',
-     '    labels = np.argsort(~allowed, axis=1, kind="stable")[:, :w]  # allowed first, each part ascending\n'
+     '    labels = (~allowed).argsort(axis=1, kind="stable")[:, :w]  # allowed first, each part ascending\n',
+     '    labels = (~allowed).argsort(axis=1, kind="stable")[:, :w]  # allowed first, each part ascending\n'
      "    labels[0, : allowed[0].sum()] = labels[0, : allowed[0].sum()][::-1].copy()\n",
      LATTICE_TESTS),
     ("intent padding not -inf",
@@ -49,6 +49,23 @@ MUTANTS = (
      "src/jmrm/lattice.py",
      "    h = np.zeros((n, y, w))\n",
      "    h = np.ones((n, y, w))\n",
+     LATTICE_TESTS),
+    # the same terms, each class row summed over its first W cells instead
+    # of at its labels across all T: a regrouping that moves only low bits
+    ("backward row sums over W columns, not T labels",
+     "src/jmrm/lattice.py",
+     "yr * t + il.labels[iy, iw]).ravel()",
+     "yr * t + iw).ravel()",
+     LATTICE_TESTS),
+    ("a banned predecessor reads the intent's sentinel",
+     "src/jmrm/lattice.py",
+     "    unlisted = np.where(il.plane < yw, il.plane, yw + y)\n",
+     "    unlisted = il.plane\n",
+     LATTICE_TESTS),
+    ("a closed predecessor dropped",
+     "src/jmrm/lattice.py",
+     "tm.closed_pred[il.labels.flat[closed]].T]",
+     "tm.closed_pred[il.labels.flat[closed]].T[1:]]",
      LATTICE_TESTS),
 )
 

@@ -18,37 +18,33 @@ queries are ordered longest first, stably, so the queries that run
 through a position are a prefix of that order.  A packed row holds one
 (query, position) pair, position-major: position i's rows are starts[i]
 .. starts[i] + live[i] - 1, the sorted queries 0 .. live[i] - 1, and the
-first live[i + 1] of them run on to position i + 1.  The sum-product
-sweeps index their arrays label-major, (T, N, Y): the masked emissions fe
-and the forward and backward scores, where fe and the backward scores
-are views of query-major (N, Y, T) memory, as apply_relation_mask and the
-backward's contiguous row sums lay it out.  Each program is one sweep
-over positions for every intent and every live query at once.
-The sweeps run on the mask's open/closed form (TransitionMask), not on
-the dense (T, T) transitions, with outputs bit-identical to the dense
-recursions.  The sum-product sweeps give log Z and the marginals:
+first live[i + 1] of them run on to position i + 1.  Every sweep runs on
+one label axis, each intent's own labels (IntentLabels): its T_y allowed
+ids, ascending, padded with -inf to W = max_y T_y (T when an intent
+allows every label).  fe and every sweep's scores are row-major
+(N, Y, W), so each position's scores are one contiguous block.  Each
+sweep runs over positions once, for every intent and live query at once,
+on the mask's open/closed form (TransitionMask), not on the dense (T, T)
+transitions.  Every allowed (intent, label) cell is bit-identical to the
+dense recursion's, where an unlisted label is -inf and its exp exactly 0:
 
+  - _suffix_max, the max-plus sweep, gives the best completions that
+    Viterbi reads greedily.  Maxima do not round, and the ascending order
+    keeps the dense first-maximizer ties.
   - _forward sums each column's predecessors in index order, as numpy does
-    the dense forward's strided sums.  One logsumexp over all T
-    predecessors serves every open column, and a gather of
-    TransitionMask.closed_pred serves the closed ones.  A banned
-    predecessor's term is exp(-inf) = 0, and adding 0 is exact, so leaving
-    it out keeps every bit.
+    the dense forward's strided sums: an open column reads its intent's
+    in-order sum over its columns, a closed one gathers its closed_pred.
+    Adding 0 is exact, so leaving out an unlisted label keeps every bit.
   - _backward's dense row sums are contiguous, so numpy sums them pairwise,
-    and there dropping a zero term would regroup the others.  It only
-    deduplicates: rows with the same successors are summed once per class
-    (TransitionMask.row_rep), whole.  Only the cells both masks allow are
-    exponentiated; the rest stay at the exp(-inf) = 0 they stand for.
+    and there dropping a zero would regroup the others.  So each row is
+    summed whole over all T labels, once per class of equal rows
+    (TransitionMask.row_rep); only the cells both masks allow are
+    exponentiated, read from the planes, and the rest stay 0.
 
-The max-plus sweep, _suffix_max, gives the best completions that Viterbi
-reads greedily.  Both run on each intent's own labels (IntentLabels): its
-T_y allowed ids, ascending, padded with -inf to W = max_y T_y, row-major
-(N, Y, W), so each position's completions are one contiguous block.  A
-position costs one max over the open columns and one over the closed
-successors, O(Y W (K+1)) instead of O(Y T^2); W is T when an intent
-allows every label.  Maxima do not round and the dropped cells are -inf,
-so every allowed cell holds the dense recursion's value, and the
-ascending order keeps its first-maximizer ties.
+A position costs O(Y W (K+1)) in _suffix_max and _forward, K the longest
+closed list, and O(Y R T) in _backward, not O(Y T^2).  log_partition
+takes log Z's last rows and the marginals back to all T labels at the
+end, where logsumexp and loss_gradients read them in the dense layout.
 
 A batch changes no bit.  Every step is elementwise along the query and
 label axes, or a reduction whose grouping does not depend on them: the
@@ -57,9 +53,11 @@ pairwise sum along each contiguous row, the per-row sums of logsumexp,
 and maxima, which do not round.  So each query's every value is rounded
 as in a call on that query alone.  Masked configurations carry IEEE -inf,
 whose exp is exactly 0, so they contribute exactly zero probability mass
-and never produce NaN: each logsumexp subtracts its max only when the max
-is finite.  Scores must be finite, so NaN and +inf are rejected where the
-inputs are built.
+and never produce NaN: each logsumexp subtracts its max where it is
+finite, and otherwise 0 (logsumexp) or the lowest double (the sweeps'
+sums, one numpy call cheaper), which leaves every exp 0 and the log -inf.
+Scores must be finite, so NaN and +inf are rejected where the inputs are
+built.
 """
 from __future__ import annotations
 
@@ -84,16 +82,17 @@ class NonFiniteScores(ValueError):
 
 
 _max = np.maximum.reduce  # np.max without its Python-level dispatch
+_LOWEST = np.finfo(float).min  # the sweeps' stand-in for an all -inf max (module docstring)
 
 
 def logsumexp(a: np.ndarray, axis: int = -1) -> np.ndarray:
     """log(sum(exp(a))) with max-subtraction; all -inf reduces to -inf, never NaN."""
     a = np.asarray(a, dtype=float)
-    m = np.max(a, axis=axis, keepdims=True)
+    m = _max(a, axis, keepdims=True)
     safe = np.where(np.isfinite(m), m, 0.0)
     with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(a - safe), axis=axis))
-    return out + np.squeeze(safe, axis=axis)
+        out = np.log(np.add.reduce(np.exp(a - safe), axis))  # np.sum's reduction, without its dispatch
+    return out + safe.squeeze(axis)
 
 
 @dataclass
@@ -249,105 +248,107 @@ def joint_score(
     return r if jin.batched else float(r[0])
 
 
-def _lse_in_order(a: np.ndarray) -> np.ndarray:
-    """logsumexp over axis 0, adding the terms in index order.
-
-    The same steps as logsumexp, but add.accumulate is sequential whatever
-    the shape, where a sum whose other axes are all of size 1 is pairwise.
-    """
-    mx = _max(a, 0)
-    safe = np.where(np.isfinite(mx), mx, 0.0)
-    return np.log(np.add.accumulate(np.exp(a - safe), 0)[-1]) + safe
+def _lse_in_order(a: np.ndarray, out: np.ndarray) -> None:
+    """logsumexp over axis 1 of a 3-D array into out, as logsumexp's steps,
+    but adding the terms in index order: add.accumulate is sequential,
+    where a sum along a contiguous axis is pairwise."""
+    mx = _max(a, 1)
+    safe = np.maximum(mx, _LOWEST)
+    np.add(np.log(np.add.accumulate(np.exp(a - safe[:, None]), 1)[:, -1]), safe, out)
 
 
-def _forward(fe: np.ndarray, tm: TransitionMask, live: list[int], starts: list[int]) -> np.ndarray:
-    """Forward scores, left to right over the packed fe.
+def _forward(fe: np.ndarray, il: IntentLabels, tm: TransitionMask, live: list[int], starts: list[int]) -> np.ndarray:
+    """Forward scores, left to right over the packed (N, Y, W) fe.
 
     At a query's first position alpha[o] = start[o] + fe[o], and one
     position on alpha[o] = logsumexp_p(trans[p, o] + alpha[p]) + fe[o],
-    summed over the allowed p in index order (see the module docstring).
-    The padding of tm.closed_pred reads the sentinel row T, held at -inf.
+    summed over the allowed p in index order.  Each step's plane holds
+    alpha + 1 of every (intent, column), each intent's sum over its
+    columns in its sentinel, one -inf cell, then each closed column's sum
+    over its closed_pred.  A predecessor the intent does not list reads
+    the -inf cell, never the sentinel, which a sum would count.  A column
+    that pads the row reads the sentinel, and its fe of -inf makes it -inf.
     Call under np.errstate(divide="ignore").
     """
-    t, n, y = fe.shape
-    open_cols, closed_cols = tm.open_cols, tm.closed_cols
-    pred = tm.closed_pred.T  # (J, C): axis 0 walks each column's predecessors
-    alpha = np.empty((t, n, y))
-    np.add(tm.start[:, None, None], fe[:, : live[0]], alpha[:, : live[0]])
-    ahead = np.empty((0, 0, 0))
+    n, y, w = fe.shape
+    yw = y * w
+    closed = (il.rm.rm & ~tm.is_open[il.labels]).ravel().nonzero()[0]
+    unlisted = np.where(il.plane < yw, il.plane, yw + y)
+    pred = unlisted[closed // w, tm.closed_pred[il.labels.flat[closed]].T]  # (J+1, C)
+    reads = (yw + np.arange(y)).repeat(w)  # the plane cell each column adds fe to
+    reads[closed] = yw + y + 1 + np.arange(closed.size)
+    alpha = np.empty((n, y, w))
+    np.add(tm.start[il.labels], fe[: live[0]], alpha[: live[0]])
+    fe_rows, alpha_rows = fe.reshape(n, yw), alpha.reshape(n, yw)
+    ahead = np.empty((0, 0))
     for a, back, k in zip(starts[1:], starts, live[1:]):
-        if ahead.shape[1] != k:  # a buffer per width; its sentinel row T stays -inf
-            ahead = np.full((t + 1, k, y), NEG_INF)
-        np.add(alpha[:, back : back + k], 1.0, ahead[:t])  # every allowed transition scores 1
-        now = alpha[:, a : a + k]
-        now[open_cols] = _lse_in_order(ahead[:t])
-        if closed_cols.size:
-            now[closed_cols] = _lse_in_order(ahead.take(pred, 0))
-        now += fe[:, a : a + k]
+        if ahead.shape[0] != k:  # a plane per width, and its views
+            ahead = np.empty((k, yw + y + 1 + closed.size))
+            ahead[:, yw + y] = NEG_INF
+            cells, open_sums, closed_sums = ahead[:, :yw], ahead[:, yw : yw + y], ahead[:, yw + y + 1 :]
+            columns = cells.reshape(k, y, w).transpose(0, 2, 1)
+        np.add(alpha_rows[back : back + k], 1.0, cells)  # every allowed transition scores 1
+        _lse_in_order(columns, open_sums)
+        if closed.size:
+            _lse_in_order(ahead.take(pred, 1), closed_sums)
+        np.add(ahead.take(reads, 1), fe_rows[a : a + k], alpha_rows[a : a + k])
     return alpha
 
 
-def _backward(
-    fe: np.ndarray, tm: TransitionMask, rm: np.ndarray, live: list[int], starts: list[int]
-) -> np.ndarray:
-    """Backward scores, right to left over the packed fe.
+def _backward(fe: np.ndarray, il: IntentLabels, tm: TransitionMask, live: list[int], starts: list[int]) -> np.ndarray:
+    """Backward scores, right to left over the packed (N, Y, W) fe.
 
     beta = 0 at a query's last position, and before it
     beta[o] = logsumexp_p(trans[o, p] + fe[p] + beta[p]) one position on.
-    The work runs query-major: each class's row sum runs whole over a
-    C-contiguous (k, Y, R, T) array, so numpy groups it as it grouped the
-    dense row.  terms holds the exp of the cells both masks allow and 0
-    elsewhere; tm.row_class copies each class's result to its rows.  The row max is
-    _suffix_max's structured one: every allowed transition scores 1 and
-    rounding is monotone, so 1 + max equals the dense max bit for bit.
+    terms, C-contiguous (k, Y, R, T), holds the exp of the cells both masks
+    allow, read from the planes, and 0 elsewhere, so each class's row sum
+    runs whole over all T labels, grouped as numpy grouped the dense row;
+    each column then reads its label's class.  The row max is
+    _suffix_max's, gathered per row_rep: every allowed transition scores 1
+    and rounding is monotone, so 1 + max equals the dense max bit for bit.
     Call under np.errstate(divide="ignore").
     """
-    t, n, y = fe.shape
-    fe, beta = fe.transpose(1, 2, 0), np.zeros((n, y, t))
-    if len(live) == 1:
-        return beta.transpose(2, 0, 1)
-    r, k_max = tm.row_rep.size, live[1]
-    succ = tm.closed_succ[tm.row_rep]
-    # the cells both masks allow, as flat indices into the (k, Y, R, T)
-    # terms; yr indexes the (k, Y, R) row maxima and cell the (k, Y, T+1)
-    # ahead buffer, query by query
-    one = np.flatnonzero(rm[:, None, :] & (tm.trans[tm.row_rep] == 1.0))
-    yr, p = np.divmod(one, t)
-    query = np.arange(k_max)[:, None]
-    into = (query * (y * r * t) + one).ravel()
-    cell = (query * (y * (t + 1)) + yr // r * (t + 1) + p).ravel()
+    n, y, w = fe.shape
+    beta = np.zeros((n, y, w))
+    yw, t, rows = y * w, tm.start.size, np.arange(y)[:, None]
+    r, k_max = tm.row_rep.size, max(live[1:], default=0)
+    succ = il.plane[rows, tm.closed_succ.T[:, None, tm.row_rep]]  # (K+1, Y, R)
+    cls = rows * r + tm.row_class[il.labels]  # (Y, W): each column's class row
+    # the cells both masks allow, by intent, class and column: flat indices
+    # into the (k, Y, R, T) terms, the (k, Y, R) row maxima and the
+    # (k, Y W + Y) planes, query by query
+    iy, ir, iw = (il.rm.rm[:, None, :] & (tm.trans[tm.row_rep][:, il.labels] == 1.0).transpose(1, 0, 2)).nonzero()
+    query, yr = np.arange(k_max)[:, None], iy * r + ir
+    into = (query * (y * r * t) + yr * t + il.labels[iy, iw]).ravel()
+    cell = (query * (yw + y) + iy * w + iw).ravel()
     yr = (query * (y * r) + yr).ravel()
-    terms = np.zeros((k_max, y, r, t))
-    buf = np.empty((k_max, y, t + 1))
+    fe_rows, beta_rows, open_score = fe.reshape(n, yw), beta.reshape(n, yw), il.open_score.reshape(yw)
+    ahead = np.empty((0, 0))
     for i in range(len(live) - 2, -1, -1):
-        k, nxt, c = live[i + 1], starts[i + 1], live[i + 1] * one.size
-        ahead = buf[:k]
-        np.add(fe[nxt : nxt + k], beta[nxt : nxt + k], ahead[..., :t])
-        ahead[..., t] = _max(ahead.take(tm.open_cols, 2), 2, initial=NEG_INF)
-        mx = _max(ahead.take(succ, 2), 3) + 1.0
-        safe = np.where(np.isfinite(mx), mx, 0.0)
-        np.put(terms, into[:c], np.exp(ahead.take(cell[:c]) + 1.0 - safe.take(yr[:c])))
-        now = (np.log(np.add.reduce(terms[:k], -1)) + safe)[..., tm.row_class]
-        beta[starts[i] : starts[i] + k] = now
-    return beta.transpose(2, 0, 1)
+        k, nxt = live[i + 1], starts[i + 1]
+        if ahead.shape[0] != k:  # buffers per width, and their views
+            ahead, terms, c = np.empty((k, yw + y)), np.zeros((k, y, r, t)), k * iy.size
+            cells, best_open, into_k, cell_k, yr_k = ahead[:, :yw], ahead[:, yw:], into[:c], cell[:c], yr[:c]
+        np.add(fe_rows[nxt : nxt + k], beta_rows[nxt : nxt + k], cells)
+        _max((cells + open_score).reshape(k, y, w), 2, out=best_open)
+        safe = np.maximum(_max(ahead.take(succ, 1), 1) + 1.0, _LOWEST)
+        np.put(terms, into_k, np.exp(ahead.take(cell_k) + 1.0 - safe.take(yr_k)))
+        now = np.log(np.add.reduce(terms, -1)) + safe
+        now.reshape(k, y * r).take(cls, 1, out=beta[starts[i] : starts[i] + k])
+    return beta
 
 
 def _suffix_max(fe: np.ndarray, il: IntentLabels, live: list[int], starts: list[int]) -> np.ndarray:
-    """Best completion after t_i = o, right to left over the packed fe, on
-    each intent's own labels: fe and h are (N, Y, W), row-major, so each
-    position's completions are one contiguous block.
+    """Best completion after t_i = o, right to left over the packed
+    (N, Y, W) fe.
 
     h = 0 at a query's last position, and before it h[o] = 1 + max of
     fe[p] + h[p] one position on, over the p that may follow o.  Each
-    step's ahead holds one plane (IntentLabels) per live query: fe + h of
-    every (intent, column), then each intent's max over its open columns,
-    which il.open_score keeps, in its sentinel.  One gather of il.succ then
-    reads each column's closed successors and its sentinel: O(Y W (K+1))
-    instead of O(Y T^2).  Every allowed transition scores exactly 1 and
-    rounding is monotone, so adding it after the max equals the dense
-    max_p(trans[o, p] + ...) bit for bit; the dropped labels are -inf, and
-    maxima do not round, so every allowed (intent, label) cell is the
-    dense recursion's.
+    step's plane holds fe + h of every (intent, column), then each
+    intent's max over its open columns (il.open_score) in its sentinel;
+    one gather of il.succ reads each column's closed successors and its
+    sentinel.  Every allowed transition scores 1 and rounding is
+    monotone, so adding it after the max equals the dense max bit for bit.
     """
     n, y, w = fe.shape
     yw = y * w
@@ -365,6 +366,16 @@ def _suffix_max(fe: np.ndarray, il: IntentLabels, live: list[int], starts: list[
     return h
 
 
+def _on_intent_labels(jin: JointScoreInputs) -> tuple[_Packed, IntentLabels, np.ndarray]:
+    """The packed rows, each intent's labels, and each packed row's
+    relation-masked emissions on them, (N, Y, W): column w of intent y is
+    label il.labels[y, w]."""
+    pk = _pack(jin)
+    il = intent_labels(jin.rm, jin.tm)
+    fe = apply_relation_mask(jin.f_o.take(pk.src, 0).take(il.labels, 1)[:, :, None], il.rm, slice(None))[:, :, 0]
+    return pk, il, fe
+
+
 def log_partition(jin: JointScoreInputs) -> JointPosterior:
     """Exact log Z plus intent marginals q(y) and joint unary marginals, of
     one query or of each query of a batch, each exactly as a call on that
@@ -376,37 +387,39 @@ def log_partition(jin: JointScoreInputs) -> JointPosterior:
     zero.  The marginals are C-ordered (Y, N, T), one column per row of
     f_o.
     """
-    pk = _pack(jin)
-    # each packed row's relation-masked emissions, (T, N, Y)
-    fe = apply_relation_mask(jin.f_o[pk.src][:, None, None], jin.rm, slice(None))[:, :, 0].transpose(2, 0, 1)
+    pk, il, fe = _on_intent_labels(jin)
     q, y, t = pk.lengths.size, jin.n_intents, jin.n_slots
     with np.errstate(divide="ignore"):
-        alpha = _forward(fe, jin.tm, pk.live, pk.starts)
-        beta = _backward(fe, jin.tm, jin.rm.rm, pk.live, pk.starts)
+        alpha = _forward(fe, il, jin.tm, pk.live, pk.starts)
+        beta = _backward(fe, il, jin.tm, pk.live, pk.starts)
     intent_score = jin.lam * jin.f_l.reshape(q, y)[pk.order]
-    # each query's last row, C-ordered (Q, Y, T) as the dense code's rows
-    # were: logsumexp sums each contiguous row pairwise
-    last = np.ascontiguousarray(alpha.transpose(1, 2, 0)[pk.last])
+    # each query's last row on all T labels, C-ordered (Q, Y, T) as the
+    # dense code's rows were: logsumexp sums each contiguous row pairwise
+    rows = np.arange(y)[:, None]
+    last = np.full((q, y, t), NEG_INF)
+    last[:, rows, il.labels] = alpha[pk.last]
     log_joint = intent_score + logsumexp(last, axis=-1)
     log_z = logsumexp(log_joint, axis=-1)
     if np.any(log_z == NEG_INF):
         raise InfeasibleLattice("every (intent, slot sequence) pair is masked")
     # an infeasible intent has alpha + beta = -inf everywhere: exactly zero
-    # mass.  unary is (Y, N, T), for one query the C-ordered (Y, m, T) that
-    # loss_gradients sums over intents as the dense code's marginals were
-    unary = np.empty((y, pk.rank.size, t))
-    np.add(intent_score[pk.rank].T[:, :, None], alpha.transpose(2, 1, 0), unary)
-    unary += beta.transpose(2, 1, 0)
-    unary -= log_z[pk.rank][:, None]
+    # mass, as every label an intent does not list has
+    unary = np.add(intent_score[pk.rank][:, :, None], alpha, alpha)
+    unary += beta
+    unary -= log_z[pk.rank][:, None, None]
     np.exp(unary, unary)
-    intent_marginals = np.exp(log_joint - log_z[:, None])
-    if not jin.batched:  # one query's packed rows are its rows, in order
-        return JointPosterior(float(log_z[0]), intent_marginals[0], unary)
-    marginals = np.empty_like(unary)
-    marginals[:, pk.src] = unary
-    in_order = JointPosterior(np.empty_like(log_z), np.empty_like(intent_marginals), marginals)
-    in_order.log_z[pk.order], in_order.intent_marginals[pk.order] = log_z, intent_marginals
-    return in_order
+    # C-ordered (Y, N, T) in f_o's row order, as loss_gradients sums it
+    # over intents; beta's memory takes the rows in that order first
+    beta[pk.src] = unary
+    marginals = np.zeros((y, pk.rank.size, t))
+    for intent, labels in enumerate(il.labels):
+        marginals[intent][:, labels] = beta[:, intent]
+    post = JointPosterior(np.empty_like(log_z), np.empty_like(intent_score), marginals)
+    post.log_z[pk.order] = log_z
+    post.intent_marginals[pk.order] = np.exp(log_joint - log_z[:, None])
+    if not jin.batched:
+        post.log_z, post.intent_marginals = float(post.log_z[0]), post.intent_marginals[0]
+    return post
 
 
 def nll_loss(
@@ -473,14 +486,10 @@ def viterbi_decode(
     maximizer).  The returned score is the path's running sum, added up in
     joint_score's order, so it matches joint_score bit for bit.
     """
-    pk = _pack(jin)
+    pk, il, fe = _on_intent_labels(jin)
     order, rank = pk.order, pk.rank
     q, y = order.size, jin.n_intents
     f_l = jin.f_l.reshape(q, y)[order]
-    il = intent_labels(jin.rm, jin.tm)
-    # each packed row's relation-masked emissions on each intent's own
-    # labels, (N, Y, W), column w of intent y being label il.labels[y, w]
-    fe = apply_relation_mask(jin.f_o.take(pk.src, 0).take(il.labels, 1)[:, :, None], il.rm, slice(None))[:, :, 0]
     h = _suffix_max(fe, il, pk.live, pk.starts)
     # position 0's rows hold every query
     first = jin.tm.start[il.labels] + fe[:q] + h[:q]

@@ -7,9 +7,9 @@ only turns the label space's BIO rule (LabelSpace.may_follow, may_start)
 into scores: 1 for every legal slot adjacency, -inf for every illegal one,
 and a virtual START row that bans I-labels from opening a sequence.  The
 score-1 convention means every feasible length-m sequence accrues the same
-additive constant, so the joint softmax is unaffected by it.  Viterbi
-decodes on each intent's own labels (IntentLabels), which both masks
-together give.
+additive constant, so the joint softmax is unaffected by it.  Every
+lattice sweep runs on each intent's own labels (IntentLabels), which both
+masks together give.
 """
 
 from __future__ import annotations
@@ -36,18 +36,16 @@ class TransitionMask:
 
     Every entry is 1 (allowed) or -inf (banned); construction rejects
     anything else, keeps read-only copies, and derives the open/closed form
-    the lattice sweeps run on:
+    the lattice sweeps run on.  A column is open when every row allows it
+    (O and every B-X under BIO); the other allowed cells are closed, and
+    two label-indexed lists read them, one per direction, each ascending
+    and padded with the sentinel index T:
 
-    open_cols    the columns every row allows (O and every B-X under BIO)
     is_open      (T,): True at the open columns
-    closed_cols  the other columns, ascending (every I-X under BIO)
-    closed_succ  (T, K+1): row o's allowed columns that are not open, then
-                 the sentinel index T, repeated to pad the row; K is the
-                 longest such list, 1 under BIO (B-X and I-X feed I-X) and
-                 0 when every column is open
-    closed_pred  (C, J+1): closed column closed_cols[c]'s allowed rows,
-                 ascending, then T, repeated to pad the row; J is the longest
-                 such list, 2 under BIO (B-X and I-X feed I-X)
+    closed_succ  (T, K+1): row o's closed columns; K is the longest list, 1
+                 under BIO (B-X and I-X feed I-X), 0 when every column is open
+    closed_pred  (T, J+1): closed column o's rows (none for an open one); J
+                 is the longest list, 2 under BIO
     row_class    (T,): rows with equal closed_succ rows, hence equal trans
                  rows, share a class id in 0..R-1 (R = 40 of 79 under SNIPS
                  BIO: O and the B-X/I-X pair of each type; 1 when every
@@ -57,9 +55,7 @@ class TransitionMask:
 
     trans: np.ndarray  # (T, T), entries in {1, -inf}
     start: np.ndarray  # (T,), entries in {1, -inf}
-    open_cols: np.ndarray = field(init=False, repr=False, compare=False)
     is_open: np.ndarray = field(init=False, repr=False, compare=False)
-    closed_cols: np.ndarray = field(init=False, repr=False, compare=False)
     closed_succ: np.ndarray = field(init=False, repr=False, compare=False)
     closed_pred: np.ndarray = field(init=False, repr=False, compare=False)
     row_class: np.ndarray = field(init=False, repr=False, compare=False)
@@ -78,63 +74,58 @@ class TransitionMask:
                 raise ValueError(f"transition mask {name} entries must be 1.0 or -inf")
         is_open = allowed.all(axis=0)
         closed = allowed & ~is_open
-        closed_cols = np.flatnonzero(~is_open)
         # flat indices run row-major: row o's closed successors in ascending
-        # order, and, on the transpose, closed column c's predecessors
-        closed_succ = _padded_lists(*np.divmod(np.flatnonzero(closed), t), t, t)
-        cols, rows = np.divmod(np.flatnonzero(closed.T), t)
-        closed_pred = _padded_lists(np.searchsorted(closed_cols, cols), rows, closed_cols.size, t)
-        # equal rows sort next to each other; a class starts where a row
-        # differs from the one before it
-        order = np.lexsort(closed_succ.T[::-1])
-        ranked = closed_succ[order]
-        first = np.ones(t, dtype=bool)
-        first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-        row_class = np.empty(t, dtype=np.intp)
-        row_class[order] = np.cumsum(first) - 1
-        for name, value in (("trans", trans), ("start", start), ("open_cols", np.flatnonzero(is_open)),
-                            ("is_open", is_open), ("closed_cols", closed_cols), ("closed_succ", closed_succ),
-                            ("closed_pred", closed_pred), ("row_class", row_class),
-                            ("row_rep", order[first])):
+        # order, and, on the transpose, column o's closed predecessors
+        closed_succ = _padded_lists(*np.divmod(np.flatnonzero(closed), t), t)
+        closed_pred = _padded_lists(*np.divmod(np.flatnonzero(closed.T), t), t)
+        # each row as one opaque value: np.unique's axis=0 form takes three
+        # times as long on these small rows
+        rows = closed_succ.view(np.dtype((np.void, closed_succ.strides[0])))[:, 0]
+        _, row_rep, row_class = np.unique(rows, return_index=True, return_inverse=True)
+        for name, value in (("trans", trans), ("start", start), ("is_open", is_open),
+                            ("closed_succ", closed_succ), ("closed_pred", closed_pred),
+                            ("row_class", row_class.reshape(t)), ("row_rep", row_rep)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 
 
-def _padded_lists(keys: np.ndarray, values: np.ndarray, n: int, t: int) -> np.ndarray:
-    """(n, K+1): row k lists values[keys == k] in order, then the sentinel
+def _padded_lists(keys: np.ndarray, values: np.ndarray, t: int) -> np.ndarray:
+    """(t, K+1): row k lists values[keys == k] in order, then the sentinel
     t, repeated to pad the row; K is the longest list.  keys are sorted."""
     pos = np.arange(keys.size) - np.searchsorted(keys, keys)
-    out = np.full((n, pos.max(initial=-1) + 2), t)
+    out = np.full((t, pos.max(initial=-1) + 2), t)
     out[keys, pos] = values
     return out
 
 
 @dataclass(frozen=True)
 class IntentLabels:
-    """Each intent's allowed slot labels as a label axis of its own, and the
-    transition mask's open/closed form on it.
+    """Each intent's allowed slot labels as a label axis of its own, the
+    one label axis of every lattice sweep, and the transition mask's
+    open/closed form on it.
 
     Column w of intent y is label labels[y, w].  An intent's T_y allowed
-    labels come first, ascending, so a first maximizer along its axis is the
-    smallest such id; banned labels pad the row to W = max_y T_y.  A sweep
-    row is a plane of Y W + Y values: intent y's column w at y W + w, then
-    each intent's sentinel at Y W + y.
+    labels come first, ascending, so a first maximizer or an in-order sum
+    meets them in label order; banned labels pad the row to W = max_y T_y.
+    A sweep row is a plane of Y W + Y values: intent y's column w at
+    y W + w, then a sentinel per intent at Y W + y, holding a reduction
+    over the intent's open columns.
 
     labels      (Y, W) slot ids
-    rm          the relation mask on these columns: column w of intent y
-                is allowed iff w < T_y
-    open_score  (Y, W): 0 where the label is one of TransitionMask.open_cols,
+    rm          the relation mask on these columns: w < T_y
+    open_score  (Y, W): 0 where the label is open (TransitionMask.is_open),
                 -inf elsewhere
-    succ        (K+1, Y, W): the plane index of each of the label's
-                TransitionMask.closed_succ within its intent.  A banned
-                successor reads the intent's sentinel, as the padding T
-                does, or, if it pads the row, its own column, which the
-                masked emissions hold at -inf
+    plane       (Y, T+1): each label's plane index within each intent: its
+                column if the intent lists it, else, as for the padding T,
+                the sentinel.  A banned label that pads the row reads its
+                own column, which the masked emissions hold at -inf
+    succ        (K+1, Y, W): the plane of each column's closed_succ
     """
 
     labels: np.ndarray
     rm: RelationMask
     open_score: np.ndarray
+    plane: np.ndarray
     succ: np.ndarray
 
 
@@ -143,14 +134,12 @@ def intent_labels(rm: RelationMask, tm: TransitionMask) -> IntentLabels:
     allowed = rm.rm
     y, t = allowed.shape
     w = max(int(allowed.sum(axis=1).max()), 1)
-    labels = np.argsort(~allowed, axis=1, kind="stable")[:, :w]  # allowed first, each part ascending
+    labels = (~allowed).argsort(axis=1, kind="stable")[:, :w]  # allowed first, each part ascending
     rows = np.arange(y)[:, None]
-    # each label's plane index within each intent: its column if the row
-    # lists it, else the intent's sentinel, as for closed_succ's padding T
-    plane = np.repeat(y * w + rows, t + 1, axis=1)
+    plane = (y * w + rows).repeat(t + 1, axis=1)
     plane[rows, labels] = np.arange(y * w).reshape(y, w)
     return IntentLabels(labels, RelationMask(allowed[rows, labels], rm.forced_o),
-                        np.where(tm.is_open[labels], 0.0, NEG_INF),
+                        np.where(tm.is_open[labels], 0.0, NEG_INF), plane,
                         np.ascontiguousarray(plane[rows, tm.closed_succ.T[:, labels]]))
 
 

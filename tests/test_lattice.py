@@ -14,6 +14,9 @@ from jmrm.lattice import (
     InfeasibleLattice,
     JointScoreInputs,
     NonFiniteScores,
+    _backward,
+    _forward,
+    _on_intent_labels,
     _pack,
     _suffix_max,
     joint_score,
@@ -36,7 +39,7 @@ from jmrm.masks import (
 from jmrm.oracles import random_instance
 
 from conftest import SNIPS_SPACE, bio_space
-from lattice_reference import ref_completions, ref_log_partition_dense, ref_viterbi
+from lattice_reference import ref_completions, ref_log_partition_dense, ref_sweep, ref_viterbi
 
 
 def brute_force(jin):
@@ -567,7 +570,7 @@ def test_viterbi_on_masks_with_many_closed_columns():
         allowed = rng.random((t_n, t_n)) < rng.uniform(0.1, 0.9)
         np.fill_diagonal(allowed, True)
         tm = TransitionMask(np.where(allowed, 1.0, NEG_INF), np.ones(t_n))
-        no_open += tm.open_cols.size == 0
+        no_open += not tm.is_open.any()
         many_closed += tm.closed_succ.shape[1] > 2
         jin = JointScoreInputs(rng.standard_normal(3), np.round(rng.standard_normal((m, t_n))),
                                all_ones_relation_mask(3, t_n), tm, 1.0)
@@ -594,10 +597,33 @@ def assert_completions_match_dense(jin):
     np.testing.assert_array_equal(h[:, allowed], want[allowed].T)
 
 
+def assert_sums_match_dense(jin):
+    """Every packed row's forward and backward scores, _forward's and
+    _backward's (N, Y, W), equal the dense reference's for its query and
+    position on every allowed (intent, label) cell."""
+    lengths = np.array([jin.n_positions]) if jin.lengths is None else jin.lengths
+    trans, start, ends = jin.tm.trans, jin.tm.start, np.cumsum(lengths)
+    alphas, betas = [], []
+    for m, end in zip(lengths, ends):
+        for f in apply_relation_mask(jin.f_o[end - m : end], jin.rm, slice(None)):  # (m, T) per intent
+            alphas.append(ref_sweep(f[::-1], trans.T, start)[::-1] + f)
+            betas.append(ref_sweep(f, trans, 0.0))
+    pk, il, fe = _on_intent_labels(jin)
+    with np.errstate(divide="ignore"):
+        sweeps = (_forward(fe, il, jin.tm, pk.live, pk.starts), _backward(fe, il, jin.tm, pk.live, pk.starts))
+    allowed, y_n = il.rm.rm, jin.n_intents
+    for got, dense in zip(sweeps, (alphas, betas)):
+        # (Y, N, T), each query's rows in turn, then (Y, W, N) in packed row order
+        dense = np.concatenate([np.stack(dense[n * y_n : (n + 1) * y_n]) for n in range(lengths.size)], axis=1)
+        want = dense[np.arange(y_n)[:, None], :, il.labels][..., pk.src]
+        np.testing.assert_array_equal(got[:, allowed], want[allowed].T)
+
+
 class TestPackedCompletions:
     """The max-plus sweep's completions row by row, not only through the
-    decode that reads them; ragged batches list their queries unsorted,
-    with repeats and 1-token queries."""
+    decode that reads them, and the sum-product sweeps' scores; ragged
+    batches list their queries unsorted, with repeats and 1-token
+    queries."""
 
     @pytest.mark.parametrize("bio", [True, False], ids=["bio", "permissive"])
     @pytest.mark.parametrize("y_n, t_n", [(2, 9), (7, 79)])
@@ -610,8 +636,9 @@ class TestPackedCompletions:
             f_l = scale * rng.standard_normal((len(lengths), y_n))
             f_o = scale * rng.standard_normal((sum(lengths), t_n))
             for fl, fo in ((f_l, f_o), (np.round(f_l), np.round(f_o))):
-                assert_completions_match_dense(
-                    JointScoreInputs(fl, fo, RelationMask(rm, True), tm, 1.0, np.array(lengths)))
+                jin = JointScoreInputs(fl, fo, RelationMask(rm, True), tm, 1.0, np.array(lengths))
+                assert_completions_match_dense(jin)
+                assert_sums_match_dense(jin)
 
     @pytest.mark.parametrize("bio", [True, False], ids=["bio", "permissive"])
     def test_masked_last_intent(self, bio):
@@ -619,11 +646,12 @@ class TestPackedCompletions:
         scores in one batch under the first one's masks."""
         for scale in (1.0, 30.0, 1e3):
             queries = [jin for m in (40, 12) for jin in masked_last_intent(m, scale, bio)]
-            for jin in queries:
-                assert_completions_match_dense(jin)
-            assert_completions_match_dense(JointScoreInputs(
+            batch = JointScoreInputs(
                 np.stack([jin.f_l for jin in queries]), np.concatenate([jin.f_o for jin in queries]),
-                queries[0].rm, queries[0].tm, 1.0, np.array([jin.n_positions for jin in queries])))
+                queries[0].rm, queries[0].tm, 1.0, np.array([jin.n_positions for jin in queries]))
+            for jin in queries + [batch]:
+                assert_completions_match_dense(jin)
+                assert_sums_match_dense(jin)
 
     def test_beyond_bio(self):
         """Masks with no open column, and rows with several closed
@@ -636,13 +664,14 @@ class TestPackedCompletions:
             allowed = rng.random((t_n, t_n)) < rng.uniform(0.1, 0.9)
             np.fill_diagonal(allowed, True)
             tm = TransitionMask(np.where(allowed, 1.0, NEG_INF), np.ones(t_n))
-            no_open += tm.open_cols.size == 0
+            no_open += not tm.is_open.any()
             many_closed += tm.closed_succ.shape[1] > 2
             rm = rng.random((3, t_n)) < 0.7
             rm[np.arange(3), rng.integers(t_n, size=3)] = True
             f_o = np.round(rng.standard_normal((lengths.sum(), t_n)))
-            assert_completions_match_dense(JointScoreInputs(
-                rng.standard_normal((lengths.size, 3)), f_o, RelationMask(rm, False), tm, 1.0, lengths))
+            jin = JointScoreInputs(rng.standard_normal((lengths.size, 3)), f_o, RelationMask(rm, False), tm, 1.0, lengths)
+            assert_completions_match_dense(jin)
+            assert_sums_match_dense(jin)
         assert no_open and many_closed
 
 
@@ -657,9 +686,10 @@ def assert_decodes_match_dense(jin):
 
 
 class TestIntentAxes:
-    """Viterbi on each intent's own labels against the dense references:
-    decodes and every allowed completion, bit for bit, on ragged batches
-    with one-row queries, each also integer-rounded to make exact ties."""
+    """Every sweep on each intent's own labels against the dense
+    references: decodes, and every allowed completion, forward and
+    backward score, bit for bit, on ragged batches with one-row queries,
+    each also integer-rounded to make exact ties."""
 
     LENGTHS = [(1,), (1, 1, 1), (3, 1, 9, 4, 1, 12)]
 
@@ -673,6 +703,7 @@ class TestIntentAxes:
                 jin = JointScoreInputs(fl, fo, relation, tm, 1.0, np.array(lengths))
                 assert_decodes_match_dense(jin)
                 assert_completions_match_dense(jin)
+                assert_sums_match_dense(jin)
 
     @pytest.mark.parametrize("bio", [True, False], ids=["bio", "permissive"])
     def test_label_sets_of_every_size(self, bio):
@@ -735,7 +766,7 @@ class TestIntentAxes:
             allowed = rng.random((t_n, t_n)) < rng.uniform(0.1, 0.9)
             np.fill_diagonal(allowed, True)
             tm = TransitionMask(np.where(allowed, 1.0, NEG_INF), np.ones(t_n))
-            no_open += tm.open_cols.size == 0
+            no_open += not tm.is_open.any()
             many_closed += tm.closed_succ.shape[1] > 2
             rm = rng.random((3, t_n)) < 0.5
             rm[np.arange(3), rng.integers(t_n, size=3)] = True
@@ -756,17 +787,33 @@ class TestIntentAxes:
         assert ys.tolist() == [0, 0] and paths.tolist() == [2] * 5
         assert_decodes_match_dense(jin)
         assert_completions_match_dense(jin)
+        assert_sums_match_dense(jin)
+
+    @pytest.mark.parametrize("bio", [True, False], ids=["bio", "permissive"])
+    def test_an_intent_allowing_no_label(self, bio):
+        """A relation row with no label: every column of the intent pads
+        its row, and the intent gets no mass and no decode."""
+        ls = bio_space(3, 9)
+        tm = build_transition_mask(ls) if bio else permissive_transition_mask(9)
+        rm = np.zeros((3, 9), dtype=bool)
+        rm[0, [ls.o_id, ls.slot_id("B-type1"), ls.slot_id("I-type1")]] = True
+        rm[2, ls.o_id] = True
+        assert intent_labels(RelationMask(rm, False), tm).rm.rm.sum(axis=1).tolist() == [3, 0, 1]
+        self.check(rm, tm, 7)
+        jin = JointScoreInputs(np.zeros((2, 3)), np.zeros((5, 9)), RelationMask(rm, False), tm, 1.0,
+                               np.array([4, 1]))
+        assert np.all(log_partition(jin).intent_marginals[:, 1] == 0.0)
 
 
 class TestTransitionStructure:
-    """The open/closed form the max-plus sweep runs on."""
+    """The open/closed form every sweep runs on."""
 
     def test_bio_open_columns_and_closed_successors(self):
         t_n = SNIPS_SPACE.n_slots
         tm = build_transition_mask(SNIPS_SPACE)
         kinds = [split_slot_label(name) for name in SNIPS_SPACE.slot_labels]
         opened = [o for o, (kind, _) in enumerate(kinds) if kind in ("O", "B")]
-        assert tm.open_cols.tolist() == opened
+        assert np.flatnonzero(tm.is_open).tolist() == opened
         assert tm.closed_succ.shape == (t_n, 2)  # K = 1, then the sentinel
         for p, (kind, stype) in enumerate(kinds):
             if kind == "I":  # fed by B-X and I-X only
@@ -776,8 +823,9 @@ class TestTransitionStructure:
 
     def test_permissive_has_no_closed_column(self):
         tm = permissive_transition_mask(9)
-        assert tm.open_cols.tolist() == list(range(9))
+        assert tm.is_open.all()
         assert tm.closed_succ.tolist() == [[9]] * 9
+        assert tm.closed_pred.tolist() == [[9]] * 9
 
     def test_structure_rebuilds_the_dense_scores(self):
         rng = np.random.default_rng(16)
@@ -785,7 +833,7 @@ class TestTransitionStructure:
                    TransitionMask(np.where(rng.random((6, 6)) < 0.5, 1.0, NEG_INF), np.ones(6))):
             t_n = tm.start.shape[0]
             allowed = np.zeros((t_n, t_n + 1), dtype=bool)
-            allowed[:, tm.open_cols] = True
+            allowed[:, np.flatnonzero(tm.is_open)] = True
             allowed[np.arange(t_n)[:, None], tm.closed_succ] = True
             assert np.array_equal(allowed[:, :t_n], tm.trans == 1.0)
 
@@ -802,11 +850,14 @@ class TestTransitionStructure:
     def test_open_columns_and_predecessors_rebuild_the_columns(self):
         for tm in self.masks():
             t_n = tm.start.shape[0]
-            assert np.array_equal(np.sort(np.r_[tm.open_cols, tm.closed_cols]), np.arange(t_n))
+            assert np.all(tm.closed_pred[tm.is_open] == t_n)  # an open column lists no row
             allowed = np.zeros((t_n + 1, t_n), dtype=bool)
-            allowed[:, tm.open_cols] = True
-            allowed[tm.closed_pred, tm.closed_cols[:, None]] = True
+            allowed[:, tm.is_open] = True
+            allowed[tm.closed_pred, np.arange(t_n)[:, None]] = True
             assert np.array_equal(allowed[:t_n], tm.trans == 1.0)
+            # the two lists are one structure, read in either direction
+            succ = {(o, p) for o in range(t_n) for p in tm.closed_succ[o] if p < t_n}
+            assert succ == {(o, p) for p in range(t_n) for o in tm.closed_pred[p] if o < t_n}
             # ascending predecessors, then the sentinel in every row
             assert np.all(np.diff(tm.closed_pred, axis=1) >= 0)
             assert np.all(tm.closed_pred[:, -1] == t_n)

@@ -149,13 +149,13 @@ class TestTransitionMaskValidation:
         trans[0, 1] = start[0] = NEG_INF  # the caller's arrays are not the mask's
         assert tm.trans[0, 1] == 1.0 and tm.start[0] == 1.0
         tm = build_transition_mask(music_space)
-        for name in ("trans", "start", "open_cols", "closed_succ"):
+        for name in ("trans", "start", "is_open", "closed_succ"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(tm, name)[0] = 0
 
     def test_derived_structure_is_read_only(self, music_space):
         tm = build_transition_mask(music_space)
-        for name in ("closed_cols", "closed_pred", "row_class", "row_rep"):
+        for name in ("closed_pred", "row_class", "row_rep"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(tm, name)[0] = 0
 

@@ -1,4 +1,4 @@
-"""Print the per-call time of log_partition and viterbi_decode on fixed inputs.
+"""Print the per-call time and page faults of log_partition and viterbi_decode on fixed inputs.
 
     python .github/scripts/lattice_timing.py <checkout>
 
@@ -15,9 +15,14 @@ the synthetic one (Y=2, T=9), with scores from a fixed seed:
   synth-shaped           BIO transitions; each intent allows O and 2 of the
                          4 slot types (W = 5)
 
-Each figure is the minimum over REPEATS calls, in ms, so it reads the code,
-not the machine's load.  Prints a markdown table.  Run it once per
-checkout, each in its own process, and compare the tables.
+Each time is the minimum over REPEATS calls, in ms, so it reads the code,
+not the machine's load; next to it are the minor page faults per call
+over those calls (the ru_minflt delta of getrusage), which count the
+per-call temporaries the allocator hands back to the OS.  Each input also
+shows the backward pass's rows, P of Y R: the (intent, transition row
+class) pairs of the labels each intent lists.  Prints a markdown table.
+Run it once per checkout, each in its own process, and compare the
+tables.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import os
 # benchmarks/run.py's BLAS pins, set before numpy is first imported
 os.environ.update({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"})
 
+import resource  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -72,13 +78,25 @@ def inputs():
     ]
 
 
-def per_call_ms(fn, jin) -> float:
-    best = float("inf")
+def backward_rows(jin) -> str:
+    """P / Y R: the distinct (intent, row_class) pairs of the allowed
+    (intent, label) cells, against every pair."""
+    import numpy as np
+
+    y, r = jin.n_intents, jin.tm.row_rep.size
+    rows = np.arange(y)[:, None] * r + jin.tm.row_class
+    return f"{np.unique(rows[jin.rm.rm]).size} / {y * r}"
+
+
+def per_call(fn, jin) -> tuple[float, float]:
+    """The minimum time of one call in ms, and the minor page faults per call."""
+    best, faults = float("inf"), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(REPEATS):
         start = time.perf_counter()
         fn(jin)
         best = min(best, time.perf_counter() - start)
-    return best * 1e3
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return best * 1e3, faults / REPEATS
 
 
 def main(argv: list[str]) -> int:
@@ -91,11 +109,12 @@ def main(argv: list[str]) -> int:
 
     if Path(jmrm.__file__).resolve().parent != checkout / "src" / "jmrm":
         sys.exit(f"error: jmrm was imported from {jmrm.__file__}, not from {checkout / 'src'}")
-    print("| input | log_partition ms | viterbi_decode ms |")
-    print("| --- | ---: | ---: |")
+    print("| input | backward rows P / Y R | log_partition ms | faults | viterbi_decode ms | faults |")
+    print("| --- | ---: | ---: | ---: | ---: | ---: |")
     for name, jin in inputs():
-        times = [per_call_ms(fn, jin) for fn in (log_partition, viterbi_decode)]
-        print(f"| {name} | {times[0]:.3f} | {times[1]:.3f} |", flush=True)
+        calls = (per_call(fn, jin) for fn in (log_partition, viterbi_decode))
+        cells = [f"{ms:.3f} | {faults:.1f}" for ms, faults in calls]
+        print(f"| {name} | {backward_rows(jin)} | {' | '.join(cells)} |", flush=True)
     return 0
 
 

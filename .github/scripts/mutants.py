@@ -9,9 +9,9 @@ temporary directory and runs pytest -x there: once on the unchanged copy
 with every named test file, which must pass, and then once per mutant on
 a fresh copy with its own test files.  A mutant is killed when its run
 fails.  Prints one line per mutant, then "mutants killed k/n".  Exits 2
-when an anchor is missing or the unchanged copy fails, and 0 otherwise: a
-surviving mutant is reported, not raised.  A change that moves an anchor
-re-anchors or retires its mutant.
+when an anchor is missing or the unchanged copy fails, 1 when a mutant
+survives, and 0 when every mutant is killed.  A change that moves an
+anchor re-anchors or retires its mutant.
 """
 
 from __future__ import annotations
@@ -50,12 +50,18 @@ MUTANTS = (
      "    h = np.zeros((n, y, w))\n",
      "    h = np.ones((n, y, w))\n",
      LATTICE_TESTS),
-    # the same terms, each class row summed over its first W cells instead
-    # of at its labels across all T: a regrouping that moves only low bits
+    # the same terms, each row summed over its first W cells instead of at
+    # its labels across all T: a regrouping that moves only low bits
     ("backward row sums over W columns, not T labels",
      "src/jmrm/lattice.py",
-     "yr * t + il.labels[iy, iw]).ravel()",
-     "yr * t + iw).ravel()",
+     "ip * t + il.labels[iy, iw]).ravel()",
+     "ip * t + iw).ravel()",
+     LATTICE_TESTS),
+    # every row still summed, each column reading the next one, wrapping
+    ("a backward column reads the wrong row",
+     "src/jmrm/lattice.py",
+     "    row = (np.cumsum(read) - 1)[cls]",
+     "    row = np.cumsum(read)[cls] % read.sum()",
      LATTICE_TESTS),
     ("a banned predecessor reads the intent's sentinel",
      "src/jmrm/lattice.py",
@@ -66,6 +72,24 @@ MUTANTS = (
      "src/jmrm/lattice.py",
      "tm.closed_pred[il.labels.flat[closed]].T]",
      "tm.closed_pred[il.labels.flat[closed]].T[1:]]",
+     LATTICE_TESTS),
+    ("no backward row when no intent lists a label",
+     "src/jmrm/lattice.py",
+     "    read[cls[il.rm.rm]] = read[cls[0, 0]] = True\n",
+     "    read[cls[il.rm.rm]] = True\n",
+     LATTICE_TESTS),
+    # the batch swept in query order, so a longer query after a shorter
+    # one is not in the live prefix
+    ("no sort",
+     "src/jmrm/lattice.py",
+     '    order = np.argsort(-lengths, kind="stable")\n',
+     "    order = np.arange(lengths.size)\n",
+     LATTICE_TESTS),
+    # each query's path sum runs on from the query before it
+    ("joint_score accumulated across queries",
+     "src/jmrm/lattice.py",
+     "[np.add.accumulate(f)[-1] for f in np.split(factors.ravel(), 2 * starts[1:])]",
+     "np.add.accumulate(factors.ravel())[2 * (starts + lengths) - 1]",
      LATTICE_TESTS),
 )
 
@@ -102,7 +126,7 @@ def main() -> int:
             killed += not survived
             print(f"{'SURVIVED' if survived else 'killed'}: {name} ({path})", flush=True)
     print(f"mutants killed {killed}/{len(MUTANTS)}")
-    return 0
+    return int(killed < len(MUTANTS))
 
 
 if __name__ == "__main__":

@@ -37,12 +37,13 @@ dense recursion's, where an unlisted label is -inf and its exp exactly 0:
     Adding 0 is exact, so leaving out an unlisted label keeps every bit.
   - _backward's dense row sums are contiguous, so numpy sums them pairwise,
     and there dropping a zero would regroup the others.  So each row is
-    summed whole over all T labels, once per class of equal rows
-    (TransitionMask.row_rep); only the cells both masks allow are
-    exponentiated, read from the planes, and the rest stay 0.
+    summed whole over all T labels, once per (intent, class of equal rows)
+    that some listed label reads (TransitionMask.row_class): P rows, at
+    most Y R and at most the Y W columns.  Only the cells both masks allow
+    are exponentiated, read from the planes, and the rest stay 0.
 
 A position costs O(Y W (K+1)) in _suffix_max and _forward, K the longest
-closed list, and O(Y R T) in _backward, not O(Y T^2).  log_partition
+closed list, and O(P T) in _backward, not O(Y T^2).  log_partition
 takes log Z's last rows and the marginals back to all T labels at the
 end, where logsumexp and loss_gradients read them in the dense layout.
 
@@ -300,41 +301,51 @@ def _backward(fe: np.ndarray, il: IntentLabels, tm: TransitionMask, live: list[i
 
     beta = 0 at a query's last position, and before it
     beta[o] = logsumexp_p(trans[o, p] + fe[p] + beta[p]) one position on.
-    terms, C-contiguous (k, Y, R, T), holds the exp of the cells both masks
-    allow, read from the planes, and 0 elsewhere, so each class's row sum
-    runs whole over all T labels, grouped as numpy grouped the dense row;
-    each column then reads its label's class.  The row max is
-    _suffix_max's, gathered per row_rep: every allowed transition scores 1
-    and rounding is monotone, so 1 + max equals the dense max bit for bit.
+    A column's sum is its (intent, class) row's (TransitionMask.row_class),
+    and only the P rows that some listed label reads are summed: O(P T) a
+    position, where every row would cost O(Y R T).  terms, C-contiguous
+    (k, P, T), holds the exp of the cells both masks allow, read from the
+    planes, and 0 elsewhere, so each row's sum runs whole over all T
+    labels, grouped as numpy grouped the dense row; each column then reads
+    its row.  A column that pads the row may read any of them: its fe of
+    -inf makes its alpha -inf.  The row max is _suffix_max's, gathered per
+    row_rep: every allowed transition scores 1 and rounding is monotone,
+    so 1 + max equals the dense max bit for bit.
     Call under np.errstate(divide="ignore").
     """
     n, y, w = fe.shape
     beta = np.zeros((n, y, w))
-    yw, t, rows = y * w, tm.start.size, np.arange(y)[:, None]
-    r, k_max = tm.row_rep.size, max(live[1:], default=0)
-    succ = il.plane[rows, tm.closed_succ.T[:, None, tm.row_rep]]  # (K+1, Y, R)
-    cls = rows * r + tm.row_class[il.labels]  # (Y, W): each column's class row
-    # the cells both masks allow, by intent, class and column: flat indices
-    # into the (k, Y, R, T) terms, the (k, Y, R) row maxima and the
-    # (k, Y W + Y) planes, query by query
-    iy, ir, iw = (il.rm.rm[:, None, :] & (tm.trans[tm.row_rep][:, il.labels] == 1.0).transpose(1, 0, 2)).nonzero()
-    query, yr = np.arange(k_max)[:, None], iy * r + ir
-    into = (query * (y * r * t) + yr * t + il.labels[iy, iw]).ravel()
+    yw, t, r = y * w, tm.start.size, tm.row_rep.size
+    cls = np.arange(y)[:, None] * r + tm.row_class[il.labels]  # (Y, W): each column's (intent, class)
+    # the rows read, and intent 0's first column's, so that P >= 1 when no
+    # intent lists a label
+    read = np.zeros(y * r, dtype=bool)
+    read[cls[il.rm.rm]] = read[cls[0, 0]] = True
+    row = (np.cumsum(read) - 1)[cls]  # each column's row among the P
+    ky, kr = np.divmod(np.flatnonzero(read), r)  # each row's intent and class
+    rep, p = tm.row_rep[kr], kr.size
+    succ = il.plane[ky, tm.closed_succ[rep].T]  # (K+1, P)
+    # the cells both masks allow, by row and column: flat indices into the
+    # (k, P, T) terms, the (k, P) row maxima and the (k, Y W + Y) planes,
+    # query by query
+    ip, iw = (il.rm.rm[ky] & (tm.trans[rep[:, None], il.labels[ky]] == 1.0)).nonzero()
+    iy, query = ky[ip], np.arange(max(live[1:], default=0))[:, None]
+    into = (query * (p * t) + ip * t + il.labels[iy, iw]).ravel()
     cell = (query * (yw + y) + iy * w + iw).ravel()
-    yr = (query * (y * r) + yr).ravel()
+    ip = (query * p + ip).ravel()
     fe_rows, beta_rows, open_score = fe.reshape(n, yw), beta.reshape(n, yw), il.open_score.reshape(yw)
     ahead = np.empty((0, 0))
     for i in range(len(live) - 2, -1, -1):
         k, nxt = live[i + 1], starts[i + 1]
         if ahead.shape[0] != k:  # buffers per width, and their views
-            ahead, terms, c = np.empty((k, yw + y)), np.zeros((k, y, r, t)), k * iy.size
-            cells, best_open, into_k, cell_k, yr_k = ahead[:, :yw], ahead[:, yw:], into[:c], cell[:c], yr[:c]
+            ahead, terms, c = np.empty((k, yw + y)), np.zeros((k, p, t)), k * iw.size
+            cells, best_open, into_k, cell_k, ip_k = ahead[:, :yw], ahead[:, yw:], into[:c], cell[:c], ip[:c]
         np.add(fe_rows[nxt : nxt + k], beta_rows[nxt : nxt + k], cells)
         _max((cells + open_score).reshape(k, y, w), 2, out=best_open)
         safe = np.maximum(_max(ahead.take(succ, 1), 1) + 1.0, _LOWEST)
-        np.put(terms, into_k, np.exp(ahead.take(cell_k) + 1.0 - safe.take(yr_k)))
+        np.put(terms, into_k, np.exp(ahead.take(cell_k) + 1.0 - safe.take(ip_k)))
         now = np.log(np.add.reduce(terms, -1)) + safe
-        now.reshape(k, y * r).take(cls, 1, out=beta[starts[i] : starts[i] + k])
+        now.take(row, 1, out=beta[starts[i] : starts[i] + k])
     return beta
 
 

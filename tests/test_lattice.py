@@ -805,6 +805,101 @@ class TestIntentAxes:
         assert np.all(log_partition(jin).intent_marginals[:, 1] == 0.0)
 
 
+def assert_partition_matches_dense(jin):
+    """One log_partition call on a batch gives each query the dense
+    reference's log Z, q(y) and unary marginals, bit for bit."""
+    post = log_partition(jin)
+    f_l, ends = jin.f_l.reshape(jin.lengths.size, -1), np.cumsum(jin.lengths)
+    for n, (m, end) in enumerate(zip(jin.lengths, ends)):
+        log_z, q, unary = ref_log_partition_dense(JointScoreInputs(f_l[n], jin.f_o[end - m : end], jin.rm, jin.tm))
+        assert post.log_z[n] == log_z
+        np.testing.assert_array_equal(post.intent_marginals[n], q)
+        np.testing.assert_array_equal(post.slot_unary_marginals[:, end - m : end], unary)
+
+
+def backward_rows(rm, tm):
+    """The (intent, row class) pairs of the labels each intent lists."""
+    return np.unique((np.arange(rm.shape[0])[:, None] * tm.row_rep.size + tm.row_class)[rm]).size
+
+
+class TestBackwardRows:
+    """The backward pass sums only the (intent, class) rows that some
+    listed label reads; masks whose rows are few and uneven, against the
+    dense references bit for bit: every allowed backward score, and
+    log_partition's log Z and marginals."""
+
+    def check(self, rm, tm, seed):
+        rng = np.random.default_rng(seed)
+        for scale, lengths in itertools.product((1.0, 30.0), TestIntentAxes.LENGTHS):
+            f_l = scale * rng.standard_normal((len(lengths), rm.shape[0]))
+            f_o = scale * rng.standard_normal((sum(lengths), rm.shape[1]))
+            for fl, fo in ((f_l, f_o), (np.round(f_l), np.round(f_o))):
+                jin = JointScoreInputs(fl, fo, RelationMask(rm, False), tm, 1.0, np.array(lengths))
+                assert_sums_match_dense(jin)
+                assert_partition_matches_dense(jin)
+
+    def test_an_intent_listing_only_o(self):
+        ls = SNIPS_SPACE
+        rm = np.zeros((7, 79), dtype=bool)
+        rm[:, ls.o_id] = True
+        rm[1:, 1:] = np.random.default_rng(30).random((6, 78)) < 0.3
+        tm = build_transition_mask(ls)
+        assert rm[0].sum() == 1 and backward_rows(rm, tm) < 7 * 40
+        self.check(rm, tm, 30)
+
+    def test_intents_each_listing_one_slot_type(self):
+        """No O: each intent's B-X and I-X of its own type, two labels of
+        one class, so one row per intent."""
+        ls = SNIPS_SPACE
+        rm = np.zeros((7, 79), dtype=bool)
+        for y, k in enumerate((0, 3, 4, 11, 20, 37, 38)):
+            rm[y, [ls.slot_id(f"B-type{k}"), ls.slot_id(f"I-type{k}")]] = True
+        tm = build_transition_mask(ls)
+        assert backward_rows(rm, tm) == 7
+        self.check(rm, tm, 31)
+
+    @pytest.mark.parametrize("single", ["O", "B-type5"])
+    def test_all_labels_next_to_a_single_one(self, single):
+        """One intent lists all 79 labels, so W = T, and the other one."""
+        ls = SNIPS_SPACE
+        rm = np.zeros((2, 79), dtype=bool)
+        rm[0] = True
+        rm[1, ls.slot_id(single)] = True
+        tm = build_transition_mask(ls)
+        assert backward_rows(rm, tm) == 40 + 1
+        self.check(rm, tm, 32)
+
+    def test_beyond_bio_rows_whose_rep_is_unlisted(self):
+        """Classes of several equal rows, and intents that list a member of
+        a class but not its row_rep, the row its sum is built from."""
+        rng = np.random.default_rng(33)
+        unlisted_rep = 0
+        for n in range(20):
+            t_n = int(rng.integers(4, 12))
+            allowed = rng.random((t_n, t_n)) < rng.uniform(0.2, 0.8)
+            np.fill_diagonal(allowed, True)
+            for src, dst in rng.integers(t_n, size=(t_n // 2, 2)):  # equal rows, each keeping its diagonal
+                allowed[src, dst] = True
+                allowed[dst] = allowed[src]
+            tm = TransitionMask(np.where(allowed, 1.0, NEG_INF), np.ones(t_n))
+            rm = rng.random((3, t_n)) < 0.4
+            rm[np.arange(3), rng.integers(t_n, size=3)] = True
+            rep = tm.row_rep[tm.row_class]  # each label's class's row_rep
+            unlisted_rep += np.any(rm & ~rm[:, rep])
+            self.check(rm, tm, 200 + n)
+        assert unlisted_rep == 17
+
+    @pytest.mark.parametrize("bio", [True, False], ids=["bio", "permissive"])
+    def test_no_intent_listing_a_label(self, bio):
+        """No row is read; the lattice is infeasible, and says so."""
+        tm = build_transition_mask(bio_space(3, 9)) if bio else permissive_transition_mask(9)
+        jin = JointScoreInputs(np.zeros((2, 3)), np.zeros((5, 9)), RelationMask(np.zeros((3, 9), dtype=bool), False),
+                               tm, 1.0, np.array([4, 1]))
+        for fn in (log_partition, viterbi_decode):
+            with pytest.raises(InfeasibleLattice):
+                fn(jin)
+
+
 class TestTransitionStructure:
     """The open/closed form every sweep runs on."""
 
